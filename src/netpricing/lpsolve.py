@@ -1,23 +1,93 @@
-"""Bundled solve command for the LP dialect written by netpricing.mip.
+"""The bundled scipy/HiGHS solver for netpricing.mip's linear models.
 
-Usage: python -m netpricing.lpsolve MODEL.lp SOLUTION.sol SECONDS
+solve() solves a LinearModel in the calling process; the builtin adapter
+of netpricing.mip.solve_external calls it directly. Run as a command, the
+same solver serves the external adapter contract on an LP file:
 
-Reads the model, solves it with scipy's HiGHS interface, and writes the
-solution as plain "name value" lines, one variable per line. Exit codes
-follow the adapter contract: 0 solved to optimality, 2 time limit reached
-(an incumbent, if HiGHS had one, is still written), 3 infeasible, 1 for
-anything else. A non-positive time budget exits 2 without solving at all,
-so a zero budget can never produce a made-up answer.
+    python -m netpricing.lpsolve MODEL.lp SOLUTION.sol SECONDS
+
+The command reads the model and writes the solution as plain "name value"
+lines, one variable per line. Exit codes: 0 solved to optimality, 2 time
+limit reached (an incumbent, if HiGHS had one, is still written), 3
+infeasible, 1 for anything else. A non-positive time budget exits 2
+without reading or solving the model, so a zero budget can never produce
+a made-up answer.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import sys
+import threading
 
 import numpy as np
 
+from .mip import (
+    ERROR,
+    FEASIBLE_TIMEOUT,
+    INFEASIBLE,
+    OPTIMAL,
+    LinearModel,
+    LpParseError,
+    SolveOutcome,
+    read_lp,
+)
 
-def _solve(model, seconds: float):
+EXIT_CODES = {OPTIMAL: 0, FEASIBLE_TIMEOUT: 2, INFEASIBLE: 3, ERROR: 1}
+
+
+def _flush_c_stdio():
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes = [ctypes.c_void_p]
+    fflush.restype = ctypes.c_int
+    fflush(None)
+
+
+class _MutedStdout:
+    """Points file descriptor 1 at the null device while any solve runs.
+
+    HiGHS can print to the C-level stdout whatever its log options say:
+    the HiGHS in scipy 1.17.1 prints "HighsMipSolverData::
+    transformNewIntegerFeasibleSolution tmpSolver.run();" on some ip1
+    solves. In process, that line would land in the caller's own output,
+    such as the JSON that ``netpricing solve`` prints. The descriptor is
+    shared by all threads, so the first of overlapping solves redirects it
+    and the last one restores it; output other threads write to stdout
+    meanwhile is lost.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = -1
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                sys.stdout.flush()
+                _flush_c_stdio()
+                self._saved = os.dup(1)
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.close(devnull)
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                _flush_c_stdio()
+                os.dup2(self._saved, 1)
+                os.close(self._saved)
+
+
+_MUTED_STDOUT = _MutedStdout()
+
+
+def _milp(model: LinearModel, seconds: float):
+    # scipy is imported here, not at module level: importing netpricing
+    # must not pay for it.
     from scipy import optimize, sparse
 
     n = len(model.variables)
@@ -49,12 +119,47 @@ def _solve(model, seconds: float):
         )
         constraints = [optimize.LinearConstraint(matrix, clo, chi)]
     options = {"mip_rel_gap": 0.0, "time_limit": seconds}
-    return optimize.milp(
-        c=cost,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=optimize.Bounds(lb, ub),
-        options=options,
+    with _MUTED_STDOUT:
+        return optimize.milp(
+            c=cost,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=optimize.Bounds(lb, ub),
+            options=options,
+        )
+
+
+def solve(model: LinearModel, seconds: float) -> SolveOutcome:
+    """Solve with HiGHS in this process, within a time budget in seconds.
+
+    The objective is recomputed from the returned values. A non-positive
+    budget returns feasible-timeout with no values and never solves; an
+    empty model is optimal. Mixed-integer solves also report HiGHS's dual
+    bound (in the maximisation sign), relative gap and node count.
+    """
+    if seconds <= 0:
+        return SolveOutcome(FEASIBLE_TIMEOUT, None, {}, "time limit")
+    if not model.variables:
+        return SolveOutcome(OPTIMAL, model.objective_value({}), {})
+    result = _milp(model, seconds)
+    if result.status == 2:
+        return SolveOutcome(INFEASIBLE, None, {}, "reported infeasible")
+    if result.status not in (0, 1):
+        return SolveOutcome(ERROR, None, {}, f"solver failure: {result.message}")
+    values = {}
+    objective = None
+    if result.x is not None:
+        values = {v.name: float(x) for v, x in zip(model.variables, result.x)}
+        objective = model.objective_value(values)
+    dual = result.mip_dual_bound
+    return SolveOutcome(
+        OPTIMAL if result.status == 0 else FEASIBLE_TIMEOUT,
+        objective,
+        values,
+        "" if result.status == 0 else "time limit",
+        bound=None if dual is None else -dual,
+        gap=result.mip_gap,
+        nodes=result.mip_node_count,
     )
 
 
@@ -70,40 +175,20 @@ def main(argv=None) -> int:
         print(f"bad time budget {seconds_text!r}", file=sys.stderr)
         return 1
     if seconds <= 0:
-        return 2
-
-    from .mip import LpParseError, read_lp
-
+        return EXIT_CODES[FEASIBLE_TIMEOUT]
     try:
         model = read_lp(model_path)
     except (OSError, LpParseError) as exc:
         print(f"cannot read model: {exc}", file=sys.stderr)
         return 1
-
-    def write_values(values):
+    outcome = solve(model, seconds)
+    if outcome.objective is not None:
         with open(solution_path, "w", encoding="utf-8") as out:
-            for var, value in values:
-                out.write(f"{var} {value!r}\n")
-
-    if not model.variables:
-        write_values([])
-        return 0
-    result = _solve(model, seconds)
-    if result.status == 0:
-        write_values(
-            (v.name, float(x)) for v, x in zip(model.variables, result.x)
-        )
-        return 0
-    if result.status == 1:  # iteration or time limit
-        if result.x is not None:
-            write_values(
-                (v.name, float(x)) for v, x in zip(model.variables, result.x)
-            )
-        return 2
-    if result.status == 2:
-        return 3
-    print(f"solver failure: {result.message}", file=sys.stderr)
-    return 1
+            for name, value in outcome.values.items():
+                out.write(f"{name} {value!r}\n")
+    if outcome.status == ERROR:
+        print(outcome.message, file=sys.stderr)
+    return EXIT_CODES[outcome.status]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Mixed-integer formulations, LP text export, and external solving.
+"""Mixed-integer formulations, LP text export, and solving.
 
 Two formulations of the same pricing problem:
 
@@ -13,13 +13,16 @@ Models are held in a small solver-agnostic IR (LinearModel) that can be
 written as LP text and read back by this module's own reader; the writer
 output is byte-stable for fixed inputs.
 
-External solving goes through a SolverAdapter holding a command template
-with {model}, {solution}, and {seconds} placeholders. The command must
-write a solution file of "name value" lines (absent variables read as 0)
-and exit 0 when optimal, 2 on a time limit, and 3 when infeasible. The
-builtin adapter runs the bundled scipy/HiGHS backend (netpricing.lpsolve)
-from the caller's own copy of this package: the directory holding it goes
-first on the child's PYTHONPATH, so a source checkout needs no install.
+Solving goes through solve_external and a SolverAdapter. The builtin
+adapter solves in this process with the bundled scipy/HiGHS backend
+(netpricing.lpsolve.solve), passing HiGHS the model's columns and rows in
+model order; it writes no LP file and starts no process, so it needs no
+install. An in-process solve cannot be killed, so it relies on HiGHS's own
+time limit. Any other adapter holds a command template with {model},
+{solution}, and {seconds} placeholders, run on an LP file in a work
+directory. The command must write a solution file of "name value" lines
+(absent variables read as 0) and exit 0 when optimal, 2 on a time limit,
+and 3 when infeasible; ``python -m netpricing.lpsolve`` is such a command.
 """
 
 from __future__ import annotations
@@ -339,16 +342,14 @@ def build_ip1(inst: Instance) -> LinearModel:
     return m
 
 
-def build_ip2(inst: Instance, price_factor: bool = True) -> LinearModel:
+def build_ip2(inst: Instance) -> LinearModel:
     """Grid-indexed formulation: one binary per outlet price level.
 
     v_{f}_{m} picks outlet f's grid price; y_{e}_{f}_{m} marks node e
     buying from f at level m and exists only where the captured volume is
     positive. A purchase requires the chosen level and forbids any other
-    connected outlet from sitting strictly cheaper. With price_factor the
-    objective weighs captured volume by the price actually paid; without
-    it the objective sums volumes alone (a historical scoring, kept
-    selectable for comparison).
+    connected outlet from sitting strictly cheaper. The objective weighs
+    captured volume by the price actually paid.
     """
     o_e, _, _ = adjacency(inst)
     m = LinearModel()
@@ -371,10 +372,7 @@ def build_ip2(inst: Instance, price_factor: bool = True) -> LinearModel:
                 name = m.add_var(
                     f"y_{e}_{f}_{level}", kind=BINARY, role=("buy", e, f, level)
                 )
-                weight = float(vol)
-                if price_factor:
-                    weight *= money_float(grid[level])
-                obj.append((name, weight))
+                obj.append((name, float(vol) * money_float(grid[level])))
                 purchases[e].append((f, level))
     m.set_objective(obj)
 
@@ -675,24 +673,15 @@ class SolverAdapter:
 
 
 def builtin_adapter() -> SolverAdapter:
-    """The bundled scipy/HiGHS solver, run by the current interpreter.
+    """The bundled scipy/HiGHS solver.
 
-    solve_external runs it with the directory holding this netpricing
-    package first on PYTHONPATH, so the child imports the same copy that
-    wrote the model, whatever the caller's cwd or PYTHONPATH; no install
-    is needed. Other adapters inherit the caller's environment unchanged.
+    solve_external recognises this adapter and solves in process with
+    netpricing.lpsolve.solve: no LP file, no child process, and workdir is
+    ignored. Its command, which solve_external does not run, names the
+    same solver as an external command.
     """
     exe = shlex.quote(sys.executable)
     return SolverAdapter(f"{exe} -m netpricing.lpsolve {{model}} {{solution}} {{seconds}}")
-
-
-def _builtin_env() -> dict[str, str]:
-    """The caller's environment with this package's parent directory first
-    on PYTHONPATH (absolute, so it resolves from the solver's temp cwd)."""
-    env = dict(os.environ)
-    root = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    return env
 
 
 def resolve_adapter(spec: Optional[str]) -> Optional[SolverAdapter]:
@@ -708,10 +697,20 @@ def resolve_adapter(spec: Optional[str]) -> Optional[SolverAdapter]:
 
 @dataclass
 class SolveOutcome:
+    """A solve's status, recomputed objective and variable values.
+
+    bound (HiGHS's dual bound, in the maximisation sign), gap and nodes
+    come from the builtin solver's mixed-integer solves; external adapters
+    and pure LP solves leave them None.
+    """
+
     status: str
     objective: Optional[float]
     values: dict[str, float]
     message: str = ""
+    bound: Optional[float] = None
+    gap: Optional[float] = None
+    nodes: Optional[int] = None
 
 
 def parse_solution(text: str, known: Optional[set] = None) -> dict[str, float]:
@@ -744,16 +743,22 @@ def solve_external(
     time_limit: Optional[float] = None,
     workdir=None,
 ) -> SolveOutcome:
-    """Solve a model through an adapter command; never fabricates results.
+    """Solve a model through an adapter; never fabricates results.
 
     The objective is always recomputed from the returned variable values,
-    so a timeout without an incumbent reports no objective at all.
+    so a timeout without an incumbent reports no objective at all. The
+    builtin adapter solves in process and ignores workdir.
     """
     if adapter is None:
         raise SolverUnavailable(
             "no solver configured; pass --solver-cmd, set "
             f"{SOLVER_ENV_VAR}, or use '{BUILTIN_SOLVER}'"
         )
+    seconds = 1_000_000_000.0 if time_limit is None else float(time_limit)
+    if adapter == builtin_adapter():
+        from .lpsolve import solve
+
+        return solve(model, seconds)
     own_dir = None
     if workdir is None:
         own_dir = tempfile.TemporaryDirectory(prefix="netpricing-mip-")
@@ -762,7 +767,6 @@ def solve_external(
         model_path = Path(workdir) / "model.lp"
         solution_path = Path(workdir) / "model.sol"
         write_lp(model, model_path)
-        seconds = 1_000_000_000.0 if time_limit is None else float(time_limit)
         cmd = [
             tok.format(model=str(model_path), solution=str(solution_path), seconds=_num(seconds))
             for tok in shlex.split(adapter.command)
@@ -772,7 +776,6 @@ def solve_external(
             proc = subprocess.run(
                 cmd,
                 cwd=workdir,
-                env=_builtin_env() if adapter == builtin_adapter() else None,
                 capture_output=True,
                 text=True,
                 timeout=hard_timeout,
@@ -895,11 +898,11 @@ def relax_order(
     return order_by_fractional_price(fractional)
 
 
-def build_model(inst: Instance, which: str, price_factor: bool = True) -> LinearModel:
+def build_model(inst: Instance, which: str) -> LinearModel:
     if which == "ip1":
         return build_ip1(inst)
     if which == "ip2":
-        return build_ip2(inst, price_factor=price_factor)
+        return build_ip2(inst)
     raise ValueError(f"unknown formulation {which!r}")
 
 

@@ -1,12 +1,16 @@
 """Formulation builders, LP text round-trips, and the solver adapter."""
 
+import os
 import shlex
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import netpricing
 from netpricing import (
     BMNPP,
     DemandNode,
@@ -45,10 +49,35 @@ from netpricing.mip import (
 from tests.conftest import two_node_instance
 
 GOLDEN = Path(__file__).parent / "golden"
+PACKAGE_ROOT = Path(netpricing.__file__).resolve().parent.parent
 
 
 def full_edges_instance():
     return two_node_instance([(0, 0), (0, 1), (1, 0), (1, 1)])
+
+
+def tiny_bmnpp():
+    return generate(
+        GenParams(
+            model=BMNPP,
+            n_outlets=3,
+            n_demands=4,
+            density=0.7,
+            seed=5,
+            grid_min="0",
+            grid_max="10",
+            grid_step="1",
+        )
+    )
+
+
+def infeasible_model() -> LinearModel:
+    m = LinearModel()
+    m.add_var("x", kind=BINARY)
+    m.add_constr("force_on", [("x", 1.0)], ">=", 1.0)
+    m.add_constr("force_off", [("x", 1.0)], "<=", 0.0)
+    m.set_objective([("x", 1.0)])
+    return m
 
 
 class TestLinearModel:
@@ -219,15 +248,28 @@ class TestSolveExternal:
         assert outcome.status == OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(1600.0)
 
-    def test_builtin_runs_callers_package(self, tiny_disjoint, solver, tmp_path, monkeypatch):
-        # The solver child runs from a temp cwd; a relative PYTHONPATH (such
-        # as the checkout's PYTHONPATH=src) must not decide which netpricing
-        # it imports, nor whether it finds one at all.
-        monkeypatch.setenv("PYTHONPATH", "no-such-dir")
-        monkeypatch.chdir(tmp_path)
+    def test_builtin_runs_in_process(self, tiny_disjoint, solver, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the builtin solver wrote a file or started a process")
+
+        monkeypatch.setattr("netpricing.mip.write_lp", refuse)
+        monkeypatch.setattr("netpricing.mip.subprocess.run", refuse)
         outcome = solve_external(build_ip2(tiny_disjoint), solver)
         assert outcome.status == OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(1600.0)
+
+    def test_builtin_reports_highs_diagnostics(self, tiny_disjoint, solver):
+        outcome = solve_external(build_ip2(tiny_disjoint), solver)
+        assert outcome.status == OPTIMAL, outcome.message
+        assert outcome.bound == pytest.approx(outcome.objective)
+        assert outcome.gap == 0
+        assert outcome.nodes is not None
+
+    def test_builtin_empty_model_is_optimal(self, solver):
+        outcome = solve_external(LinearModel(), solver)
+        assert outcome.status == OPTIMAL, outcome.message
+        assert outcome.objective == 0
+        assert outcome.values == {}
 
     def test_zero_budget_never_fabricates(self, tiny_disjoint, solver):
         outcome = solve_external(build_ip2(tiny_disjoint), solver, time_limit=0)
@@ -257,12 +299,7 @@ class TestSolveExternal:
         assert outcome.status == ERROR
 
     def test_infeasible_exit_code(self, solver):
-        m = LinearModel()
-        m.add_var("x", kind=BINARY)
-        m.add_constr("force_on", [("x", 1.0)], ">=", 1.0)
-        m.add_constr("force_off", [("x", 1.0)], "<=", 0.0)
-        m.set_objective([("x", 1.0)])
-        outcome = solve_external(m, solver)
+        outcome = solve_external(infeasible_model(), solver)
         assert outcome.status == INFEASIBLE, outcome.message
         assert outcome.objective is None
 
@@ -280,6 +317,109 @@ class TestSolveExternal:
         assert "bogus" not in outcome.values
 
 
+def lpsolve_command(args: str = "{model} {solution} {seconds}") -> SolverAdapter:
+    """``python -m netpricing.lpsolve`` as an external command (not the
+    builtin alias), importing this netpricing through an absolute path."""
+    exe = shlex.quote(sys.executable)
+    root = shlex.quote(str(PACKAGE_ROOT))
+    return SolverAdapter(f"env PYTHONPATH={root} {exe} -m netpricing.lpsolve {args}")
+
+
+class TestLpsolveCommand:
+    """The exit-code and solution-file contract of the bundled command."""
+
+    def test_optimal_exits_zero_with_solution(self, tiny_disjoint, tmp_path):
+        outcome = solve_external(build_ip2(tiny_disjoint), lpsolve_command(), workdir=tmp_path)
+        assert outcome.status == OPTIMAL, outcome.message
+        assert outcome.objective == pytest.approx(1600.0)
+        assert (tmp_path / "model.sol").exists()
+
+    def test_infeasible_exits_three(self, tmp_path):
+        outcome = solve_external(infeasible_model(), lpsolve_command(), workdir=tmp_path)
+        assert outcome.status == INFEASIBLE, outcome.message
+
+    def test_zero_budget_exits_two_without_solution(self, tiny_disjoint, tmp_path):
+        outcome = solve_external(
+            build_ip2(tiny_disjoint), lpsolve_command(), time_limit=0, workdir=tmp_path
+        )
+        assert outcome.status == FEASIBLE_TIMEOUT, outcome.message
+        assert outcome.values == {}
+        assert not (tmp_path / "model.sol").exists()
+
+    def test_bad_argv_exits_one(self, tiny_disjoint, tmp_path):
+        adapter = lpsolve_command("{model} {solution}")
+        outcome = solve_external(build_ip2(tiny_disjoint), adapter, workdir=tmp_path)
+        assert outcome.status == ERROR
+        assert outcome.message.startswith("solver exited 1: usage")
+
+
+@pytest.mark.parametrize(
+    "name", ["tiny_connected", "tiny_disjoint", "tiny_single", "tiny_bmnpp"]
+)
+def test_in_process_builtin_matches_child_command(name, request, solver):
+    inst = tiny_bmnpp() if name == "tiny_bmnpp" else request.getfixturevalue(name)
+    models = {"ip2": build_ip2(inst), "relax_ip2": relax(build_ip2(inst))}
+    if inst.model != BMNPP:
+        models["ip1"] = build_ip1(inst)
+    for which, model in models.items():
+        in_process = solve_external(model, solver)
+        child = solve_external(model, lpsolve_command())
+        assert in_process.status == child.status == OPTIMAL, (which, child.message)
+        assert in_process.objective == child.objective, which
+        assert in_process.values == child.values, which
+        assert (child.bound, child.gap, child.nodes) == (None, None, None)
+
+
+def run_python(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh interpreter importing this
+    netpricing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_builtin_keeps_highs_prints_off_stdout():
+    # On this ip1 solve, scipy 1.17.1's HiGHS prints a debugging line to the
+    # C-level stdout; in process it must not reach the caller's output.
+    out = run_python(
+        "from netpricing import GenParams, builtin_adapter, generate, solve_ip\n"
+        "inst = generate(GenParams(model='mnpp', n_outlets=2, n_demands=5,"
+        " density=0.9, seed=31402, grid_max='10', grid_step='1'))\n"
+        "outcome, _ = solve_ip(inst, 'ip1', builtin_adapter())\n"
+        "print(outcome.status)\n"
+    )
+    assert out == "optimal\n"
+
+
+def test_overlapping_builtin_solves_restore_stdout(tiny_disjoint, solver):
+    before = os.fstat(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(solve_external, build_ip2(tiny_disjoint), solver)
+                for _ in range(24)
+            ]
+            statuses = {f.result(timeout=60).status for f in futures}
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == {OPTIMAL}
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def test_import_does_not_load_scipy():
+    out = run_python("import sys, netpricing, netpricing.cli; print('scipy' in sys.modules)")
+    assert out == "False\n"
+
+
 class TestSolveIp:
     def test_ip1_matches_oracle(self, tiny_disjoint, solver):
         outcome, prices = solve_ip(tiny_disjoint, "ip1", solver)
@@ -294,18 +434,7 @@ class TestSolveIp:
         assert prices == (900, 700)
 
     def test_ip2_bmnpp(self, solver):
-        inst = generate(
-            GenParams(
-                model=BMNPP,
-                n_outlets=3,
-                n_demands=4,
-                density=0.7,
-                seed=5,
-                grid_min="0",
-                grid_max="10",
-                grid_step="1",
-            )
-        )
+        inst = tiny_bmnpp()
         outcome, prices = solve_ip(inst, "ip2", solver)
         best = brute_force(inst)[0]
         assert outcome.status == OPTIMAL, outcome.message
