@@ -353,8 +353,64 @@ def _run_one(
         return {"status": STATUS_ERROR, "message": f"{type(exc).__name__}: {exc}"}
 
 
+def _run_instance(
+    iid: str,
+    inst: Instance,
+    algorithms: list[str],
+    exact_method: Optional[str],
+    solver_cmd: Optional[str],
+    time_limit: Optional[float],
+    solver_time_limit: Optional[float],
+    pi: Optional[Money],
+    sp_include_match: bool,
+    order_prefer_max: bool,
+) -> list[RunRecord]:
+    """Reference scores, runs and PM accounting of one instance.
+
+    All the work on one instance happens together, so its revenue table
+    is built once and stays cached while it is in use, at any suite size.
+    """
+    _, r_sp = single_price(inst, include_match=sp_include_match)
+    r_opt = None
+    if exact_method == "ladder":
+        r_opt, _, _ = exact_mod.ladder_exact(inst)
+    elif exact_method == "brute":
+        r_opt, _ = exact_mod.brute_force(inst)
+    records = []
+    for alg in algorithms:
+        fields = _run_one(
+            inst,
+            alg,
+            solver_cmd,
+            time_limit,
+            solver_time_limit,
+            pi,
+            sp_include_match,
+            order_prefer_max,
+        )
+        rec = RunRecord(
+            instance_id=iid,
+            model=inst.model,
+            n_outlets=inst.n_outlets,
+            n_demands=inst.n_demands,
+            density=inst.density,
+            algorithm=alg,
+            status=fields["status"],
+            revenue=fields.get("revenue"),
+            prices=fields.get("prices"),
+            wall_time=fields.get("wall_time"),
+            message=fields.get("message", ""),
+            r_opt=r_opt,
+            r_sp=r_sp,
+        )
+        if rec.prices is not None:
+            rec.pm = pm_accounting(inst, rec.prices)
+        records.append(rec)
+    return records
+
+
 def _pool_task(args):
-    return _run_one(*args)
+    return _run_instance(*args)
 
 
 def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
@@ -373,72 +429,34 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     if exact_method not in (None, "ladder", "brute"):
         raise ConfigError("config 'exact' must be 'ladder', 'brute', or null")
     record_times = bool(config.get("record_times", False))
-    time_limit = config.get("time_limit")
-    solver_time_limit = config.get("solver_time_limit")
-    solver_cmd = config.get("solver_cmd")
     try:
         pi = None if config.get("pi") is None else parse_money(config["pi"])
     except MoneyError as exc:
         raise ConfigError(f"config 'pi': {exc}") from exc
-    sp_include_match = bool(config.get("sp_include_match", False))
-    order_prefer_max = bool(config.get("order_prefer_max", False))
 
     instances = _config_instances(config, base_dir)
-
-    # Reference scores are computed once per instance, in config order.
-    references: dict[str, dict] = {}
-    for iid, inst in instances:
-        _, sp_rev = single_price(inst, include_match=sp_include_match)
-        ref = {"r_sp": sp_rev, "r_opt": None}
-        if exact_method == "ladder":
-            ref["r_opt"], _, _ = exact_mod.ladder_exact(inst)
-        elif exact_method == "brute":
-            ref["r_opt"], _ = exact_mod.brute_force(inst)
-        references[iid] = ref
-
     tasks = [
         (
+            iid,
             inst,
-            alg,
-            solver_cmd,
-            time_limit,
-            solver_time_limit,
+            algorithms,
+            exact_method,
+            config.get("solver_cmd"),
+            config.get("time_limit"),
+            config.get("solver_time_limit"),
             pi,
-            sp_include_match,
-            order_prefer_max,
+            bool(config.get("sp_include_match", False)),
+            bool(config.get("order_prefer_max", False)),
         )
-        for _, inst in instances
-        for alg in algorithms
+        for iid, inst in instances
     ]
-    keys = [(iid, alg) for iid, _ in instances for alg in algorithms]
+    # Instances are handled one at a time, in config order.
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_pool_task, tasks))
+            per_instance = list(pool.map(_pool_task, tasks))
     else:
-        raw = [_run_one(*task) for task in tasks]
-
-    by_id = {iid: inst for iid, inst in instances}
-    records: list[RunRecord] = []
-    for (iid, alg), fields in zip(keys, raw):
-        inst = by_id[iid]
-        rec = RunRecord(
-            instance_id=iid,
-            model=inst.model,
-            n_outlets=inst.n_outlets,
-            n_demands=inst.n_demands,
-            density=inst.density,
-            algorithm=alg,
-            status=fields["status"],
-            revenue=fields.get("revenue"),
-            prices=fields.get("prices"),
-            wall_time=fields.get("wall_time"),
-            message=fields.get("message", ""),
-            r_opt=references[iid]["r_opt"],
-            r_sp=references[iid]["r_sp"],
-        )
-        if rec.prices is not None:
-            rec.pm = pm_accounting(inst, rec.prices)
-        records.append(rec)
+        per_instance = [_run_instance(*task) for task in tasks]
+    records = [rec for recs in per_instance for rec in recs]
 
     paths = {
         "runs": out_dir / f"{suite_id}.runs.csv",

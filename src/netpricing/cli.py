@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="input", required=True)
     solve.add_argument("--alg", choices=ALGORITHMS + ("ip1", "ip2"), required=True)
     solve.add_argument("--out", default=None, help="result JSON path")
-    solve.add_argument("--pi", default=None)
+    solve.add_argument(
+        "--pi", default=None, help="price spread cap; default: the instance's own"
+    )
     solve.add_argument("--time-limit", type=float, default=None)
     solve.add_argument("--solver-cmd", default=None)
     solve.add_argument("--record-times", action="store_true")

@@ -12,8 +12,9 @@ Three families:
   the greedy, order, and relaxation-guided variants are composed.
 
 All ties break toward the lower id or the earlier position, so every
-heuristic is deterministic. Spread caps default to off; pass pi explicitly
-to enforce one.
+heuristic is deterministic. The functions below take the spread cap as an
+explicit pi, where None means no cap; run_algorithm passes the instance's
+own cap unless it is given another.
 """
 
 from __future__ import annotations
@@ -330,12 +331,15 @@ def run_algorithm(
 ) -> HeuristicResult:
     """Run one named heuristic and return its result.
 
-    The relaxation-guided insertions (ip1I, ip2I) need a solver adapter;
+    pi overrides the instance's spread cap; None keeps inst.pi. The
+    relaxation-guided insertions (ip1I, ip2I) need a solver adapter;
     without one they raise SolverUnavailable rather than silently falling
     back to another selection rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if pi is None:
+        pi = inst.pi
     deadline = Deadline(time_limit)
     t0 = time.perf_counter()
     if algorithm == "sp":

@@ -18,10 +18,17 @@ so one pass costs O(positions * |grid|) plus the revenue table lookups.
 A finite spread cap pi restricts max(price) - min(price). The programme is
 then repeated once per candidate floor index, restricting the grid to the
 window [b(m0), b(m0) + pi], and the best window wins.
+
+Under the fixed-fraction model the programme runs on the revenue table's
+integer image (every entry times one common scale, exactly), so its hot
+loops add and compare plain integers; the result becomes a Fraction only
+on the way out. Under the logit model it runs on the float table itself.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .model import Instance, adjacency, revenue_table, zero_revenue
@@ -99,6 +106,8 @@ def dp_prices(
         return (), zero
 
     table = revenue_table(inst, model)
+    rows_of = table if table.ints is None else table.ints
+    start = zero if table.ints is None else 0
     by_position = [[] for _ in range(n_active)]
     pos_of = {ladder[k]: k for k in range(n_active)}
     for e, f in assignment.items():
@@ -106,40 +115,35 @@ def dp_prices(
     stage_rev = []
     for pos in range(n_active):
         f = ladder[pos]
-        rows = [table[(e, f)] for e in by_position[pos]]
-        stage_rev.append(
-            [sum((row[m] for row in rows), zero) for m in range(n_prices)]
-        )
+        rows = [rows_of[(e, f)] for e in by_position[pos]]
+        if rows:
+            stage_rev.append([sum(column, start) for column in zip(*rows)])
+        else:
+            stage_rev.append([start] * n_prices)
 
     def run_window(lo: int, hi: int):
-        # Forward pass keeps, per stage, the prefix-best predecessor with
-        # ties resolved to the highest grid index.
-        width = hi - lo + 1
-        DP_CALLS.cells += n_active * width
-        value = [stage_rev[0][lo + m] for m in range(width)]
-        back: list[list[int]] = []
+        # Forward pass: each stage adds its revenue to the prefix maximum
+        # of the stage before. The backward pass takes, at every stage,
+        # the highest grid index attaining the maximum it continues from.
+        DP_CALLS.cells += n_active * (hi - lo + 1)
+        values = [stage_rev[0][lo : hi + 1]]
+        prefix_best = []
         for pos in range(1, n_active):
-            best_j = 0
-            best_val = value[0]
-            choice = [0] * width
-            new_value = [zero] * width
-            for m in range(width):
-                if value[m] >= best_val:
-                    best_val = value[m]
-                    best_j = m
-                choice[m] = best_j
-                new_value[m] = stage_rev[pos][lo + m] + best_val
-            back.append(choice)
-            value = new_value
-        top = 0
-        for m in range(width):
-            if value[m] >= value[top]:
-                top = m
+            prefix_best.append(list(accumulate(values[-1], max)))
+            values.append(
+                [r + b for r, b in zip(stage_rev[pos][lo : hi + 1], prefix_best[-1])]
+            )
+        best = max(values[-1])
+        target, m = best, hi - lo
         indices = [0] * n_active
-        indices[n_active - 1] = top
-        for pos in range(n_active - 2, -1, -1):
-            indices[pos] = back[pos][indices[pos + 1]]
-        return value[top], [lo + m for m in indices]
+        for pos in range(n_active - 1, -1, -1):
+            value = values[pos]
+            while value[m] != target:
+                m -= 1
+            indices[pos] = lo + m
+            if pos:
+                target = prefix_best[pos - 1][m]
+        return best, indices
 
     if pi is None:
         best_rev, best_idx = run_window(0, n_prices - 1)
@@ -153,6 +157,8 @@ def dp_prices(
             if best_rev is None or rev > best_rev:
                 best_rev, best_idx = rev, idx
     prices = tuple(grid[m] for m in best_idx)
+    if table.scale is not None:
+        best_rev = Fraction(best_rev, table.scale)
     return prices, best_rev
 
 

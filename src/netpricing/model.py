@@ -198,6 +198,34 @@ class Instance:
     def outlets(self) -> range:
         return range(self.n_outlets)
 
+    def __hash__(self) -> int:
+        # Hashing the fields reaches every Fraction of every node, and the
+        # table caches hash their instance on each call, so the hash is
+        # computed once and kept.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(
+                (
+                    self.n_outlets,
+                    self.demands,
+                    self.edges,
+                    self.grid,
+                    self.model,
+                    self.pi,
+                    self.seed,
+                )
+            )
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        # str hashes differ between processes, so the kept hash stays out
+        # of pickles and copies.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @lru_cache(maxsize=256)
 def adjacency(inst: Instance):
@@ -267,24 +295,50 @@ def demand_at(inst: Instance, e: int, f: int, price: Money, model: str):
     return demand_bmnpp(node, edge, price, inst.grid)
 
 
+class RevenueTable(dict):
+    """Per-edge revenue rows, with an exact integer image under MNPP.
+
+    Under MNPP, scale is the least common multiple of the entry
+    denominators and ints[(e, f)][m] == self[(e, f)][m] * scale exactly;
+    under BMNPP both are None.
+    """
+
+    __slots__ = ("scale", "ints")
+
+
 @lru_cache(maxsize=64)
-def revenue_table(inst: Instance, model: str):
+def revenue_table(inst: Instance, model: str) -> RevenueTable:
     """Per-edge revenue contribution at every grid price.
 
     table[(e, f)][m] is price * captured volume with the price at grid
-    index m, as a Fraction for MNPP and a float for BMNPP.
+    index m, as a Fraction for MNPP and a float for BMNPP. Each row is
+    built from its own edge. MNPP tables also carry the integer image
+    described in RevenueTable, which the ladder programme runs on.
     """
-    table = {}
+    grid = inst.grid
+    table = RevenueTable()
     for edge in inst.edges:
         node = inst.demands[edge.e]
-        row = []
-        for price in inst.grid.prices:
-            vol = demand_at(inst, edge.e, edge.f, price, model)
-            if model == MNPP:
-                row.append(money_unit(price) * vol)
-            else:
-                row.append((price / MONEY_SCALE) * vol)
-        table[(edge.e, edge.f)] = tuple(row)
+        if model == MNPP:
+            row = tuple(
+                money_unit(price) * demand_mnpp(node, price, grid)
+                for price in grid.prices
+            )
+        else:
+            row = tuple(
+                (price / MONEY_SCALE) * demand_bmnpp(node, edge, price, grid)
+                for price in grid.prices
+            )
+        table[(edge.e, edge.f)] = row
+    if model == MNPP:
+        scale = math.lcm(*(v.denominator for row in table.values() for v in row))
+        table.scale = scale
+        table.ints = {
+            key: tuple(v.numerator * (scale // v.denominator) for v in row)
+            for key, row in table.items()
+        }
+    else:
+        table.scale = table.ints = None
     return table
 
 

@@ -20,6 +20,7 @@ from netpricing import (
     pm_accounting,
     read_runs_csv,
     records_from_csv,
+    revenue_table,
     run_suite,
     save_instance,
     summarise,
@@ -176,6 +177,25 @@ class TestRunSuite:
         p1 = run_suite(suite_config(), tmp_path / "a", jobs=1)
         p2 = run_suite(suite_config(), tmp_path / "b", jobs=2)
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
+
+    def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
+        # 70 instances outnumber the 64 tables revenue_table keeps.
+        block = {
+            "outlets": 2,
+            "demands": 3,
+            "seeds": list(range(70)),
+            "grid_max": "5",
+            "grid_step": "1",
+        }
+        config = suite_config(
+            algorithms=["sp", "greedy", "fi"],
+            exact="ladder",
+            instances={"generate": [block]},
+        )
+        revenue_table.cache_clear()
+        paths = run_suite(config, tmp_path / "out")
+        assert len(records_from_csv(paths["runs"])) == 210
+        assert revenue_table.cache_info().misses == 70
 
     def test_wall_time_column_is_opt_in(self, tmp_path):
         cold = run_suite(suite_config(), tmp_path / "a")

@@ -1,5 +1,6 @@
 """Constructive heuristics against the hand-checked tiny oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,22 @@ def test_bmnpp_heuristics_bounded_by_optimum():
         for algorithm in ("sp", "greedy", "order", "fi", "greedyI", "orderI"):
             revenue = run_algorithm(inst, algorithm).revenue
             assert revenue <= best + 1e-9 * max(1.0, abs(best))
+
+
+def test_ladder_heuristics_honour_the_instance_spread_cap():
+    """pi=None keeps inst.pi: fi broke a 2.00 cap on 10 of these 30."""
+    broken_without_cap = 0
+    for seed in range(30):
+        params = small_grid_params("mnpp", seed, outlets=3, demands=6, density=0.5)
+        inst = generate(replace(params, pi="2"))
+        assert inst.pi == 200
+        for algorithm in ("greedy", "order", "fi", "greedyI", "orderI"):
+            prices = run_algorithm(inst, algorithm).prices
+            assert max(prices) - min(prices) <= inst.pi, (seed, algorithm, prices)
+        # An explicit pi still overrides the instance's own cap.
+        prices = run_algorithm(inst, "fi", pi=1000).prices
+        broken_without_cap += max(prices) - min(prices) > inst.pi
+    assert broken_without_cap == 10
 
 
 def test_algorithm_registry():

@@ -1,5 +1,6 @@
 """Instance data model, demand functions, and the price-vector evaluator."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,16 @@ from netpricing import (
     PW,
     DemandNode,
     Edge,
+    GenParams,
     Instance,
     InvalidInstance,
     PriceGrid,
     adjacency,
     demand_at,
     evaluate_prices,
+    generate,
+    instance_from_doc,
+    instance_to_doc,
     logit_share,
     price_below,
     revenue_table,
@@ -236,6 +241,31 @@ def test_revenue_table_shape_and_cache(tiny_connected):
     assert len(t1[(0, 0)]) == 26
     assert t1[(0, 0)][9] == Fraction(900) * 1  # undercut at 9: gamma volume
     assert t1[(0, 0)][10] == Fraction(500)  # match at 10: beta volume
+
+
+def test_revenue_table_integer_image():
+    inst = generate(GenParams(model=MNPP, n_outlets=3, n_demands=6, seed=4, beta="0.3"))
+    table = revenue_table(inst, MNPP)
+    assert set(table.ints) == set(table)
+    for key, row in table.items():
+        assert all(isinstance(v, Fraction) for v in row)
+        assert table.ints[key] == tuple(v * table.scale for v in row)
+    assert all(table.scale % v.denominator == 0 for row in table.values() for v in row)
+    logit = revenue_table(inst, BMNPP)
+    assert logit.scale is None and logit.ints is None
+    assert all(isinstance(v, float) for row in logit.values() for v in row)
+
+
+def test_instance_hash_is_kept_but_never_pickled():
+    inst = generate(GenParams(model=BMNPP, n_outlets=3, n_demands=6, seed=9))
+    first = hash(inst)
+    assert hash(inst) == first
+    restored = pickle.loads(pickle.dumps(inst))
+    assert "_hash" not in restored.__dict__
+    assert restored == inst
+    rebuilt = instance_from_doc(instance_to_doc(inst))
+    assert rebuilt == inst
+    assert hash(rebuilt) == hash(restored) == first
 
 
 class TestValidatePrices:
