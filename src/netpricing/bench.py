@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -34,17 +34,10 @@ from .model import (
     Instance,
     demand_at,
     evaluate_prices,
+    revenue_table,
     zero_revenue,
 )
-from .money import (
-    MONEY_SCALE,
-    Money,
-    MoneyError,
-    money_str,
-    money_unit,
-    number_str,
-    parse_money,
-)
+from .money import Money, MoneyError, money_str, number_str, parse_money
 
 RUNS_SCHEMA = "netpricing-runs-v1"
 LONG_SCHEMA = "netpricing-long-v1"
@@ -113,25 +106,22 @@ class PmStats:
         return 100.0 * float(self.r_pw) / total if total > 0 else 0.0
 
 
-def pm_accounting(
-    inst: Instance,
-    prices,
-    model_override: Optional[str] = None,
-) -> PmStats:
-    """Classify each served demand node as a price match or a price war."""
-    model = model_override or inst.model
-    _, assignment, labels = evaluate_prices(inst, prices, model_override)
-    zero = zero_revenue(model)
+def pm_accounting(inst: Instance, prices) -> PmStats:
+    """Classify each served demand node as a price match or a price war.
+
+    A node's money is the revenue-table entry evaluate_prices adds up for
+    it, so r_pm + r_pw is the evaluated revenue of prices.
+    """
+    _, assignment, labels = evaluate_prices(inst, prices)
+    table = revenue_table(inst, inst.model)
+    zero = zero_revenue(inst.model)
     d_pm = d_pw = zero
     r_pm = r_pw = zero
     pm_count = pw_count = 0
     for e, f in assignment.items():
         price = prices[f]
-        volume = demand_at(inst, e, f, price, model)
-        if model == BMNPP:
-            money = (price / MONEY_SCALE) * volume
-        else:
-            money = money_unit(price) * volume
+        volume = demand_at(inst, e, f, price, inst.model)
+        money = table[(e, f)][inst.grid.index_of(price)]
         if labels[e] == PM:
             pm_count += 1
             d_pm += volume
@@ -150,13 +140,15 @@ def cross_model_gap(
 ) -> Optional[float]:
     """Logit revenue lost by using prices tuned for fixed-fraction demand.
 
-    inst must carry logit coefficients; prices come from solving its
-    fixed-fraction twin. best_revenue defaults to the ordering-enumeration
-    optimum of the logit instance.
+    inst must carry logit coefficients, and may be either twin: both the
+    achieved revenue of prices (which come from solving the fixed-fraction
+    twin) and the default best_revenue, the ordering-enumeration optimum,
+    are scored under logit demand.
     """
-    achieved, _, _ = evaluate_prices(inst, prices, model_override=BMNPP)
+    logit = replace(inst, model=BMNPP)
+    achieved, _, _ = evaluate_prices(logit, prices)
     if best_revenue is None:
-        best_revenue, _, _ = exact_mod.ladder_exact(inst)
+        best_revenue, _, _ = exact_mod.ladder_exact(logit)
     best_revenue = float(best_revenue)
     if best_revenue <= 0:
         return None
@@ -203,8 +195,6 @@ _CONFIG_KEYS = (
     "solver_time_limit",
     "record_times",
     "pi",
-    "sp_include_match",
-    "order_prefer_max",
 )
 
 
@@ -284,8 +274,6 @@ def _run_one(
     time_limit: Optional[float],
     solver_time_limit: Optional[float],
     pi: Optional[Money],
-    sp_include_match: bool,
-    order_prefer_max: bool,
 ) -> dict:
     """One (instance, algorithm) execution; returns plain fields."""
     import time as _time
@@ -332,8 +320,6 @@ def _run_one(
             time_limit=time_limit,
             adapter=adapter,
             solver_time_limit=solver_time_limit,
-            sp_include_match=sp_include_match,
-            order_prefer_max=order_prefer_max,
         )
         return {
             "status": STATUS_OK,
@@ -362,15 +348,13 @@ def _run_instance(
     time_limit: Optional[float],
     solver_time_limit: Optional[float],
     pi: Optional[Money],
-    sp_include_match: bool,
-    order_prefer_max: bool,
 ) -> list[RunRecord]:
     """Reference scores, runs and PM accounting of one instance.
 
     All the work on one instance happens together, so its revenue table
     is built once and stays cached while it is in use, at any suite size.
     """
-    _, r_sp = single_price(inst, include_match=sp_include_match)
+    _, r_sp = single_price(inst)
     r_opt = None
     if exact_method == "ladder":
         r_opt, _, _ = exact_mod.ladder_exact(inst)
@@ -378,16 +362,7 @@ def _run_instance(
         r_opt, _ = exact_mod.brute_force(inst)
     records = []
     for alg in algorithms:
-        fields = _run_one(
-            inst,
-            alg,
-            solver_cmd,
-            time_limit,
-            solver_time_limit,
-            pi,
-            sp_include_match,
-            order_prefer_max,
-        )
+        fields = _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit, pi)
         rec = RunRecord(
             instance_id=iid,
             model=inst.model,
@@ -445,8 +420,6 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
             config.get("time_limit"),
             config.get("solver_time_limit"),
             pi,
-            bool(config.get("sp_include_match", False)),
-            bool(config.get("order_prefer_max", False)),
         )
         for iid, inst in instances
     ]

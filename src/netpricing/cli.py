@@ -162,8 +162,6 @@ def cmd_solve(args) -> int:
             pi=pi,
             time_limit=args.time_limit,
             adapter=resolve_adapter(args.solver_cmd),
-            sp_include_match=args.sp_include_match,
-            order_prefer_max=args.order_prefer_max,
         )
     except HeuristicTimeout as exc:
         payload = _result_payload(
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time-limit", type=float, default=None)
     solve.add_argument("--solver-cmd", default=None)
     solve.add_argument("--record-times", action="store_true")
-    solve.add_argument("--sp-include-match", action="store_true")
-    solve.add_argument("--order-prefer-max", action="store_true")
     solve.set_defaults(func=cmd_solve)
 
     ex = sub.add_parser("exact", help="solve an instance exactly")

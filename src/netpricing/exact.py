@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
 
 from .ladder import allocate, dp_prices
 from .model import Instance, evaluate_prices, zero_revenue
@@ -27,11 +26,7 @@ class TooManyOutlets(ValueError):
     """Ordering enumeration would need more than factorial budget."""
 
 
-def brute_force(
-    inst: Instance,
-    limit: int = ENUMERATION_LIMIT,
-    model_override: Optional[str] = None,
-):
+def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
     """Best revenue over all grid price vectors, by full enumeration.
 
     Respects the instance's spread cap by pruning partial vectors whose
@@ -53,7 +48,7 @@ def brute_force(
     def walk(pos: int, lo, hi):
         nonlocal best_rev, best_prices
         if pos == n:
-            revenue, _, _ = evaluate_prices(inst, current, model_override)
+            revenue, _, _ = evaluate_prices(inst, current)
             if best_rev is None or revenue > best_rev:
                 best_rev = revenue
                 best_prices = tuple(current)
@@ -68,11 +63,11 @@ def brute_force(
 
     walk(0, None, None)
     if best_rev is None:  # only possible when pi prunes everything, n >= 1 guards rest
-        return zero_revenue(model_override or inst.model), tuple([grid[0]] * n)
+        return zero_revenue(inst.model), tuple([grid[0]] * n)
     return best_rev, best_prices
 
 
-def ladder_exact(inst: Instance, max_outlets: int = LADDER_OUTLET_LIMIT):
+def ladder_exact(inst: Instance):
     """Best revenue over all outlet orderings, each priced optimally.
 
     Enumerates the |O|! ladders in lexicographic order, allocates first-fit
@@ -81,7 +76,7 @@ def ladder_exact(inst: Instance, max_outlets: int = LADDER_OUTLET_LIMIT):
     indexed by outlet id.
     """
     n = inst.n_outlets
-    if n > max_outlets:
+    if n > LADDER_OUTLET_LIMIT:
         raise TooManyOutlets(
             f"{n} outlets would need {math.factorial(n)} orderings"
         )

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ladder import allocate, dp_prices, ladder_revenue
+from .ladder import allocate, dp_prices
 from .model import (
     MNPP,
     Instance,
@@ -78,11 +78,7 @@ class HeuristicResult:
     wall_time: float
 
 
-def single_price(
-    inst: Instance,
-    include_match: bool = False,
-    model_override: Optional[str] = None,
-):
+def single_price(inst: Instance, include_match: bool = False):
     """Best uniform price by undercut revenue (price-war terms only).
 
     For each grid price, sums over nodes whose competitor can still be
@@ -91,10 +87,9 @@ def single_price(
     price-match term as well, which the plain scoring ignores.
     Returns (price, revenue).
     """
-    model = model_override or inst.model
     o_e, _, _ = adjacency(inst)
-    table = revenue_table(inst, model)
-    zero = zero_revenue(model)
+    table = revenue_table(inst, inst.model)
+    zero = zero_revenue(inst.model)
     best_price = None
     best_rev = None
     for m, price in enumerate(inst.grid.prices):
@@ -142,7 +137,7 @@ def greedy_select(
         for f in pool:
             trial = ladder + [f]
             assignment = allocate(inst, trial)
-            rev = ladder_revenue(inst, trial, assignment, pi=pi)
+            _, rev = dp_prices(inst, trial, assignment, pi=pi)
             if best_rev is None or rev > best_rev:
                 best_rev = rev
                 best_f = f
@@ -228,26 +223,11 @@ def best_insertion(
     for j in range(len(ladder) + 1):
         trial = ladder[:j] + [f] + ladder[j:]
         assignment = allocate(inst, trial)
-        rev = ladder_revenue(inst, trial, assignment, pi=pi)
+        _, rev = dp_prices(inst, trial, assignment, pi=pi)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best_pos = j
     return best_pos, best_rev
-
-
-def insert_outlet(
-    inst: Instance,
-    ladder: Sequence[int],
-    f: int,
-    pi: Optional[Money] = None,
-):
-    """Insert one outlet at its best position; see best_insertion.
-
-    Returns (new ladder, revenue of the new ladder).
-    """
-    pos, rev = best_insertion(inst, ladder, f, pi=pi)
-    ladder = list(ladder)
-    return tuple(ladder[:pos] + [f] + ladder[pos:]), rev
 
 
 def full_insertion(
@@ -289,12 +269,13 @@ def insertion_with_order(
     t0 = time.perf_counter()
     if sorted(order) != list(inst.outlets()):
         raise ValueError("selection order must cover every outlet exactly once")
-    ladder: tuple[int, ...] = ()
+    ladder: list[int] = []
     for f in order:
         if deadline:
             deadline.check()
-        ladder, _ = insert_outlet(inst, ladder, f, pi=pi)
-    return _finish(inst, algorithm, ladder, pi, t0)
+        pos, _ = best_insertion(inst, ladder, f, pi=pi)
+        ladder.insert(pos, f)
+    return _finish(inst, algorithm, tuple(ladder), pi, t0)
 
 
 def _finish(
@@ -326,8 +307,6 @@ def run_algorithm(
     time_limit: Optional[float] = None,
     adapter=None,
     solver_time_limit: Optional[float] = None,
-    sp_include_match: bool = False,
-    order_prefer_max: bool = False,
 ) -> HeuristicResult:
     """Run one named heuristic and return its result.
 
@@ -343,7 +322,7 @@ def run_algorithm(
     deadline = Deadline(time_limit)
     t0 = time.perf_counter()
     if algorithm == "sp":
-        price, revenue = single_price(inst, include_match=sp_include_match)
+        price, revenue = single_price(inst)
         return HeuristicResult(
             algorithm="sp",
             ladder=None,
@@ -355,7 +334,7 @@ def run_algorithm(
         ladder, _ = greedy_select(inst, pi=pi, deadline=deadline)
         return _finish(inst, "greedy", ladder, pi, t0)
     if algorithm == "order":
-        ladder = order_select(inst, prefer_max=order_prefer_max)
+        ladder = order_select(inst)
         return _finish(inst, "order", ladder, pi, t0)
     if algorithm == "fi":
         return full_insertion(inst, pi=pi, deadline=deadline)
@@ -363,7 +342,7 @@ def run_algorithm(
     if selector == "greedy":
         order, _ = greedy_select(inst, pi=pi, deadline=deadline)
     elif selector == "order":
-        order = order_select(inst, prefer_max=order_prefer_max)
+        order = order_select(inst)
     else:
         from .mip import relax_order
 

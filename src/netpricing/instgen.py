@@ -159,11 +159,8 @@ def _sample_logit(rng: Rng, pairs, params: GenParams):
     return edges
 
 
-def generate(params: GenParams) -> Instance:
-    """Generate one instance from a single seeded stream."""
-    grid = make_grid(params.grid_min, params.grid_max, params.grid_step)
-    rng = Rng(params.seed)
-    pairs = _sample_edges(rng, params.n_outlets, params.n_demands, params.density)
+def _assemble(rng: Rng, params: GenParams, grid: PriceGrid, pairs) -> Instance:
+    """Draw node values, then logit coefficients, on a fixed edge set."""
     nodes = _sample_nodes(rng, params, grid)
     edges = _sample_logit(rng, pairs, params)
     return Instance(
@@ -175,6 +172,14 @@ def generate(params: GenParams) -> Instance:
         pi=None if params.pi is None else parse_money(params.pi),
         seed=params.seed,
     )
+
+
+def generate(params: GenParams) -> Instance:
+    """Generate one instance from a single seeded stream."""
+    grid = make_grid(params.grid_min, params.grid_max, params.grid_step)
+    rng = Rng(params.seed)
+    pairs = _sample_edges(rng, params.n_outlets, params.n_demands, params.density)
+    return _assemble(rng, params, grid, pairs)
 
 
 def paper_grid(model: str, master_seed: int, draws: int = PAPER_DRAWS):
@@ -202,19 +207,8 @@ def paper_grid(model: str, master_seed: int, draws: int = PAPER_DRAWS):
                 )
                 for draw in range(draws):
                     draw_seed = derive_seed(master_seed, 2, graph_index, draw)
-                    rng = Rng(draw_seed)
                     params = replace(base, seed=draw_seed)
-                    nodes = _sample_nodes(rng, params, grid)
-                    edges = _sample_logit(rng, pairs, params)
-                    inst = Instance(
-                        n_outlets=n_outlets,
-                        demands=tuple(nodes),
-                        edges=tuple(edges),
-                        grid=grid,
-                        model=model,
-                        pi=None,
-                        seed=draw_seed,
-                    )
+                    inst = _assemble(Rng(draw_seed), params, grid, pairs)
                     yield graph_index, draw, params, inst
                 graph_index += 1
 

@@ -85,7 +85,6 @@ def dp_prices(
     assignment: dict[int, int],
     n_active: Optional[int] = None,
     pi: Optional[Money] = None,
-    model_override: Optional[str] = None,
 ):
     """Optimal non-decreasing prices for a ladder under a fixed allocation.
 
@@ -98,14 +97,13 @@ def dp_prices(
         n_active = len(ladder)
     if n_active > len(ladder):
         raise ValueError("n_active exceeds ladder length")
-    model = model_override or inst.model
-    zero = zero_revenue(model)
+    zero = zero_revenue(inst.model)
     grid = inst.grid.prices
     n_prices = len(grid)
     if n_active == 0:
         return (), zero
 
-    table = revenue_table(inst, model)
+    table = revenue_table(inst, inst.model)
     rows_of = table if table.ints is None else table.ints
     start = zero if table.ints is None else 0
     by_position = [[] for _ in range(n_active)]
@@ -161,17 +159,3 @@ def dp_prices(
         best_rev = Fraction(best_rev, table.scale)
     return prices, best_rev
 
-
-def ladder_revenue(
-    inst: Instance,
-    ladder: Sequence[int],
-    assignment: dict[int, int],
-    n_active: Optional[int] = None,
-    pi: Optional[Money] = None,
-    model_override: Optional[str] = None,
-):
-    """Optimal revenue of a ladder prefix; see dp_prices."""
-    _, revenue = dp_prices(
-        inst, ladder, assignment, n_active, pi=pi, model_override=model_override
-    )
-    return revenue

@@ -873,12 +873,7 @@ def relax_order(
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
     price, i.e. the level-weighted sum). Requires a solver adapter.
     """
-    if which == "ip1":
-        model = relax(build_ip1(inst))
-    elif which == "ip2":
-        model = relax(build_ip2(inst))
-    else:
-        raise ValueError(f"unknown relaxation {which!r}")
+    model = relax(build_model(inst, which))
     outcome = solve_external(model, adapter, time_limit=time_limit)
     if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT) or not outcome.values:
         raise SolverUnavailable(

@@ -358,11 +358,7 @@ def validate_prices(inst: Instance, prices: Sequence[Money]) -> tuple[Money, ...
     return prices
 
 
-def evaluate_prices(
-    inst: Instance,
-    prices: Sequence[Money],
-    model_override: Optional[str] = None,
-):
+def evaluate_prices(inst: Instance, prices: Sequence[Money]):
     """Revenue of a full price vector, with allocation and regime labels.
 
     Each demand node buys from the lowest-priced connected outlet, ties
@@ -372,12 +368,9 @@ def evaluate_prices(
     (price match) or PW (price war).
     """
     prices = validate_prices(inst, prices)
-    model = model_override or inst.model
-    if model not in MODELS:
-        raise ValueError(f"unknown demand model {model!r}")
     o_e, _, _ = adjacency(inst)
-    table = revenue_table(inst, model)
-    revenue = zero_revenue(model)
+    table = revenue_table(inst, inst.model)
+    revenue = zero_revenue(inst.model)
     assignment: dict[int, int] = {}
     labels: dict[int, str] = {}
     for node in inst.demands:

@@ -12,6 +12,7 @@ from netpricing import (
     GenParams,
     PmStats,
     cross_model_gap,
+    evaluate_prices,
     gain_over_sp,
     generate,
     ladder_exact,
@@ -21,6 +22,7 @@ from netpricing import (
     read_runs_csv,
     records_from_csv,
     revenue_table,
+    run_algorithm,
     run_suite,
     save_instance,
     summarise,
@@ -68,6 +70,19 @@ class TestPmAccounting:
         assert stats == PmStats(0, 0, Fraction(0), Fraction(0), Fraction(0), Fraction(0))
         assert stats.r_pm_pct == 0.0
 
+    @pytest.mark.parametrize("algorithm", ["sp", "greedy", "order", "fi", "greedyI", "orderI"])
+    def test_split_sums_to_evaluated_revenue(
+        self, algorithm, tiny_connected, tiny_disjoint, tiny_single
+    ):
+        generated = [
+            generate(GenParams(n_outlets=4, n_demands=8, density=0.5, seed=seed))
+            for seed in range(20)
+        ]
+        for inst in [tiny_connected, tiny_disjoint, tiny_single] + generated:
+            prices = run_algorithm(inst, algorithm).prices
+            stats = pm_accounting(inst, prices)
+            assert stats.r_pm + stats.r_pw == evaluate_prices(inst, prices)[0]
+
 
 class TestCrossModelGap:
     def test_nonnegative_on_twin_prices(self):
@@ -87,6 +102,27 @@ class TestCrossModelGap:
         twin_prices = ladder_exact(twin)[2]
         gap = cross_model_gap(logit, twin_prices)
         assert gap is not None and gap >= -1e-9
+
+    def test_either_twin_scores_under_logit(self):
+        # The achieved revenue and the default reference are both logit
+        # revenues, whichever twin is passed; a fixed-fraction reference
+        # against a logit achieved revenue reads -8.155% here.
+        kwargs = dict(
+            n_outlets=3,
+            n_demands=5,
+            density=0.7,
+            seed=11,
+            grid_min="0",
+            grid_max="10",
+            grid_step="1",
+        )
+        logit = generate(GenParams(model=BMNPP, **kwargs))
+        twin = generate(GenParams(model="mnpp", **kwargs))
+        twin_prices = ladder_exact(twin)[2]
+        from_logit = cross_model_gap(logit, twin_prices)
+        from_twin = cross_model_gap(twin, twin_prices)
+        assert from_twin == from_logit
+        assert from_logit == pytest.approx(10.818860408406405, abs=1e-12)
 
     def test_zero_at_own_optimum(self):
         from netpricing import brute_force
@@ -138,6 +174,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert "surprise" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["sp_include_match", "order_prefer_max"])
+    def test_rejects_removed_variant_keys(self, tmp_path, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"algorithms": ["sp"], key: True}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert key in str(err.value)
 
     def test_rejects_non_object(self, tmp_path):
         path = tmp_path / "c.json"

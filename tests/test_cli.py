@@ -103,6 +103,11 @@ class TestSolve:
             run("solve", "--in", TINY, "--alg", "simplex")
         assert err.value.code == 2
 
+    def test_removed_variant_flag_exits_2(self):
+        with pytest.raises(SystemExit) as err:
+            run("solve", "--in", TINY, "--alg", "sp", "--sp-include-match")
+        assert err.value.code == 2
+
 
 class TestExact:
     def test_brute_oracle(self, tmp_path, capsys):
@@ -166,6 +171,12 @@ class TestBenchAndReport:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algorithms": ["sp"], "wat": 1}))
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
+
+    def test_bench_removed_variant_key_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"algorithms": ["sp"], "order_prefer_max": True}))
+        assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
+        assert "order_prefer_max" in capsys.readouterr().err
 
     def test_report_aggregates(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

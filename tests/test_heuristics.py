@@ -18,7 +18,6 @@ from netpricing import (
     full_insertion,
     generate,
     greedy_select,
-    insert_outlet,
     insertion_with_order,
     order_select,
     run_algorithm,
@@ -109,11 +108,6 @@ class TestInsertion:
     def test_best_position_front(self, tiny_disjoint):
         pos, rev = best_insertion(tiny_disjoint, (0,), 1)
         assert (pos, rev) == (0, Fraction(1600))
-
-    def test_insert_builds_new_ladder(self, tiny_disjoint):
-        ladder, rev = insert_outlet(tiny_disjoint, (0,), 1)
-        assert ladder == (1, 0)
-        assert rev == Fraction(1600)
 
     def test_position_ties_keep_lowest(self, tiny_single):
         inst = two_node_instance([(0, 0), (1, 0)])

@@ -1,5 +1,7 @@
 """Seeded instance generation and the canonical file format."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -187,6 +189,23 @@ class TestPaperGrid:
     def test_draws_vary_values(self):
         rows = [inst for _, _, _, inst in paper_grid("mnpp", 1, draws=2)]
         assert rows[0].demands != rows[1].demands
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("mnpp", "150710f3f1eeaa6ea7f2a1037280867186e28326dd667b001e6e14d89f768640"),
+            ("bmnpp", "79657c7163a792744bdd55772382361395f742b1b2e3ec35836a7a7289c2ebec"),
+        ],
+    )
+    def test_collection_values_are_pinned(self, model, digest):
+        # Every value of the first two draws of all 45 graphs, in order.
+        h = hashlib.sha256()
+        count = 0
+        for _, _, _, inst in paper_grid(model, 1, draws=2):
+            h.update(json.dumps(instance_to_doc(inst), sort_keys=True).encode())
+            count += 1
+        assert count == 90
+        assert h.hexdigest() == digest
 
     def test_label(self):
         inst = generate(GenParams(n_outlets=5, n_demands=15, density=0.25, seed=3))

@@ -17,7 +17,6 @@ from netpricing import (
     allocate,
     dp_prices,
     generate,
-    ladder_revenue,
     revenue_table,
     zero_revenue,
 )
@@ -115,12 +114,6 @@ class TestDpPrices:
         dp_prices(tiny_single, (0,), {0: 0})
         assert DP_CALLS.count == 1
         assert DP_CALLS.cells == 26
-
-
-def test_ladder_revenue_matches_dp(tiny_disjoint):
-    ladder = (1, 0)
-    assignment = allocate(tiny_disjoint, ladder)
-    assert ladder_revenue(tiny_disjoint, ladder, assignment) == Fraction(1600)
 
 
 @pytest.mark.parametrize("seed", range(12))
