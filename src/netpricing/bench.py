@@ -273,7 +273,6 @@ def _run_one(
     solver_cmd: Optional[str],
     time_limit: Optional[float],
     solver_time_limit: Optional[float],
-    pi: Optional[Money],
 ) -> dict:
     """One (instance, algorithm) execution; returns plain fields."""
     import time as _time
@@ -316,7 +315,6 @@ def _run_one(
         result = run_algorithm(
             inst,
             algorithm,
-            pi=pi,
             time_limit=time_limit,
             adapter=adapter,
             solver_time_limit=solver_time_limit,
@@ -347,7 +345,6 @@ def _run_instance(
     solver_cmd: Optional[str],
     time_limit: Optional[float],
     solver_time_limit: Optional[float],
-    pi: Optional[Money],
 ) -> list[RunRecord]:
     """Reference scores, runs and PM accounting of one instance.
 
@@ -362,7 +359,7 @@ def _run_instance(
         r_opt, _ = exact_mod.brute_force(inst)
     records = []
     for alg in algorithms:
-        fields = _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit, pi)
+        fields = _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit)
         rec = RunRecord(
             instance_id=iid,
             model=inst.model,
@@ -410,6 +407,9 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         raise ConfigError(f"config 'pi': {exc}") from exc
 
     instances = _config_instances(config, base_dir)
+    if pi is not None:
+        # One cap for the references and every run on an instance.
+        instances = [(iid, replace(inst, pi=pi)) for iid, inst in instances]
     tasks = [
         (
             iid,
@@ -419,7 +419,6 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
             config.get("solver_cmd"),
             config.get("time_limit"),
             config.get("solver_time_limit"),
-            pi,
         )
         for iid, inst in instances
     ]

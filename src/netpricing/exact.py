@@ -2,16 +2,16 @@
 
 brute_force enumerates every grid price vector and keeps the best, so it
 is the ground truth everything else is checked against. ladder_exact
-enumerates outlet orderings and prices each one optimally with the ladder
-programme; for the fixed-fraction model the two agree exactly.
+enumerates outlet orderings as a depth-first search over ladder prefixes,
+in lexicographic order, adding one programme stage per outlet appended to
+a prefix; for the fixed-fraction model the two agree exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .ladder import allocate, dp_prices
+from .ladder import _Prefixes, allocate, dp_prices
 from .model import Instance, evaluate_prices, zero_revenue
 
 ENUMERATION_LIMIT = 5_000_000
@@ -70,27 +70,41 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
 def ladder_exact(inst: Instance):
     """Best revenue over all outlet orderings, each priced optimally.
 
-    Enumerates the |O|! ladders in lexicographic order, allocates first-fit
-    and runs the pricing programme on each; the first ordering attaining
-    the best revenue wins. Returns (revenue, ladder, prices) with prices
-    indexed by outlet id.
+    Walks the |O|! ladders as a depth-first search over prefixes, trying
+    the remaining outlets in ascending id order, so the orderings come in
+    lexicographic order; each prefix's programme stages are computed once
+    and shared by every ordering that extends it. The first ordering
+    attaining the best revenue wins, and is priced with dp_prices.
+    Returns (revenue, ladder, prices) with prices indexed by outlet id.
     """
     n = inst.n_outlets
     if n > LADDER_OUTLET_LIMIT:
         raise TooManyOutlets(
             f"{n} outlets would need {math.factorial(n)} orderings"
         )
+    prefixes = _Prefixes(inst, inst.pi)
     best_rev = None
     best_ladder = None
-    best_prices = None
-    for ladder in itertools.permutations(range(n)):
-        assignment = allocate(inst, ladder)
-        prices, revenue = dp_prices(inst, ladder, assignment, pi=inst.pi)
-        if best_rev is None or revenue > best_rev:
-            best_rev = revenue
-            best_ladder = ladder
-            by_outlet = [0] * n
-            for pos, f in enumerate(ladder):
-                by_outlet[f] = prices[pos]
-            best_prices = tuple(by_outlet)
-    return best_rev, best_ladder, best_prices
+    ladder: list[int] = []
+
+    def walk(state, remaining: list[int]):
+        nonlocal best_rev, best_ladder
+        if not remaining:
+            revenue = prefixes.value(state)
+            if best_rev is None or revenue > best_rev:
+                best_rev = revenue
+                best_ladder = tuple(ladder)
+            return
+        for f in remaining:
+            ladder.append(f)
+            walk(prefixes.push(state, f), [g for g in remaining if g != f])
+            ladder.pop()
+
+    walk(prefixes.EMPTY, list(range(n)))
+    prices, revenue = dp_prices(
+        inst, best_ladder, allocate(inst, best_ladder), pi=inst.pi
+    )
+    by_outlet = [0] * n
+    for pos, f in enumerate(best_ladder):
+        by_outlet[f] = prices[pos]
+    return revenue, best_ladder, tuple(by_outlet)

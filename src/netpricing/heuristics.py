@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ladder import allocate, dp_prices
+from .ladder import _Prefixes, allocate, dp_prices
 from .model import (
     MNPP,
     Instance,
@@ -128,6 +128,8 @@ def greedy_select(
     pool = sorted(inst.outlets() if pool is None else pool)
     active = set(range(inst.n_demands))
     ladder: list[int] = []
+    prefixes = _Prefixes(inst, pi)
+    state = prefixes.EMPTY
     revenue = zero_revenue(inst.model)
     while pool and active:
         if deadline:
@@ -135,16 +137,17 @@ def greedy_select(
         best_f = None
         best_rev = None
         for f in pool:
-            trial = ladder + [f]
-            assignment = allocate(inst, trial)
-            _, rev = dp_prices(inst, trial, assignment, pi=pi)
+            trial = prefixes.push(state, f)
+            rev = prefixes.value(trial)
             if best_rev is None or rev > best_rev:
                 best_rev = rev
                 best_f = f
+                best_state = trial
         ladder.append(best_f)
         pool.remove(best_f)
         active -= set(n_f[best_f])
-        revenue = best_rev
+        state = best_state
+        revenue = prefixes.revenue(best_rev)
     ladder.extend(pool)
     return tuple(ladder), revenue
 
@@ -215,19 +218,24 @@ def best_insertion(
     """Best position for one new outlet. Returns (position, revenue).
 
     Tries every slot from the front to just past the end and keeps the
-    lowest position attaining the best optimal ladder revenue.
+    lowest position attaining the best optimal ladder revenue. The prefix
+    before each slot is grown once and shared by the slots after it.
     """
-    ladder = list(ladder)
+    prefixes = _Prefixes(inst, pi)
+    prefix = prefixes.EMPTY
     best_pos = None
     best_rev = None
     for j in range(len(ladder) + 1):
-        trial = ladder[:j] + [f] + ladder[j:]
-        assignment = allocate(inst, trial)
-        _, rev = dp_prices(inst, trial, assignment, pi=pi)
+        trial = prefixes.push(prefix, f)
+        for g in ladder[j:]:
+            trial = prefixes.push(trial, g)
+        rev = prefixes.value(trial)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best_pos = j
-    return best_pos, best_rev
+        if j < len(ladder):
+            prefix = prefixes.push(prefix, ladder[j])
+    return best_pos, prefixes.revenue(best_rev)
 
 
 def full_insertion(

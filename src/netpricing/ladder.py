@@ -23,12 +23,23 @@ Under the fixed-fraction model the programme runs on the revenue table's
 integer image (every entry times one common scale, exactly), so its hot
 loops add and compare plain integers; the result becomes a Fraction only
 on the way out. Under the logit model it runs on the float table itself.
+
+Under first-fit allocation a prefix's forward values do not depend on the
+outlets that follow it. The searches that try many ladders sharing a
+prefix (insertion, greedy selection, ordering enumeration) therefore keep
+prefix states: the nodes the prefix covers and, per window, the prefix
+maxima of its last stage. Pushing one outlet onto a state adds one stage,
+at a cost of one row sum over the outlet's still-uncovered nodes plus one
+cell per grid index of every window; the state's value is the best
+revenue of any pricing of the prefix. Stages are summed and added exactly
+as dp_prices does, so a search gets the same numbers, floats included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 from typing import Optional, Sequence
 
 from .model import Instance, adjacency, revenue_table, zero_revenue
@@ -39,8 +50,9 @@ class DpCallCounter:
     """Tracks dynamic-programme work, for checking complexity budgets.
 
     count is the number of dp_prices invocations; cells is the total
-    number of (stage, grid index) table entries filled across them, which
-    is the unit the stated running-time bounds are expressed in.
+    number of (stage, grid index) table entries filled by them and by the
+    prefix searches' stages, which is the unit the stated running-time
+    bounds are expressed in.
     """
 
     __slots__ = ("count", "cells")
@@ -143,19 +155,84 @@ def dp_prices(
                 target = prefix_best[pos - 1][m]
         return best, indices
 
-    if pi is None:
-        best_rev, best_idx = run_window(0, n_prices - 1)
-    else:
-        best_rev, best_idx = None, None
-        for lo in range(n_prices):
-            hi = lo
-            while hi + 1 < n_prices and grid[hi + 1] - grid[lo] <= pi:
-                hi += 1
-            rev, idx = run_window(lo, hi)
-            if best_rev is None or rev > best_rev:
-                best_rev, best_idx = rev, idx
+    best_rev, best_idx = None, None
+    for lo, hi in _windows(grid, pi):
+        rev, idx = run_window(lo, hi)
+        if best_rev is None or rev > best_rev:
+            best_rev, best_idx = rev, idx
     prices = tuple(grid[m] for m in best_idx)
     if table.scale is not None:
         best_rev = Fraction(best_rev, table.scale)
     return prices, best_rev
 
+
+def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
+    """The (lo, hi) grid index windows the programme is run over.
+
+    Without a cap that is the whole grid; with a spread cap pi it is one
+    window [b(m0), b(m0) + pi] per floor index m0, in ascending order.
+    """
+    n_prices = len(grid)
+    if pi is None:
+        return [(0, n_prices - 1)]
+    windows = []
+    for lo in range(n_prices):
+        hi = lo
+        while hi + 1 < n_prices and grid[hi + 1] - grid[lo] <= pi:
+            hi += 1
+        windows.append((lo, hi))
+    return windows
+
+
+class _Prefixes:
+    """Prefix states of the ladder programme on one instance and cap.
+
+    A state is (covered nodes, prefix maxima of the last stage per window);
+    the maxima are None while no stage has earned anything, which stands
+    for all zeros. push and value work on the raw table numbers (integers
+    under MNPP); revenue turns a raw value into the public number type.
+    """
+
+    __slots__ = ("rows", "start", "n_f", "windows", "cells", "scale")
+
+    EMPTY = (frozenset(), None)
+
+    def __init__(self, inst: Instance, pi: Optional[Money]):
+        table = revenue_table(inst, inst.model)
+        self.rows = table if table.ints is None else table.ints
+        self.start = zero_revenue(inst.model) if table.ints is None else 0
+        self.scale = table.scale
+        self.n_f = adjacency(inst)[1]
+        self.windows = _windows(inst.grid.prices, pi)
+        self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
+
+    def push(self, state, f: int):
+        """The state of the prefix followed by outlet f."""
+        DP_CALLS.cells += self.cells
+        covered, maxima = state
+        new = [e for e in self.n_f[f] if e not in covered]
+        if not new:
+            # An empty stage adds zero to every prefix maximum.
+            return covered, maxima
+        rows = [self.rows[(e, f)] for e in new]
+        stage = [sum(column, self.start) for column in zip(*rows)]
+        if maxima is None:
+            maxima = [
+                list(accumulate(stage[lo : hi + 1], max)) for lo, hi in self.windows
+            ]
+        else:
+            maxima = [
+                list(accumulate(map(add, stage[lo : hi + 1], before), max))
+                for (lo, hi), before in zip(self.windows, maxima)
+            ]
+        return covered.union(new), maxima
+
+    def value(self, state):
+        """Best raw revenue of any pricing of the prefix."""
+        maxima = state[1]
+        if maxima is None:
+            return self.start
+        return max(window[-1] for window in maxima)
+
+    def revenue(self, raw):
+        return raw if self.scale is None else Fraction(raw, self.scale)

@@ -311,34 +311,40 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     """Per-edge revenue contribution at every grid price.
 
     table[(e, f)][m] is price * captured volume with the price at grid
-    index m, as a Fraction for MNPP and a float for BMNPP. Each row is
-    built from its own edge. MNPP tables also carry the integer image
-    described in RevenueTable, which the ladder programme runs on.
+    index m, as a Fraction for MNPP and a float for BMNPP. An MNPP row
+    depends on its node only, so each node's row, and its integer image
+    (see RevenueTable), is built once and shared by the node's edges; the
+    ladder programme runs on that image. A BMNPP row is built from its
+    own edge's coefficients.
     """
     grid = inst.grid
     table = RevenueTable()
-    for edge in inst.edges:
-        node = inst.demands[edge.e]
-        if model == MNPP:
-            row = tuple(
-                money_unit(price) * demand_mnpp(node, price, grid)
-                for price in grid.prices
-            )
-        else:
-            row = tuple(
+    if model != MNPP:
+        for edge in inst.edges:
+            node = inst.demands[edge.e]
+            table[(edge.e, edge.f)] = tuple(
                 (price / MONEY_SCALE) * demand_bmnpp(node, edge, price, grid)
                 for price in grid.prices
             )
-        table[(edge.e, edge.f)] = row
-    if model == MNPP:
-        scale = math.lcm(*(v.denominator for row in table.values() for v in row))
-        table.scale = scale
-        table.ints = {
-            key: tuple(v.numerator * (scale // v.denominator) for v in row)
-            for key, row in table.items()
-        }
-    else:
         table.scale = table.ints = None
+        return table
+    node_rows = {}
+    for edge in inst.edges:
+        row = node_rows.get(edge.e)
+        if row is None:
+            node = inst.demands[edge.e]
+            row = node_rows[edge.e] = tuple(
+                money_unit(price) * demand_mnpp(node, price, grid)
+                for price in grid.prices
+            )
+        table[(edge.e, edge.f)] = row
+    scale = math.lcm(*(v.denominator for row in node_rows.values() for v in row))
+    node_ints = {
+        e: tuple(v.numerator * (scale // v.denominator) for v in row)
+        for e, row in node_rows.items()
+    }
+    table.scale = scale
+    table.ints = {key: node_ints[key[0]] for key in table}
     return table
 
 

@@ -241,6 +241,31 @@ class TestRunSuite:
         assert len(records_from_csv(paths["runs"])) == 210
         assert revenue_table.cache_info().misses == 70
 
+    def test_config_cap_also_caps_the_reference(self, tmp_path):
+        # Generated with a 1.00 cap, run under 10.00: when the reference
+        # kept the instance's own cap, 23 of these 90 runs beat it.
+        block = {
+            "model": "mnpp",
+            "outlets": 3,
+            "demands": 6,
+            "density": 0.5,
+            "seeds": list(range(30)),
+            "grid_max": "10",
+            "grid_step": "1",
+            "pi": "1",
+        }
+        config = suite_config(
+            algorithms=["greedy", "fi", "orderI"],
+            exact="brute",
+            pi="10",
+            instances={"generate": [block]},
+        )
+        paths = run_suite(config, tmp_path / "out")
+        records = records_from_csv(paths["runs"])
+        assert len(records) == 90
+        assert all(r.status == "ok" for r in records)
+        assert min(r.opt_gap_pct for r in records) >= 0
+
     def test_wall_time_column_is_opt_in(self, tmp_path):
         cold = run_suite(suite_config(), tmp_path / "a")
         hot = run_suite(suite_config(record_times=True), tmp_path / "b")

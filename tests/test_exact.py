@@ -1,11 +1,13 @@
 """Exact solvers: full enumeration and ordering enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from netpricing import (
     BMNPP,
+    DP_CALLS,
     EnumerationTooLarge,
     GenParams,
     TooManyOutlets,
@@ -90,3 +92,17 @@ class TestLadderExact:
         revenue, _, prices = ladder_exact(inst)
         assert max(prices) - min(prices) <= 100
         assert revenue == Fraction(1500)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_one_stage_per_prefix(self, n):
+        # One stage per ordering prefix (5 + 20 + 60 + 120 + 120 at n = 5),
+        # then n stages to price the winner: 330 rows of the grid at n = 5,
+        # where pricing each of the n! orderings from scratch takes 600.
+        inst = generate(tiny_params("mnpp", 0, outlets=n, demands=6))
+        assert inst.pi is None
+        prefixes = sum(
+            math.factorial(n) // math.factorial(n - k) for k in range(1, n + 1)
+        )
+        DP_CALLS.reset()
+        ladder_exact(inst)
+        assert DP_CALLS.cells == (prefixes + n) * len(inst.grid)

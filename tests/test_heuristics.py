@@ -8,6 +8,7 @@ import pytest
 from netpricing import (
     ALGORITHMS,
     BMNPP,
+    DP_CALLS,
     DemandNode,
     Edge,
     GenParams,
@@ -114,6 +115,17 @@ class TestInsertion:
         pos, _ = best_insertion(inst, (0,), 1)
         assert pos == 0 or pos == 1  # all positions tie; lowest kept
         assert pos == 0
+
+    @pytest.mark.parametrize("length", range(5))
+    def test_one_stage_per_prefix_and_trial_suffix(self, length):
+        # The base prefix grows once (length stages); slot j then pushes
+        # the new outlet and the length - j outlets after it.
+        inst = generate(small_grid_params("mnpp", 0, outlets=5, demands=8))
+        assert inst.pi is None
+        DP_CALLS.reset()
+        best_insertion(inst, tuple(range(length)), 4)
+        slots = (length + 1) * (length + 2) // 2
+        assert DP_CALLS.cells == (slots + length) * len(inst.grid)
 
     def test_full_insertion_finds_disjoint_optimum(self, tiny_disjoint):
         result = full_insertion(tiny_disjoint)

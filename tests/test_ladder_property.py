@@ -1,13 +1,18 @@
-"""Property test: the integer ladder programme against exact references.
+"""Property tests: the integer ladder programme against exact references.
 
 dp_prices runs on the revenue table's integer image and converts back to
 a Fraction at the end. On random tiny instances, ladders, prefixes and
 spread caps its revenue must equal enumeration exactly (MNPP), and its
 prices and revenue must equal those of the same programme run directly
 on the public Fraction (MNPP) or float (BMNPP) table.
+
+The searches that share prefix states (best_insertion, greedy_select,
+ladder_exact) must give exactly what allocate + dp_prices from scratch on
+every trial ladder gives, floats included.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -23,8 +28,12 @@ from netpricing import (
     Edge,
     Instance,
     PriceGrid,
+    adjacency,
     allocate,
+    best_insertion,
     dp_prices,
+    greedy_select,
+    ladder_exact,
     revenue_table,
     zero_revenue,
 )
@@ -88,10 +97,11 @@ def table_dp(inst, ladder, assignment, n_active, pi):
 
 
 @st.composite
-def cases(draw, model):
+def instances(draw, model, max_outlets=3):
+    """Tiny instances, with no spread cap or a finite one."""
     step = draw(st.sampled_from([25, 50, 100]))
     grid = PriceGrid(tuple(step * k for k in range(draw(st.integers(1, 6)))))
-    n_outlets = draw(st.integers(1, 3))
+    n_outlets = draw(st.integers(1, max_outlets))
     n_demands = draw(st.integers(1, 4))
     demands = []
     for e in range(n_demands):
@@ -119,16 +129,21 @@ def cases(draw, model):
         Edge(e, f, draw(coefficient), draw(slope), draw(coefficient), draw(slope))
         for e, f in sorted(pairs)
     )
-    inst = Instance(n_outlets, tuple(demands), edges, grid, model=model)
-    ladder = tuple(draw(st.permutations(range(n_outlets))))
-    n_active = draw(st.integers(1, n_outlets))
+    pi = draw(st.none() | st.integers(0, grid.max + step))
+    return Instance(n_outlets, tuple(demands), edges, grid, model=model, pi=pi)
+
+
+@st.composite
+def cases(draw, model):
+    inst = draw(instances(model))
+    ladder = tuple(draw(st.permutations(range(inst.n_outlets))))
+    n_active = draw(st.integers(1, inst.n_outlets))
     assignment = {
         e: f
         for e, f in allocate(inst, ladder, n_active).items()
         if draw(st.booleans())
     }
-    pi = draw(st.none() | st.integers(0, grid.max + step))
-    return inst, ladder, assignment, n_active, pi
+    return inst, ladder, assignment, n_active, inst.pi
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -152,3 +167,89 @@ def test_dp_on_bmnpp_matches_the_float_table(case):
     assert isinstance(revenue, float)
     assert revenue == want_revenue
     assert prices == want_prices
+
+
+def scratch_revenue(inst, ladder, pi):
+    return dp_prices(inst, ladder, allocate(inst, ladder), pi=pi)[1]
+
+
+def scratch_insertion(inst, ladder, f, pi):
+    best_pos, best_rev = None, None
+    for j in range(len(ladder) + 1):
+        rev = scratch_revenue(inst, ladder[:j] + (f,) + ladder[j:], pi)
+        if best_rev is None or rev > best_rev:
+            best_pos, best_rev = j, rev
+    return best_pos, best_rev
+
+
+def scratch_greedy(inst, pi):
+    n_f = adjacency(inst)[1]
+    pool = sorted(inst.outlets())
+    active = set(range(inst.n_demands))
+    ladder, revenue = [], zero_revenue(inst.model)
+    while pool and active:
+        best_f, best_rev = None, None
+        for f in pool:
+            rev = scratch_revenue(inst, tuple(ladder) + (f,), pi)
+            if best_rev is None or rev > best_rev:
+                best_f, best_rev = f, rev
+        ladder.append(best_f)
+        pool.remove(best_f)
+        active -= set(n_f[best_f])
+        revenue = best_rev
+    return tuple(ladder + pool), revenue
+
+
+def scratch_exact(inst):
+    best = None
+    for ladder in permutations(range(inst.n_outlets)):
+        prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=inst.pi)
+        if best is None or revenue > best[0]:
+            by_outlet = [0] * inst.n_outlets
+            for pos, f in enumerate(ladder):
+                by_outlet[f] = prices[pos]
+            best = (revenue, ladder, tuple(by_outlet))
+    return best
+
+
+@st.composite
+def insertions(draw, model):
+    inst = draw(instances(model, max_outlets=4))
+    order = draw(st.permutations(range(inst.n_outlets)))
+    return inst, tuple(order[1:]), order[0]
+
+
+MODELS = pytest.mark.parametrize("model", [MNPP, BMNPP])
+
+
+@MODELS
+def test_best_insertion_equals_scratch_dp(model):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(insertions(model))
+    def check(case):
+        inst, ladder, f = case
+        got = best_insertion(inst, ladder, f, pi=inst.pi)
+        assert got == scratch_insertion(inst, ladder, f, inst.pi)
+        assert type(got[1]) is type(zero_revenue(model))
+
+    check()
+
+
+@MODELS
+def test_greedy_select_equals_scratch_dp(model):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4))
+    def check(inst):
+        assert greedy_select(inst, pi=inst.pi) == scratch_greedy(inst, inst.pi)
+
+    check()
+
+
+@MODELS
+def test_ladder_exact_equals_scratch_dp(model):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4))
+    def check(inst):
+        assert ladder_exact(inst) == scratch_exact(inst)
+
+    check()
