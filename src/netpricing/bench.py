@@ -21,9 +21,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from statistics import fmean
 from typing import Optional
-
-import numpy as np
 
 from . import exact as exact_mod
 from .heuristics import ALGORITHMS, HeuristicTimeout, run_algorithm, single_price
@@ -558,7 +557,7 @@ def write_long_csv(path, records):
 
 def _mean(values) -> Optional[float]:
     values = [float(v) for v in values if v is not None]
-    return float(np.mean(values)) if values else None
+    return fmean(values) if values else None
 
 
 def summarise(records) -> list[dict]:

@@ -1,21 +1,50 @@
 """Exhaustive reference solvers for desk-scale instances.
 
 brute_force enumerates every grid price vector and keeps the best, so it
-is the ground truth everything else is checked against. ladder_exact
-enumerates outlet orderings as a depth-first search over ladder prefixes,
-in lexicographic order, adding one programme stage per outlet appended to
-a prefix; for the fixed-fraction model the two agree exactly.
+is the ground truth everything else is checked against. ladder_exact finds
+the best outlet ordering, each ordering priced optimally; for the
+fixed-fraction model the two agree exactly.
+
+ladder_exact is a branch and bound over ladder prefixes with an exact
+bound. Under first-fit allocation the nodes a prefix covers depend only on
+its set of outlets S, so the best revenue the unplaced outlets can still
+earn, in any order, is a function of S, the spread window w and the grid
+index m the remaining prices may not go below:
+
+    rest[full][w][m] = 0
+    rest[S][w][m]    = max over f not in S, m' >= m, of
+                       stage(S, f)[m'] + rest[S | f][w][m']
+
+where stage(S, f) is the summed revenue row of f's nodes that S does not
+cover yet. One backward pass over the 2^n outlet sets (Held and Karp's
+subset programme, J. SIAM 10(1), 1962) fills the table at a cost of
+n * 2^(n-1) stages. A prefix whose last stage has prefix maxima
+maxima[w][m] then completes to at best
+
+    max over w, m of maxima[w][m] + rest[S][w][m],
+
+which is exact, so the depth-first search descends only into prefixes
+that can still reach the optimum and beat the best ordering found so far.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate
+from operator import add
 
-from .ladder import _Prefixes, allocate, dp_prices
+from .ladder import DP_CALLS, _Prefixes, allocate, dp_prices
 from .model import Instance, evaluate_prices, zero_revenue
 
 ENUMERATION_LIMIT = 5_000_000
-LADDER_OUTLET_LIMIT = 8
+# The subset table holds 2^n rows of one entry per window cell, so its
+# memory doubles with every outlet; at 10 outlets with a spread cap a
+# search already peaks near 70 MB.
+LADDER_OUTLET_LIMIT = 10
+# Under the logit model the forward (prefix) and backward (subset) sums
+# add the same floats in different orders and differ by about 1e-14
+# relative, so a bound is widened by this share of the optimum before it
+# prunes anything.
+FLOAT_SLACK = 1e-9
 
 
 class EnumerationTooLarge(ValueError):
@@ -23,7 +52,7 @@ class EnumerationTooLarge(ValueError):
 
 
 class TooManyOutlets(ValueError):
-    """Ordering enumeration would need more than factorial budget."""
+    """The ordering search's subset table would be too large."""
 
 
 def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
@@ -70,24 +99,35 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
 def ladder_exact(inst: Instance):
     """Best revenue over all outlet orderings, each priced optimally.
 
-    Walks the |O|! ladders as a depth-first search over prefixes, trying
-    the remaining outlets in ascending id order, so the orderings come in
-    lexicographic order; each prefix's programme stages are computed once
-    and shared by every ordering that extends it. The first ordering
-    attaining the best revenue wins, and is priced with dp_prices.
+    A depth-first search over ladder prefixes that tries the remaining
+    outlets in ascending id order, so orderings come in lexicographic
+    order, and pushes one programme stage per outlet added to a prefix.
+    A child prefix is pruned when its exact completion bound (see the
+    module docstring) falls below the optimum or does not beat the best
+    ordering found so far, so the first ordering attaining the best
+    revenue wins, as if all |O|! orderings were walked. Under the logit
+    model the bound is first widened by FLOAT_SLACK times the optimum.
+    The winner is priced with dp_prices. At n outlets, without a cap and
+    under the fixed-fraction model, the search fills
+    (n * 2^(n-1) + n(n+1)/2 + n) rows of the grid: the subset pass, one
+    push per child along the path to the winner, and its pricing.
     Returns (revenue, ladder, prices) with prices indexed by outlet id.
     """
     n = inst.n_outlets
     if n > LADDER_OUTLET_LIMIT:
         raise TooManyOutlets(
-            f"{n} outlets would need {math.factorial(n)} orderings"
+            f"{n} outlets exceed the ordering search's limit of "
+            f"{LADDER_OUTLET_LIMIT} ({2 ** n} outlet subsets)"
         )
     prefixes = _Prefixes(inst, inst.pi)
+    rest = _completions(prefixes, n)
+    target = max(window[0] for window in rest[0])
+    slack = 0 if prefixes.scale is not None else FLOAT_SLACK * max(1.0, abs(target))
     best_rev = None
     best_ladder = None
     ladder: list[int] = []
 
-    def walk(state, remaining: list[int]):
+    def walk(state, subset: int, remaining: list[int]):
         nonlocal best_rev, best_ladder
         if not remaining:
             revenue = prefixes.value(state)
@@ -96,11 +136,15 @@ def ladder_exact(inst: Instance):
                 best_ladder = tuple(ladder)
             return
         for f in remaining:
+            child = prefixes.push(state, f)
+            bound = _bound(child[1], rest[subset | 1 << f]) + slack
+            if bound < target or (best_rev is not None and bound <= best_rev):
+                continue
             ladder.append(f)
-            walk(prefixes.push(state, f), [g for g in remaining if g != f])
+            walk(child, subset | 1 << f, [g for g in remaining if g != f])
             ladder.pop()
 
-    walk(prefixes.EMPTY, list(range(n)))
+    walk(prefixes.EMPTY, 0, list(range(n)))
     prices, revenue = dp_prices(
         inst, best_ladder, allocate(inst, best_ladder), pi=inst.pi
     )
@@ -108,3 +152,53 @@ def ladder_exact(inst: Instance):
     for pos, f in enumerate(best_ladder):
         by_outlet[f] = prices[pos]
     return revenue, best_ladder, tuple(by_outlet)
+
+
+def _completions(prefixes: _Prefixes, n: int) -> list:
+    """rest[S][w][m] of the module docstring, for every outlet set S.
+
+    S is a bitmask over outlet ids and m an index into window w. Entries
+    are the raw table numbers of prefixes, and each (S, f) stage counts as
+    one push in DP_CALLS.cells.
+    """
+    full = (1 << n) - 1
+    covered = [frozenset()] * (full + 1)
+    for subset in range(1, full + 1):
+        low = subset & -subset
+        covered[subset] = covered[subset ^ low].union(
+            prefixes.n_f[low.bit_length() - 1]
+        )
+    rest = [None] * (full + 1)
+    rest[full] = [[prefixes.start] * (hi - lo + 1) for lo, hi in prefixes.windows]
+    for subset in range(full - 1, -1, -1):
+        best = None
+        for f in range(n):
+            if subset >> f & 1:
+                continue
+            after = rest[subset | 1 << f]
+            stage = prefixes.stage(covered[subset], f)[1]
+            if stage is None:
+                # rest is already a suffix maximum along each window.
+                options = after
+            else:
+                options = []
+                for (lo, hi), tail in zip(prefixes.windows, after):
+                    here = list(map(add, stage[lo : hi + 1], tail))
+                    options.append(list(accumulate(reversed(here), max))[::-1])
+            if best is None:
+                best = options
+            else:
+                best = [list(map(max, a, b)) for a, b in zip(best, options)]
+        rest[subset] = best
+    DP_CALLS.cells += n * (1 << (n - 1)) * prefixes.cells
+    return rest
+
+
+def _bound(maxima, rest_of_subset):
+    """Best raw revenue of any completion of a prefix state's maxima."""
+    if maxima is None:
+        return max(window[0] for window in rest_of_subset)
+    return max(
+        max(map(add, before, after))
+        for before, after in zip(maxima, rest_of_subset)
+    )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ladder import _Prefixes, allocate, dp_prices
@@ -86,27 +87,37 @@ def single_price(inst: Instance, include_match: bool = False):
     price attaining the best score wins. include_match adds the exact
     price-match term as well, which the plain scoring ignores.
     Returns (price, revenue).
+
+    One pass over the nodes in id order adds each node's best row to the
+    score of every grid price it counts at, so every price's score is
+    summed in node order. Under MNPP a node's row is the same for all its
+    outlets and the sums run on the table's integer image.
     """
     o_e, _, _ = adjacency(inst)
     table = revenue_table(inst, inst.model)
-    zero = zero_revenue(inst.model)
-    best_price = None
-    best_rev = None
-    for m, price in enumerate(inst.grid.prices):
-        rev = zero
-        for node in inst.demands:
-            outlets = o_e[node.id]
-            if not outlets:
-                continue
-            below = inst.grid.below_index(node.c)
-            war_ok = below is not None and price <= inst.grid.prices[below]
-            match_ok = include_match and price == node.c
-            if war_ok or match_ok:
-                rev += max(table[(node.id, f)][m] for f in outlets)
-        if best_rev is None or rev > best_rev:
-            best_rev = rev
-            best_price = price
-    return best_price, best_rev
+    grid = inst.grid
+    score = [zero_revenue(inst.model) if table.ints is None else 0] * len(grid)
+    for node in inst.demands:
+        outlets = o_e[node.id]
+        if not outlets:
+            continue
+        if table.ints is not None:
+            row = table.ints[(node.id, outlets[0])]
+        elif len(outlets) == 1:
+            row = table[(node.id, outlets[0])]
+        else:
+            row = list(map(max, *(table[(node.id, f)] for f in outlets)))
+        below = grid.below_index(node.c)
+        for m in range(0 if below is None else below + 1):
+            score[m] += row[m]
+        if include_match and node.c in grid:
+            m = grid.index_of(node.c)
+            score[m] += row[m]
+    best = max(range(len(grid)), key=score.__getitem__)
+    best_rev = score[best]
+    if table.scale is not None:
+        best_rev = Fraction(best_rev, table.scale)
+    return grid.prices[best], best_rev
 
 
 def greedy_select(

@@ -26,7 +26,7 @@ on the way out. Under the logit model it runs on the float table itself.
 
 Under first-fit allocation a prefix's forward values do not depend on the
 outlets that follow it. The searches that try many ladders sharing a
-prefix (insertion, greedy selection, ordering enumeration) therefore keep
+prefix (insertion, greedy selection, the ordering search) therefore keep
 prefix states: the nodes the prefix covers and, per window, the prefix
 maxima of its last stage. Pushing one outlet onto a state adds one stage,
 at a cost of one row sum over the outlet's still-uncovered nodes plus one
@@ -206,16 +206,26 @@ class _Prefixes:
         self.windows = _windows(inst.grid.prices, pi)
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
 
+    def stage(self, covered, f: int):
+        """Outlet f's nodes outside covered, and their summed row.
+
+        The row is None when there are no such nodes. Rows are summed in
+        n_f[f] order, as dp_prices sums them.
+        """
+        new = [e for e in self.n_f[f] if e not in covered]
+        if not new:
+            return new, None
+        rows = [self.rows[(e, f)] for e in new]
+        return new, [sum(column, self.start) for column in zip(*rows)]
+
     def push(self, state, f: int):
         """The state of the prefix followed by outlet f."""
         DP_CALLS.cells += self.cells
         covered, maxima = state
-        new = [e for e in self.n_f[f] if e not in covered]
-        if not new:
+        new, stage = self.stage(covered, f)
+        if stage is None:
             # An empty stage adds zero to every prefix maximum.
             return covered, maxima
-        rows = [self.rows[(e, f)] for e in new]
-        stage = [sum(column, self.start) for column in zip(*rows)]
         if maxima is None:
             maxima = [
                 list(accumulate(stage[lo : hi + 1], max)) for lo, hi in self.windows

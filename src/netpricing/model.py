@@ -321,11 +321,7 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     table = RevenueTable()
     if model != MNPP:
         for edge in inst.edges:
-            node = inst.demands[edge.e]
-            table[(edge.e, edge.f)] = tuple(
-                (price / MONEY_SCALE) * demand_bmnpp(node, edge, price, grid)
-                for price in grid.prices
-            )
+            table[(edge.e, edge.f)] = _bmnpp_row(inst.demands[edge.e], edge, grid)
         table.scale = table.ints = None
         return table
     node_rows = {}
@@ -346,6 +342,24 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     table.scale = scale
     table.ints = {key: node_ints[key[0]] for key in table}
     return table
+
+
+def _bmnpp_row(node: DemandNode, edge: Edge, grid: PriceGrid) -> tuple:
+    """price * demand_bmnpp at every grid price, with the per-edge terms
+    (volume, undercut ceiling, match share) worked out once."""
+    d = float(node.d)
+    below = price_below(grid, node.c)
+    match = d * logit_share(edge.a_bar - edge.b_bar * (node.c / MONEY_SCALE))
+    row = []
+    for price in grid.prices:
+        if price == node.c:
+            volume = match
+        elif below is not None and node.c_bar <= price <= below:
+            volume = d * logit_share(edge.a_hat - edge.b_hat * (price / MONEY_SCALE))
+        else:
+            volume = 0.0
+        row.append((price / MONEY_SCALE) * volume)
+    return tuple(row)
 
 
 def zero_revenue(model: str):

@@ -1,6 +1,5 @@
 """Exact solvers: full enumeration and ordering enumeration."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -68,9 +67,23 @@ class TestLadderExact:
         assert prices == (900, 700)
 
     def test_outlet_count_guard(self):
-        params = GenParams(n_outlets=9, n_demands=3, density=0.5, seed=0)
+        params = GenParams(n_outlets=11, n_demands=3, density=0.5, seed=0)
         with pytest.raises(TooManyOutlets):
             ladder_exact(generate(params))
+
+    def test_ten_outlets_agree_with_brute_force(self):
+        for seed in range(3):
+            params = GenParams(
+                n_outlets=10,
+                n_demands=12,
+                density=0.3,
+                seed=seed,
+                grid_min="1",
+                grid_max="2",
+                grid_step="1",
+            )
+            inst = generate(params)
+            assert ladder_exact(inst)[0] == brute_force(inst)[0]
 
     def test_agrees_with_brute_force_mnpp(self):
         for seed in range(20):
@@ -95,14 +108,14 @@ class TestLadderExact:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_one_stage_per_prefix(self, n):
-        # One stage per ordering prefix (5 + 20 + 60 + 120 + 120 at n = 5),
-        # then n stages to price the winner: 330 rows of the grid at n = 5,
-        # where pricing each of the n! orderings from scratch takes 600.
+        # The subset pass fills one stage per (outlet set, unplaced outlet)
+        # pair, n * 2^(n-1). With an exact integer bound the search then
+        # pushes every child of each prefix on the path to the winner,
+        # n(n+1)/2, and pricing the winner takes n: 100 rows of the grid
+        # at n = 5, where walking every prefix took 325 + 5.
         inst = generate(tiny_params("mnpp", 0, outlets=n, demands=6))
         assert inst.pi is None
-        prefixes = sum(
-            math.factorial(n) // math.factorial(n - k) for k in range(1, n + 1)
-        )
         DP_CALLS.reset()
         ladder_exact(inst)
-        assert DP_CALLS.cells == (prefixes + n) * len(inst.grid)
+        stages = n * 2 ** (n - 1) + n * (n + 1) // 2 + n
+        assert DP_CALLS.cells == stages * len(inst.grid)

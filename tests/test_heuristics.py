@@ -14,6 +14,7 @@ from netpricing import (
     GenParams,
     HeuristicTimeout,
     Instance,
+    adjacency,
     best_insertion,
     brute_force,
     full_insertion,
@@ -21,8 +22,10 @@ from netpricing import (
     greedy_select,
     insertion_with_order,
     order_select,
+    revenue_table,
     run_algorithm,
     single_price,
+    zero_revenue,
 )
 from netpricing.instgen import make_grid
 from tests.conftest import two_node_instance
@@ -63,6 +66,55 @@ class TestSinglePrice:
     def test_lowest_price_wins_score_ties(self, tiny_disjoint):
         price, _ = single_price(tiny_disjoint)
         assert price == 700
+
+    @pytest.mark.parametrize("model", ["mnpp", BMNPP])
+    @pytest.mark.parametrize("include_match", [False, True])
+    def test_matches_a_scan_per_grid_price(self, model, include_match):
+        def scan(inst):
+            # Every grid price scored on its own: nodes in id order, each
+            # adding its best outlet's table entry.
+            o_e = adjacency(inst)[0]
+            table = revenue_table(inst, inst.model)
+            best_price, best_rev = None, None
+            for m, price in enumerate(inst.grid.prices):
+                rev = zero_revenue(inst.model)
+                for node in inst.demands:
+                    if not o_e[node.id]:
+                        continue
+                    below = inst.grid.below_index(node.c)
+                    war_ok = below is not None and price <= inst.grid.prices[below]
+                    if war_ok or (include_match and price == node.c):
+                        rev += max(table[(node.id, f)][m] for f in o_e[node.id])
+                if best_rev is None or rev > best_rev:
+                    best_price, best_rev = price, rev
+            return best_price, best_rev
+
+        # Prices 1 and 2 both score 400 here (2 under the logit model's
+        # even shares), so the lowest must win.
+        tied = Instance(
+            n_outlets=2,
+            demands=(
+                DemandNode(0, 200, 0, Fraction(200)),
+                DemandNode(1, 300, 0, Fraction(200)),
+            ),
+            edges=(Edge(0, 0), Edge(1, 1)),
+            grid=make_grid("0", "25", "1"),
+            model=model,
+        )
+        instances = [tied]
+        for seed in range(10):
+            instances.append(
+                generate(small_grid_params(model, seed, 4, 8, density=0.4))
+            )
+            instances.append(
+                generate(GenParams(model=model, n_outlets=4, n_demands=8, seed=seed))
+            )
+        for inst in instances:
+            got = single_price(inst, include_match=include_match)
+            want = scan(inst)
+            assert got == want
+            assert type(got[1]) is type(want[1])
+        assert single_price(tied)[0] == 100
 
 
 class TestGreedySelect:

@@ -8,9 +8,11 @@ on the public Fraction (MNPP) or float (BMNPP) table.
 
 The searches that share prefix states (best_insertion, greedy_select,
 ladder_exact) must give exactly what allocate + dp_prices from scratch on
-every trial ladder gives, floats included.
+every trial ladder gives, floats included; ladder_exact's completion bound
+must equal the best completion of every prefix.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -37,6 +39,8 @@ from netpricing import (
     revenue_table,
     zero_revenue,
 )
+from netpricing.exact import _bound, _completions
+from netpricing.ladder import _Prefixes
 from tests.test_ladder import enumerate_ladder_optimum
 
 
@@ -97,10 +101,12 @@ def table_dp(inst, ladder, assignment, n_active, pi):
 
 
 @st.composite
-def instances(draw, model, max_outlets=3):
+def instances(draw, model, max_outlets=3, max_prices=6):
     """Tiny instances, with no spread cap or a finite one."""
     step = draw(st.sampled_from([25, 50, 100]))
-    grid = PriceGrid(tuple(step * k for k in range(draw(st.integers(1, 6)))))
+    grid = PriceGrid(
+        tuple(step * k for k in range(draw(st.integers(1, max_prices))))
+    )
     n_outlets = draw(st.integers(1, max_outlets))
     n_demands = draw(st.integers(1, 4))
     demands = []
@@ -251,5 +257,48 @@ def test_ladder_exact_equals_scratch_dp(model):
     @given(instances(model, max_outlets=4))
     def check(inst):
         assert ladder_exact(inst) == scratch_exact(inst)
+
+    check()
+
+
+@MODELS
+def test_ladder_exact_keeps_the_first_best_ordering(model):
+    # Up to 6 outlets on 1-3 point grids, where many orderings tie, so
+    # pruning must not skip the first ordering attaining the optimum.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=6, max_prices=3))
+    def check(inst):
+        got = ladder_exact(inst)
+        want = scratch_exact(inst)
+        assert got == want
+        assert repr(got[0]) == repr(want[0])
+
+    check()
+
+
+@MODELS
+def test_completion_bound_is_the_best_completion(model):
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4))
+    def check(inst):
+        n = inst.n_outlets
+        prefixes = _Prefixes(inst, inst.pi)
+        rest = _completions(prefixes, n)
+
+        def walk(state, subset, prefix):
+            remaining = [f for f in range(n) if f not in prefix]
+            best = max(
+                scratch_revenue(inst, prefix + tail, inst.pi)
+                for tail in permutations(remaining)
+            )
+            bound = prefixes.revenue(_bound(state[1], rest[subset]))
+            if model == MNPP:
+                assert bound == best
+            else:
+                assert math.isclose(bound, best, rel_tol=1e-12, abs_tol=1e-12)
+            for f in remaining:
+                walk(prefixes.push(state, f), subset | 1 << f, prefix + (f,))
+
+        walk(prefixes.EMPTY, 0, ())
 
     check()

@@ -426,8 +426,11 @@ def test_overlapping_builtin_solves_restore_stdout(tiny_disjoint, solver):
 
 
 def test_import_does_not_load_scipy():
-    out = run_python("import sys, netpricing, netpricing.cli; print('scipy' in sys.modules)")
-    assert out == "False\n"
+    out = run_python(
+        "import sys, netpricing, netpricing.cli; "
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    assert out == "False False\n"
 
 
 class TestSolveIp:

@@ -29,6 +29,7 @@ from netpricing import (
     zero_revenue,
 )
 from netpricing.model import demand_bmnpp, demand_mnpp
+from netpricing.money import MONEY_SCALE
 from tests.conftest import two_node_instance
 
 
@@ -254,6 +255,20 @@ def test_revenue_table_integer_image():
     logit = revenue_table(inst, BMNPP)
     assert logit.scale is None and logit.ints is None
     assert all(isinstance(v, float) for row in logit.values() for v in row)
+
+
+def test_bmnpp_revenue_table_is_price_times_demand():
+    # The table builds each logit row with its per-edge terms hoisted; it
+    # must give the same floats as demand_bmnpp price by price.
+    for seed in range(5):
+        inst = generate(GenParams(model=BMNPP, n_outlets=3, n_demands=8, seed=seed))
+        edge_of = adjacency(inst)[2]
+        for (e, f), row in revenue_table(inst, BMNPP).items():
+            node = inst.demands[e]
+            assert row == tuple(
+                (price / MONEY_SCALE) * demand_bmnpp(node, edge_of[(e, f)], price, inst.grid)
+                for price in inst.grid.prices
+            )
 
 
 def test_instance_hash_is_kept_but_never_pickled():
