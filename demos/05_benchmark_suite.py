@@ -3,9 +3,9 @@
 A suite is a JSON config naming the instances (files, generated, or
 both), the algorithms to run, and an optional exact reference for gap
 reporting. Running it produces three artifacts per suite: a runs CSV
-with one row per (instance, algorithm), a long CSV with one row per
-outlet for price-level analysis, and a plain-text summary grouped by
-instance shape. Everything is seeded, so reruns are byte-identical.
+with one row per (instance, algorithm), a long CSV with one
+(run, metric, value) row per metric for plotting, and a plain-text
+summary grouped by instance shape. Everything is seeded, so reruns are byte-identical.
 """
 
 import json

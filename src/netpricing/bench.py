@@ -11,7 +11,8 @@ Outputs are deterministic for a fixed config: rows follow config order,
 numbers are rendered canonically, and wall times are only recorded when
 the config opts in (timing is measurement noise, not a result).
 Failures are isolated per run; a run that times out or errors is recorded
-with its status and the suite continues.
+with its status and the suite continues. An exact reference too large to
+compute is left blank, and its instance's rows say why in their message.
 """
 
 from __future__ import annotations
@@ -90,19 +91,9 @@ class PmStats:
         return 100.0 * float(self.d_pm) / total if total > 0 else 0.0
 
     @property
-    def d_pw_pct(self) -> float:
-        total = float(self.d_pm) + float(self.d_pw)
-        return 100.0 * float(self.d_pw) / total if total > 0 else 0.0
-
-    @property
     def r_pm_pct(self) -> float:
         total = float(self.r_pm) + float(self.r_pw)
         return 100.0 * float(self.r_pm) / total if total > 0 else 0.0
-
-    @property
-    def r_pw_pct(self) -> float:
-        total = float(self.r_pm) + float(self.r_pw)
-        return 100.0 * float(self.r_pw) / total if total > 0 else 0.0
 
 
 def pm_accounting(inst: Instance, prices) -> PmStats:
@@ -119,7 +110,7 @@ def pm_accounting(inst: Instance, prices) -> PmStats:
     pm_count = pw_count = 0
     for e, f in assignment.items():
         price = prices[f]
-        volume = demand_at(inst, e, f, price, inst.model)
+        volume = demand_at(inst, e, f, price)
         money = table[(e, f)][inst.grid.index_of(price)]
         if labels[e] == PM:
             pm_count += 1
@@ -352,13 +343,18 @@ def _run_instance(
     """
     _, r_sp = single_price(inst)
     r_opt = None
-    if exact_method == "ladder":
-        r_opt, _, _ = exact_mod.ladder_exact(inst)
-    elif exact_method == "brute":
-        r_opt, _ = exact_mod.brute_force(inst)
+    skipped = ""
+    try:
+        if exact_method == "ladder":
+            r_opt, _, _ = exact_mod.ladder_exact(inst)
+        elif exact_method == "brute":
+            r_opt, _ = exact_mod.brute_force(inst)
+    except (exact_mod.TooManyOutlets, exact_mod.EnumerationTooLarge) as exc:
+        skipped = f"reference skipped: {exc}"
     records = []
     for alg in algorithms:
         fields = _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit)
+        message = "; ".join(m for m in (fields.get("message", ""), skipped) if m)
         rec = RunRecord(
             instance_id=iid,
             model=inst.model,
@@ -370,7 +366,7 @@ def _run_instance(
             revenue=fields.get("revenue"),
             prices=fields.get("prices"),
             wall_time=fields.get("wall_time"),
-            message=fields.get("message", ""),
+            message=message,
             r_opt=r_opt,
             r_sp=r_sp,
         )

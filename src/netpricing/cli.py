@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -125,7 +126,9 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     inst = load_instance(args.input)
     instance_id = Path(args.input).stem
-    pi = None if args.pi is None else parse_money(args.pi)
+    if args.pi is not None:
+        # One cap for every algorithm, MIP formulations and relaxations too.
+        inst = replace(inst, pi=parse_money(args.pi))
     if args.alg in ("ip1", "ip2"):
         adapter = resolve_adapter(args.solver_cmd)
         if adapter is None:
@@ -159,7 +162,6 @@ def cmd_solve(args) -> int:
         result = run_algorithm(
             inst,
             args.alg,
-            pi=pi,
             time_limit=args.time_limit,
             adapter=resolve_adapter(args.solver_cmd),
         )

@@ -14,7 +14,7 @@ Three families:
 All ties break toward the lower id or the earlier position, so every
 heuristic is deterministic. The functions below take the spread cap as an
 explicit pi, where None means no cap; run_algorithm passes the instance's
-own cap unless it is given another.
+own cap.
 """
 
 from __future__ import annotations
@@ -79,14 +79,12 @@ class HeuristicResult:
     wall_time: float
 
 
-def single_price(inst: Instance, include_match: bool = False):
+def single_price(inst: Instance):
     """Best uniform price by undercut revenue (price-war terms only).
 
     For each grid price, sums over nodes whose competitor can still be
     undercut at that price the best single-outlet revenue; the lowest
-    price attaining the best score wins. include_match adds the exact
-    price-match term as well, which the plain scoring ignores.
-    Returns (price, revenue).
+    price attaining the best score wins. Returns (price, revenue).
 
     One pass over the nodes in id order adds each node's best row to the
     score of every grid price it counts at, so every price's score is
@@ -110,9 +108,6 @@ def single_price(inst: Instance, include_match: bool = False):
         below = grid.below_index(node.c)
         for m in range(0 if below is None else below + 1):
             score[m] += row[m]
-        if include_match and node.c in grid:
-            m = grid.index_of(node.c)
-            score[m] += row[m]
     best = max(range(len(grid)), key=score.__getitem__)
     best_rev = score[best]
     if table.scale is not None:
@@ -122,13 +117,12 @@ def single_price(inst: Instance, include_match: bool = False):
 
 def greedy_select(
     inst: Instance,
-    pool: Optional[Sequence[int]] = None,
     pi: Optional[Money] = None,
     deadline: Optional[Deadline] = None,
 ):
     """Build a ladder by committing the outlet with the best marginal value.
 
-    Each step appends, from the remaining pool, the outlet whose tentative
+    Each step appends, from the remaining outlets, the outlet whose tentative
     ladder (current ladder plus that outlet) has the best optimal revenue;
     ties keep the lowest id. Demand nodes covered by the committed outlet
     leave the active set, and the loop ends when either side is exhausted.
@@ -136,7 +130,7 @@ def greedy_select(
     (ladder, revenue of the committed prefix).
     """
     _, n_f, _ = adjacency(inst)
-    pool = sorted(inst.outlets() if pool is None else pool)
+    pool = list(inst.outlets())
     active = set(range(inst.n_demands))
     ladder: list[int] = []
     prefixes = _Prefixes(inst, pi)
@@ -163,11 +157,7 @@ def greedy_select(
     return tuple(ladder), revenue
 
 
-def order_select(
-    inst: Instance,
-    pool: Optional[Sequence[int]] = None,
-    prefer_max: bool = False,
-):
+def order_select(inst: Instance):
     """Build a ladder by serving the cheapest competitor first.
 
     Repeatedly takes the active node with the lowest competitor price
@@ -177,12 +167,12 @@ def order_select(
         mu_f = sum over active nodes covered by f of c_e * volume captured
                on undercut at c_e.
 
-    The default commits the argmin of mu (prefer_max flips it); ties keep
-    the lowest id. Covered nodes leave the active set; nodes with no
-    remaining outlet are dropped. Unused outlets are appended ascending.
+    The argmin of mu is committed; ties keep the lowest id. Covered nodes
+    leave the active set; nodes with no remaining outlet are dropped.
+    Unused outlets are appended ascending.
     """
     o_e, n_f, edge_of = adjacency(inst)
-    pool = set(inst.outlets() if pool is None else pool)
+    pool = set(inst.outlets())
     active = set(range(inst.n_demands))
     ladder: list[int] = []
 
@@ -209,10 +199,7 @@ def order_select(
             active.remove(head)
             continue
         scores = {f: potential(f) for f in candidates}
-        if prefer_max:
-            chosen = max(candidates, key=lambda f: (scores[f], -f))
-        else:
-            chosen = min(candidates, key=lambda f: (scores[f], f))
+        chosen = min(candidates, key=lambda f: (scores[f], f))
         ladder.append(chosen)
         pool.remove(chosen)
         active -= set(n_f[chosen])
@@ -322,22 +309,20 @@ def _finish(
 def run_algorithm(
     inst: Instance,
     algorithm: str,
-    pi: Optional[Money] = None,
     time_limit: Optional[float] = None,
     adapter=None,
     solver_time_limit: Optional[float] = None,
 ) -> HeuristicResult:
     """Run one named heuristic and return its result.
 
-    pi overrides the instance's spread cap; None keeps inst.pi. The
-    relaxation-guided insertions (ip1I, ip2I) need a solver adapter;
-    without one they raise SolverUnavailable rather than silently falling
-    back to another selection rule.
+    The spread cap is the instance's own, inst.pi. The relaxation-guided
+    insertions (ip1I, ip2I) need a solver adapter; without one they raise
+    SolverUnavailable rather than silently falling back to another
+    selection rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if pi is None:
-        pi = inst.pi
+    pi = inst.pi
     deadline = Deadline(time_limit)
     t0 = time.perf_counter()
     if algorithm == "sp":

@@ -1,17 +1,8 @@
 """The bundled scipy/HiGHS solver for netpricing.mip's linear models.
 
 solve() solves a LinearModel in the calling process; the builtin adapter
-of netpricing.mip.solve_external calls it directly. Run as a command, the
-same solver serves the external adapter contract on an LP file:
-
-    python -m netpricing.lpsolve MODEL.lp SOLUTION.sol SECONDS
-
-The command reads the model and writes the solution as plain "name value"
-lines, one variable per line. Exit codes: 0 solved to optimality, 2 time
-limit reached (an incumbent, if HiGHS had one, is still written), 3
-infeasible, 1 for anything else. A non-positive time budget exits 2
-without reading or solving the model, so a zero budget can never produce
-a made-up answer.
+of netpricing.mip.solve_external calls it directly, passing HiGHS the
+model's columns and rows in model order.
 """
 
 from __future__ import annotations
@@ -29,12 +20,8 @@ from .mip import (
     INFEASIBLE,
     OPTIMAL,
     LinearModel,
-    LpParseError,
     SolveOutcome,
-    read_lp,
 )
-
-EXIT_CODES = {OPTIMAL: 0, FEASIBLE_TIMEOUT: 2, INFEASIBLE: 3, ERROR: 1}
 
 
 def _flush_c_stdio():
@@ -161,35 +148,3 @@ def solve(model: LinearModel, seconds: float) -> SolveOutcome:
         gap=result.mip_gap,
         nodes=result.mip_node_count,
     )
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if len(argv) != 3:
-        print("usage: lpsolve MODEL.lp SOLUTION.sol SECONDS", file=sys.stderr)
-        return 1
-    model_path, solution_path, seconds_text = argv
-    try:
-        seconds = float(seconds_text)
-    except ValueError:
-        print(f"bad time budget {seconds_text!r}", file=sys.stderr)
-        return 1
-    if seconds <= 0:
-        return EXIT_CODES[FEASIBLE_TIMEOUT]
-    try:
-        model = read_lp(model_path)
-    except (OSError, LpParseError) as exc:
-        print(f"cannot read model: {exc}", file=sys.stderr)
-        return 1
-    outcome = solve(model, seconds)
-    if outcome.objective is not None:
-        with open(solution_path, "w", encoding="utf-8") as out:
-            for name, value in outcome.values.items():
-                out.write(f"{name} {value!r}\n")
-    if outcome.status == ERROR:
-        print(outcome.message, file=sys.stderr)
-    return EXIT_CODES[outcome.status]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,9 +9,9 @@ Two formulations of the same pricing problem:
   binaries per (node, outlet, price). Works for both demand models since
   demand enters only through coefficients.
 
-Models are held in a small solver-agnostic IR (LinearModel) that can be
-written as LP text and read back by this module's own reader; the writer
-output is byte-stable for fixed inputs.
+Models are held in a small solver-agnostic IR (LinearModel) that is
+written as LP text for external solvers; the writer output is byte-stable
+for fixed inputs.
 
 Solving goes through solve_external and a SolverAdapter. The builtin
 adapter solves in this process with the bundled scipy/HiGHS backend
@@ -19,10 +19,10 @@ adapter solves in this process with the bundled scipy/HiGHS backend
 model order; it writes no LP file and starts no process, so it needs no
 install. An in-process solve cannot be killed, so it relies on HiGHS's own
 time limit. Any other adapter holds a command template with {model},
-{solution}, and {seconds} placeholders, run on an LP file in a work
+{solution}, and {seconds} placeholders, run on an LP file in a temporary
 directory. The command must write a solution file of "name value" lines
 (absent variables read as 0) and exit 0 when optimal, 2 on a time limit,
-and 3 when infeasible; ``python -m netpricing.lpsolve`` is such a command.
+and 3 when infeasible; any other exit is an error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import os
 import re
 import shlex
 import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,10 +71,6 @@ class SolutionParseError(ValueError):
     """A solution file did not follow the "name value" line format."""
 
 
-class LpParseError(ValueError):
-    """LP text did not follow the dialect this module writes."""
-
-
 @dataclass
 class Variable:
     name: str
@@ -97,7 +92,7 @@ class LinearModel:
     """Maximisation model over named variables.
 
     meta carries builder bookkeeping (variable roles keyed by name) and is
-    excluded from equality so written-then-read models compare equal.
+    excluded from equality and repr.
     """
 
     variables: list[Variable] = field(default_factory=list)
@@ -366,7 +361,7 @@ def build_ip2(inst: Instance) -> LinearModel:
         e = node.id
         for f in o_e[e]:
             for level in range(n_prices):
-                vol = demand_at(inst, e, f, grid[level], inst.model)
+                vol = demand_at(inst, e, f, grid[level])
                 if vol <= 0:
                     continue
                 name = m.add_var(
@@ -495,170 +490,6 @@ def write_lp(model: LinearModel, path) -> Path:
     return path
 
 
-_TOKEN_RE = re.compile(
-    r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[A-Za-z_][A-Za-z0-9_]*|<=|>=|=|\+|-|:"
-)
-
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
-
-
-def _signed_number(tokens: list[str], where: str) -> float:
-    """A number possibly split into a sign token and a magnitude token."""
-    if len(tokens) == 1 and _NUMBER_RE.match(tokens[0]):
-        return float(tokens[0])
-    if (
-        len(tokens) == 2
-        and tokens[0] in ("+", "-")
-        and _NUMBER_RE.match(tokens[1])
-    ):
-        return float(tokens[0] + tokens[1])
-    raise LpParseError(f"{where}: expected a number, got {' '.join(tokens)!r}")
-
-
-def _merge_signed(tokens: list[str]) -> list[str]:
-    """Join a sign token onto a following number token (bounds lines only)."""
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if (
-            tokens[i] in ("+", "-")
-            and i + 1 < len(tokens)
-            and _NUMBER_RE.match(tokens[i + 1])
-        ):
-            out.append(tokens[i] + tokens[i + 1])
-            i += 2
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
-def _parse_terms(tokens: list[str], where: str) -> list[tuple[str, float]]:
-    terms = []
-    sign = 1.0
-    coef = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign, coef = 1.0, None
-        elif tok == "-":
-            sign, coef = -1.0, None
-        elif _NAME_RE.match(tok):
-            terms.append((tok, sign * (1.0 if coef is None else coef)))
-            sign, coef = 1.0, None
-        else:
-            try:
-                coef = float(tok)
-            except ValueError as exc:
-                raise LpParseError(f"{where}: unexpected token {tok!r}") from exc
-        i += 1
-    return terms
-
-
-def read_lp(source) -> LinearModel:
-    """Parse the LP dialect written by lp_text back into a LinearModel."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
-    section = None
-    objective: list[tuple[str, float]] = []
-    rows: list[tuple[str, list, str, float]] = []
-    bounds: list[tuple[str, Optional[float], Optional[float]]] = []
-    binaries: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low == "maximize":
-            section = "obj"
-            continue
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binary":
-            section = "binary"
-            continue
-        if low == "end":
-            section = "end"
-            continue
-        where = f"line {lineno}"
-        if section == "obj":
-            tokens = _TOKEN_RE.findall(line)
-            if len(tokens) >= 2 and tokens[1] == ":":
-                tokens = tokens[2:]
-            objective = _parse_terms(tokens, where)
-        elif section == "rows":
-            tokens = _TOKEN_RE.findall(line)
-            if len(tokens) < 2 or tokens[1] != ":":
-                raise LpParseError(f"{where}: constraint without a name")
-            name = tokens[0]
-            tokens = tokens[2:]
-            sense_at = next(
-                (i for i, t in enumerate(tokens) if t in ("<=", ">=", "=")), None
-            )
-            if sense_at is None or sense_at >= len(tokens) - 1:
-                raise LpParseError(f"{where}: expected 'terms sense rhs'")
-            terms = _parse_terms(tokens[:sense_at], where)
-            rhs = _signed_number(tokens[sense_at + 1 :], where)
-            rows.append((name, terms, tokens[sense_at], rhs))
-        elif section == "bounds":
-            tokens = _merge_signed(_TOKEN_RE.findall(line))
-            if len(tokens) == 2 and tokens[1] == "free":
-                bounds.append((tokens[0], None, None))
-            elif len(tokens) == 3 and tokens[1] == "<=":
-                bounds.append((tokens[0], None, float(tokens[2])))
-            elif len(tokens) == 3 and tokens[1] == ">=":
-                bounds.append((tokens[0], float(tokens[2]), None))
-            elif len(tokens) == 3 and tokens[1] == "=":
-                v = float(tokens[2])
-                bounds.append((tokens[0], v, v))
-            elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                bounds.append((tokens[2], float(tokens[0]), float(tokens[4])))
-            else:
-                raise LpParseError(f"{where}: unrecognised bounds line {line!r}")
-        elif section == "binary":
-            if not _NAME_RE.match(line):
-                raise LpParseError(f"{where}: bad binary name {line!r}")
-            binaries.append(line)
-        elif section == "end":
-            raise LpParseError(f"{where}: content after End")
-        else:
-            raise LpParseError(f"{where}: content before any section")
-    model = LinearModel()
-    binary_set = set(binaries)
-    seen = set()
-    ordered: list[tuple[str, Optional[float], Optional[float]]] = []
-    for name, lb, ub in bounds:
-        if name in seen:
-            raise LpParseError(f"duplicate bounds for {name!r}")
-        seen.add(name)
-        ordered.append((name, lb, ub))
-    mentioned = [name for name, _ in objective]
-    for _, terms, _, _ in rows:
-        mentioned.extend(name for name, _ in terms)
-    for name in mentioned + binaries:
-        if name not in seen:
-            seen.add(name)
-            ordered.append((name, 0.0, None))
-    for name, lb, ub in ordered:
-        kind = BINARY if name in binary_set else CONTINUOUS
-        if kind == BINARY:
-            model.add_var(name, kind=BINARY)
-        else:
-            model.add_var(name, lb, ub, kind)
-    for name, terms, sense, rhs in rows:
-        model.add_constr(name, terms, sense, rhs)
-    model.set_objective(objective)
-    return model
-
-
 @dataclass(frozen=True)
 class SolverAdapter:
     """External solver invocation: a shell-style command template.
@@ -675,13 +506,11 @@ class SolverAdapter:
 def builtin_adapter() -> SolverAdapter:
     """The bundled scipy/HiGHS solver.
 
-    solve_external recognises this adapter and solves in process with
-    netpricing.lpsolve.solve: no LP file, no child process, and workdir is
-    ignored. Its command, which solve_external does not run, names the
-    same solver as an external command.
+    Its command is the builtin alias, which solve_external recognises and
+    solves in process with netpricing.lpsolve.solve: no LP file and no
+    child process.
     """
-    exe = shlex.quote(sys.executable)
-    return SolverAdapter(f"{exe} -m netpricing.lpsolve {{model}} {{solution}} {{seconds}}")
+    return SolverAdapter(BUILTIN_SOLVER)
 
 
 def resolve_adapter(spec: Optional[str]) -> Optional[SolverAdapter]:
@@ -741,13 +570,13 @@ def solve_external(
     model: LinearModel,
     adapter: Optional[SolverAdapter],
     time_limit: Optional[float] = None,
-    workdir=None,
 ) -> SolveOutcome:
     """Solve a model through an adapter; never fabricates results.
 
     The objective is always recomputed from the returned variable values,
     so a timeout without an incumbent reports no objective at all. The
-    builtin adapter solves in process and ignores workdir.
+    builtin adapter solves in process; any other runs its command on an LP
+    file in a temporary directory.
     """
     if adapter is None:
         raise SolverUnavailable(
@@ -755,17 +584,13 @@ def solve_external(
             f"{SOLVER_ENV_VAR}, or use '{BUILTIN_SOLVER}'"
         )
     seconds = 1_000_000_000.0 if time_limit is None else float(time_limit)
-    if adapter == builtin_adapter():
+    if adapter.command == BUILTIN_SOLVER:
         from .lpsolve import solve
 
         return solve(model, seconds)
-    own_dir = None
-    if workdir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="netpricing-mip-")
-        workdir = own_dir.name
-    try:
-        model_path = Path(workdir) / "model.lp"
-        solution_path = Path(workdir) / "model.sol"
+    with tempfile.TemporaryDirectory(prefix="netpricing-mip-") as tmp:
+        model_path = Path(tmp) / "model.lp"
+        solution_path = Path(tmp) / "model.sol"
         write_lp(model, model_path)
         cmd = [
             tok.format(model=str(model_path), solution=str(solution_path), seconds=_num(seconds))
@@ -775,7 +600,7 @@ def solve_external(
         try:
             proc = subprocess.run(
                 cmd,
-                cwd=workdir,
+                cwd=tmp,
                 capture_output=True,
                 text=True,
                 timeout=hard_timeout,
@@ -811,9 +636,6 @@ def solve_external(
         return SolveOutcome(
             ERROR, None, {}, f"solver exited {proc.returncode}: " + " | ".join(tail)
         )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
 
 
 def decode_prices_ip2(inst: Instance, values: dict[str, float]) -> tuple[Money, ...]:

@@ -286,10 +286,11 @@ def demand_bmnpp(
     return 0.0
 
 
-def demand_at(inst: Instance, e: int, f: int, price: Money, model: str):
-    """Volume outlet f captures from node e at a posted price."""
+def demand_at(inst: Instance, e: int, f: int, price: Money):
+    """Volume outlet f captures from node e at a posted price, under the
+    instance's own demand model."""
     node = inst.demands[e]
-    if model == MNPP:
+    if inst.model == MNPP:
         return demand_mnpp(node, price, inst.grid)
     edge = adjacency(inst)[2][(e, f)]
     return demand_bmnpp(node, edge, price, inst.grid)

@@ -63,7 +63,7 @@ class TestPmAccounting:
         assert (stats.pm_count, stats.pw_count) == (1, 1)
         assert stats.d_pm == Fraction(50)
         assert stats.r_pm == Fraction(500)
-        assert stats.r_pm_pct + stats.r_pw_pct == pytest.approx(100.0)
+        assert stats.r_pm_pct == pytest.approx(100.0 * 500 / 1200)
 
     def test_empty_when_nothing_sold(self, tiny_disjoint):
         stats = pm_accounting(tiny_disjoint, (2500, 2500))
@@ -209,7 +209,8 @@ class TestRunSuite:
         for rec in records_from_csv(paths["runs"]):
             assert rec.opt_gap_pct is None or rec.opt_gap_pct >= -1e-9
             if rec.pm is not None and (float(rec.pm.r_pm) + float(rec.pm.r_pw)) > 0:
-                assert rec.pm.r_pm_pct + rec.pm.r_pw_pct == pytest.approx(100.0)
+                share = float(rec.pm.r_pm) / (float(rec.pm.r_pm) + float(rec.pm.r_pw))
+                assert rec.pm.r_pm_pct == pytest.approx(100.0 * share)
 
     def test_deterministic_artifacts(self, tmp_path):
         p1 = run_suite(suite_config(), tmp_path / "a")

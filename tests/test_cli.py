@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from netpricing.bench import records_from_csv
 from netpricing.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +104,25 @@ class TestSolve:
             run("solve", "--in", TINY, "--alg", "simplex")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("alg", ["ip1", "ip2", "ip2I", "fi"])
+    def test_pi_caps_every_algorithm(self, tmp_path, capsys, alg):
+        # This instance has no cap of its own; uncapped, ip1 and ip2 post
+        # 6.00/9.00/4.00 for 2311.46.
+        inst = tmp_path / "i.json"
+        run(
+            "generate", "--outlets", 3, "--demands", 6, "--density", 0.6,
+            "--seed", 0, "--grid-max", 10, "--grid-step", 1, "--out", inst,
+        )
+        out = tmp_path / "r.json"
+        code = run(
+            "solve", "--in", inst, "--alg", alg, "--pi", 0,
+            "--solver-cmd", "builtin", "--out", out,
+        )
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["prices"] == ["5.00", "5.00", "5.00"]
+        assert float(payload["revenue"]) == pytest.approx(1875.30)
+
     def test_removed_variant_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run("solve", "--in", TINY, "--alg", "sp", "--sp-include-match")
@@ -177,6 +197,33 @@ class TestBenchAndReport:
         bad.write_text(json.dumps({"algorithms": ["sp"], "order_prefer_max": True}))
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         assert "order_prefer_max" in capsys.readouterr().err
+
+    def test_reference_too_large_is_skipped_not_fatal(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "suite_id": "iso",
+            "algorithms": ["sp", "ip2"],
+            "exact": "ladder",
+            "instances": {"generate": [
+                {"model": "mnpp", "outlets": 4, "demands": 8, "seeds": [0]},
+                {"model": "mnpp", "outlets": 11, "demands": 12, "seeds": [0]},
+            ]},
+        }))
+        out_dir = tmp_path / "out"
+        assert run("bench", "--config", config, "--out-dir", out_dir) == 0
+        for suffix in ("runs.csv", "summary.txt", "long.csv"):
+            assert (out_dir / f"iso.{suffix}").exists()
+        rows = records_from_csv(out_dir / "iso.runs.csv")
+        assert [(r.n_outlets, r.algorithm) for r in rows] == [
+            (4, "sp"), (4, "ip2"), (11, "sp"), (11, "ip2"),
+        ]
+        assert all(r.r_opt is not None and "reference" not in r.message for r in rows[:2])
+        skipped = "reference skipped: 11 outlets exceed the ordering search's limit"
+        sp, ip2 = rows[2:]
+        assert sp.r_opt is None and sp.revenue is not None
+        assert sp.message.startswith(skipped)
+        assert ip2.message.startswith("mip algorithms need a solver adapter; " + skipped)
 
     def test_report_aggregates(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

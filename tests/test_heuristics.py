@@ -57,19 +57,12 @@ class TestSinglePrice:
         price, _ = single_price(tiny_single)
         assert price != 1000
 
-    def test_include_match_can_change_the_answer(self):
-        inst = two_node_instance([(0, 0), (1, 1)])
-        plain_price, plain_rev = single_price(inst)
-        with_match, rev = single_price(inst, include_match=True)
-        assert rev >= plain_rev
-
     def test_lowest_price_wins_score_ties(self, tiny_disjoint):
         price, _ = single_price(tiny_disjoint)
         assert price == 700
 
     @pytest.mark.parametrize("model", ["mnpp", BMNPP])
-    @pytest.mark.parametrize("include_match", [False, True])
-    def test_matches_a_scan_per_grid_price(self, model, include_match):
+    def test_matches_a_scan_per_grid_price(self, model):
         def scan(inst):
             # Every grid price scored on its own: nodes in id order, each
             # adding its best outlet's table entry.
@@ -83,7 +76,7 @@ class TestSinglePrice:
                         continue
                     below = inst.grid.below_index(node.c)
                     war_ok = below is not None and price <= inst.grid.prices[below]
-                    if war_ok or (include_match and price == node.c):
+                    if war_ok:
                         rev += max(table[(node.id, f)][m] for f in o_e[node.id])
                 if best_rev is None or rev > best_rev:
                     best_price, best_rev = price, rev
@@ -110,7 +103,7 @@ class TestSinglePrice:
                 generate(GenParams(model=model, n_outlets=4, n_demands=8, seed=seed))
             )
         for inst in instances:
-            got = single_price(inst, include_match=include_match)
+            got = single_price(inst)
             want = scan(inst)
             assert got == want
             assert type(got[1]) is type(want[1])
@@ -136,7 +129,7 @@ class TestOrderSelect:
         # Node 1 has the cheaper competitor (8 < 10), so its outlet leads.
         assert order_select(tiny_disjoint) == (1, 0)
 
-    def test_prefer_max_flips_argmin_to_argmax(self):
+    def test_commits_the_lowest_potential(self):
         # Head node 0 (c=8) sees both outlets; outlet 1 also covers the
         # second node so its coverage potential is larger (1800 vs 800).
         inst = Instance(
@@ -149,12 +142,13 @@ class TestOrderSelect:
             grid=make_grid("0", "25", "1"),
         )
         assert order_select(inst) == (0, 1)
-        assert order_select(inst, prefer_max=True) == (1, 0)
 
     def test_uncoverable_heads_are_dropped(self):
-        inst = two_node_instance([(0, 0), (1, 1)])
-        order = order_select(inst, pool=[0])
-        assert order == (0,)
+        # Node 1 has the cheaper competitor and so heads the queue first,
+        # but no outlet reaches it: it is dropped, and node 0's outlet
+        # leads, with the unused outlet appended.
+        inst = two_node_instance([(0, 1)])
+        assert order_select(inst) == (1, 0)
 
 
 class TestInsertion:
@@ -258,7 +252,7 @@ def test_bmnpp_heuristics_bounded_by_optimum():
 
 
 def test_ladder_heuristics_honour_the_instance_spread_cap():
-    """pi=None keeps inst.pi: fi broke a 2.00 cap on 10 of these 30."""
+    """Every heuristic keeps inst.pi: fi broke a 2.00 cap on 10 of these 30."""
     broken_without_cap = 0
     for seed in range(30):
         params = small_grid_params("mnpp", seed, outlets=3, demands=6, density=0.5)
@@ -267,8 +261,8 @@ def test_ladder_heuristics_honour_the_instance_spread_cap():
         for algorithm in ("greedy", "order", "fi", "greedyI", "orderI"):
             prices = run_algorithm(inst, algorithm).prices
             assert max(prices) - min(prices) <= inst.pi, (seed, algorithm, prices)
-        # An explicit pi still overrides the instance's own cap.
-        prices = run_algorithm(inst, "fi", pi=1000).prices
+        # With a looser cap of its own, the instance lets fi break 2.00.
+        prices = run_algorithm(replace(inst, pi=1000), "fi").prices
         broken_without_cap += max(prices) - min(prices) > inst.pi
     assert broken_without_cap == 10
 

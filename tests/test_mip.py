@@ -1,4 +1,4 @@
-"""Formulation builders, LP text round-trips, and the solver adapter."""
+"""Formulation builders, LP text, and the solver adapters."""
 
 import os
 import shlex
@@ -27,7 +27,6 @@ from netpricing import (
     builtin_adapter,
     generate,
     lp_text,
-    read_lp,
     relax,
     relax_order,
     resolve_adapter,
@@ -42,8 +41,8 @@ from netpricing.mip import (
     FEASIBLE_TIMEOUT,
     INFEASIBLE,
     OPTIMAL,
-    LpParseError,
     SolutionParseError,
+    _num,
     parse_solution,
 )
 from tests.conftest import two_node_instance
@@ -164,22 +163,53 @@ class TestLpText:
         assert "Binary" in lines
         assert lines[-1] == "End"
 
-    def test_round_trip_ip1(self):
-        model = build_ip1(full_edges_instance())
-        assert read_lp(lp_text(model)) == model
-
-    def test_round_trip_ip2(self, tiny_disjoint):
-        model = build_ip2(tiny_disjoint)
-        assert read_lp(lp_text(model)) == model
-
-    def test_round_trip_negative_terms_and_rhs(self):
+    def test_hand_built_model_text(self):
         m = LinearModel()
         m.add_var("x", -5, None)
         m.add_var("y", None, 3)
         m.add_var("z", None, None)
+        m.add_var("w", 2, 2)
+        m.add_var("u", 0.5, 4)
+        m.add_var("b", kind=BINARY)
         m.add_constr("neg", [("x", -2.5), ("y", 1.0)], "<=", -7.25)
+        m.add_constr("mix", [("z", 1.0), ("w", -1.0), ("b", 3.0)], ">=", 0.0)
+        m.add_constr("fix", [("u", 1.0)], "=", 1.5)
         m.set_objective([("x", -1.0), ("z", 4.0)])
-        assert read_lp(lp_text(m)) == m
+        assert lp_text(m) == (
+            "\\ netpricing linear model, lp dialect v1\n"
+            "Maximize\n"
+            " obj: - 1 x + 4 z\n"
+            "Subject To\n"
+            " neg: - 2.5 x + 1 y <= -7.25\n"
+            " mix: 1 z - 1 w + 3 b >= 0\n"
+            " fix: 1 u = 1.5\n"
+            "Bounds\n"
+            " x >= -5\n"
+            " y <= 3\n"
+            " z free\n"
+            " w = 2\n"
+            " 0.5 <= u <= 4\n"
+            " 0 <= b <= 1\n"
+            "Binary\n"
+            " b\n"
+            "End\n"
+        )
+
+    @pytest.mark.parametrize("which", ["ip1", "ip2"])
+    def test_one_line_per_row_and_variable_in_model_order(self, which):
+        model = build_model(full_edges_instance(), which)
+        lines = lp_text(model).splitlines()
+        rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+        bounds = lines[lines.index("Bounds") + 1 : lines.index("Binary")]
+        assert [line.split(":")[0].strip() for line in rows] == [
+            r.name for r in model.constraints
+        ]
+        names = [v.name for v in model.variables]
+        # The name is the first token, or the middle one of "lb <= name <= ub".
+        assert [
+            line.split()[2] if line.count("<=") == 2 else line.split()[0]
+            for line in bounds
+        ] == names
 
     def test_write_lp_is_byte_stable(self, tiny_disjoint, tmp_path):
         a = tmp_path / "a.lp"
@@ -191,10 +221,6 @@ class TestLpText:
     def test_golden_bytes(self, tiny_disjoint):
         want = (GOLDEN / "tiny_disjoint.ip2.lp").read_bytes()
         assert lp_text(build_ip2(tiny_disjoint)).encode() == want
-
-    def test_parse_error_is_named(self):
-        with pytest.raises(LpParseError):
-            read_lp("Maximize\n obj: 1 x\nSubject To\n r1: nonsense\nEnd\n")
 
 
 class TestParseSolution:
@@ -327,57 +353,45 @@ class TestSolveExternal:
         assert "bogus" not in outcome.values
 
 
-def lpsolve_command(args: str = "{model} {solution} {seconds}") -> SolverAdapter:
-    """``python -m netpricing.lpsolve`` as an external command (not the
-    builtin alias), importing this netpricing through an absolute path."""
-    exe = shlex.quote(sys.executable)
-    root = shlex.quote(str(PACKAGE_ROOT))
-    return SolverAdapter(f"env PYTHONPATH={root} {exe} -m netpricing.lpsolve {args}")
+class TestCommandContract:
+    """The exit-code and solution-file contract of external commands."""
 
+    @pytest.mark.parametrize(
+        "code, writes, status, objective",
+        [
+            pytest.param(0, True, OPTIMAL, 900.0, id="0-optimal"),
+            pytest.param(2, True, FEASIBLE_TIMEOUT, 900.0, id="2-incumbent"),
+            pytest.param(2, False, FEASIBLE_TIMEOUT, None, id="2-no-incumbent"),
+            pytest.param(3, False, INFEASIBLE, None, id="3-infeasible"),
+            pytest.param(1, False, ERROR, None, id="1-error"),
+        ],
+    )
+    def test_exit_codes(self, code, writes, status, objective, tiny_disjoint, tmp_path):
+        body = "import sys\nprint('first', file=sys.stderr)\n"
+        if writes:
+            # The objective is recomputed: y_0_0_9 alone earns 9 x 100.
+            body += "open(sys.argv[2], 'w').write('v_0_9 1\\ny_0_0_9 1\\n')\n"
+        body += f"print('exit {code}', file=sys.stderr)\nsys.exit({code})\n"
+        outcome = solve_external(build_ip2(tiny_disjoint), fake_adapter(tmp_path, body))
+        assert outcome.status == status, outcome.message
+        assert outcome.objective == objective
+        assert bool(outcome.values) == writes
+        if status == ERROR:
+            assert outcome.message == "solver exited 1: first | exit 1"
 
-class TestLpsolveCommand:
-    """The exit-code and solution-file contract of the bundled command."""
-
-    def test_optimal_exits_zero_with_solution(self, tiny_disjoint, tmp_path):
-        outcome = solve_external(build_ip2(tiny_disjoint), lpsolve_command(), workdir=tmp_path)
-        assert outcome.status == OPTIMAL, outcome.message
-        assert outcome.objective == pytest.approx(1600.0)
-        assert (tmp_path / "model.sol").exists()
-
-    def test_infeasible_exits_three(self, tmp_path):
-        outcome = solve_external(infeasible_model(), lpsolve_command(), workdir=tmp_path)
-        assert outcome.status == INFEASIBLE, outcome.message
-
-    def test_zero_budget_exits_two_without_solution(self, tiny_disjoint, tmp_path):
-        outcome = solve_external(
-            build_ip2(tiny_disjoint), lpsolve_command(), time_limit=0, workdir=tmp_path
+    def test_command_receives_lp_text_and_seconds(self, tiny_disjoint, tmp_path):
+        seen = tmp_path / "seen"
+        body = (
+            "import shutil, sys\n"
+            f"shutil.copy(sys.argv[1], {str(seen / 'model.lp')!r})\n"
+            f"open({str(seen / 'seconds')!r}, 'w').write(sys.argv[3])\n"
+            "sys.exit(3)\n"
         )
-        assert outcome.status == FEASIBLE_TIMEOUT, outcome.message
-        assert outcome.values == {}
-        assert not (tmp_path / "model.sol").exists()
-
-    def test_bad_argv_exits_one(self, tiny_disjoint, tmp_path):
-        adapter = lpsolve_command("{model} {solution}")
-        outcome = solve_external(build_ip2(tiny_disjoint), adapter, workdir=tmp_path)
-        assert outcome.status == ERROR
-        assert outcome.message.startswith("solver exited 1: usage")
-
-
-@pytest.mark.parametrize(
-    "name", ["tiny_connected", "tiny_disjoint", "tiny_single", "tiny_bmnpp"]
-)
-def test_in_process_builtin_matches_child_command(name, request, solver):
-    inst = tiny_bmnpp() if name == "tiny_bmnpp" else request.getfixturevalue(name)
-    models = {"ip2": build_ip2(inst), "relax_ip2": relax(build_ip2(inst))}
-    if inst.model != BMNPP:
-        models["ip1"] = build_ip1(inst)
-    for which, model in models.items():
-        in_process = solve_external(model, solver)
-        child = solve_external(model, lpsolve_command())
-        assert in_process.status == child.status == OPTIMAL, (which, child.message)
-        assert in_process.objective == child.objective, which
-        assert in_process.values == child.values, which
-        assert (child.bound, child.gap, child.nodes) == (None, None, None)
+        seen.mkdir()
+        model = build_ip2(tiny_disjoint)
+        solve_external(model, fake_adapter(tmp_path, body), time_limit=2.5)
+        assert (seen / "model.lp").read_text(encoding="utf-8") == lp_text(model)
+        assert (seen / "seconds").read_text() == _num(2.5) == "2.5"
 
 
 def run_python(code: str) -> str:

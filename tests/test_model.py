@@ -223,10 +223,10 @@ class TestDemandBmnpp:
 
 
 def test_demand_at_dispatches_by_model(tiny_connected):
-    vol = demand_at(tiny_connected, 0, 0, 1000, MNPP)
+    vol = demand_at(tiny_connected, 0, 0, 1000)
     assert vol == Fraction(50)
     b = two_node_instance([(0, 0), (0, 1), (1, 1)], model=BMNPP)
-    assert isinstance(demand_at(b, 0, 0, 900, BMNPP), float)
+    assert isinstance(demand_at(b, 0, 0, 900), float)
 
 
 def test_zero_revenue_types():
