@@ -338,8 +338,10 @@ def _run_instance(
 ) -> list[RunRecord]:
     """Reference scores, runs and PM accounting of one instance.
 
-    All the work on one instance happens together, so its revenue table
-    is built once and stays cached while it is in use, at any suite size.
+    All the work on one instance happens together, so its revenue table,
+    with the stage memo that the reference and every ladder heuristic
+    share, is built once and stays cached while it is in use, at any suite
+    size; revenue_table need keep only a few tables.
     """
     _, r_sp = single_price(inst)
     r_opt = None

@@ -16,9 +16,11 @@ index m the remaining prices may not go below:
                        stage(S, f)[m'] + rest[S | f][w][m']
 
 where stage(S, f) is the summed revenue row of f's nodes that S does not
-cover yet. One backward pass over the 2^n outlet sets (Held and Karp's
-subset programme, J. SIAM 10(1), 1962) fills the table at a cost of
-n * 2^(n-1) stages. A prefix whose last stage has prefix maxima
+cover yet, taken from the revenue table's stage memo. One backward pass
+over the 2^n outlet sets (Held and Karp's subset programme, J. SIAM
+10(1), 1962) fills the table at a cost of n * 2^(n-1) stages, with one
+suffix maximum per set: the maximum over m' >= m commutes with the
+maximum over f. A prefix whose last stage has prefix maxima
 maxima[w][m] then completes to at best
 
     max over w, m of maxima[w][m] + rest[S][w][m],
@@ -162,12 +164,10 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
     one push in DP_CALLS.cells.
     """
     full = (1 << n) - 1
-    covered = [frozenset()] * (full + 1)
+    covered = [0] * (full + 1)
     for subset in range(1, full + 1):
         low = subset & -subset
-        covered[subset] = covered[subset ^ low].union(
-            prefixes.n_f[low.bit_length() - 1]
-        )
+        covered[subset] = covered[subset ^ low] | prefixes.masks[low.bit_length() - 1]
     rest = [None] * (full + 1)
     rest[full] = [[prefixes.start] * (hi - lo + 1) for lo, hi in prefixes.windows]
     for subset in range(full - 1, -1, -1):
@@ -178,18 +178,19 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
             after = rest[subset | 1 << f]
             stage = prefixes.stage(covered[subset], f)[1]
             if stage is None:
-                # rest is already a suffix maximum along each window.
                 options = after
             else:
-                options = []
-                for (lo, hi), tail in zip(prefixes.windows, after):
-                    here = list(map(add, stage[lo : hi + 1], tail))
-                    options.append(list(accumulate(reversed(here), max))[::-1])
+                options = [
+                    list(map(add, stage[lo : hi + 1], tail))
+                    for (lo, hi), tail in zip(prefixes.windows, after)
+                ]
             if best is None:
                 best = options
             else:
                 best = [list(map(max, a, b)) for a, b in zip(best, options)]
-        rest[subset] = best
+        # max does no arithmetic, so one suffix maximum per subset gives
+        # the same numbers as one per (subset, f).
+        rest[subset] = [list(accumulate(reversed(w), max))[::-1] for w in best]
     DP_CALLS.cells += n * (1 << (n - 1)) * prefixes.cells
     return rest
 

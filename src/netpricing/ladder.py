@@ -27,12 +27,15 @@ on the way out. Under the logit model it runs on the float table itself.
 Under first-fit allocation a prefix's forward values do not depend on the
 outlets that follow it. The searches that try many ladders sharing a
 prefix (insertion, greedy selection, the ordering search) therefore keep
-prefix states: the nodes the prefix covers and, per window, the prefix
-maxima of its last stage. Pushing one outlet onto a state adds one stage,
-at a cost of one row sum over the outlet's still-uncovered nodes plus one
-cell per grid index of every window; the state's value is the best
-revenue of any pricing of the prefix. Stages are summed and added exactly
-as dp_prices does, so a search gets the same numbers, floats included.
+prefix states: the nodes the prefix covers, as a bitmask over node ids,
+and, per window, the prefix maxima of its last stage. Pushing one outlet
+onto a state adds one stage, at a cost of one cell per grid index of every
+window; the state's value is the best revenue of any pricing of the
+prefix. A stage's row, the sum of the outlet's still-uncovered node rows,
+depends only on the outlet and those nodes, so it is kept in the revenue
+table's stage memo and summed once per instance. Stages are summed and
+added exactly as dp_prices does, so a search gets the same numbers, floats
+included.
 """
 
 from __future__ import annotations
@@ -187,36 +190,45 @@ def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]
 class _Prefixes:
     """Prefix states of the ladder programme on one instance and cap.
 
-    A state is (covered nodes, prefix maxima of the last stage per window);
-    the maxima are None while no stage has earned anything, which stands
-    for all zeros. push and value work on the raw table numbers (integers
-    under MNPP); revenue turns a raw value into the public number type.
+    A state is (covered nodes as a bitmask, prefix maxima of the last
+    stage per window); the maxima are None while no stage has earned
+    anything, which stands for all zeros. push and value work on the raw
+    table numbers (integers under MNPP); revenue turns a raw value into the
+    public number type. Stage rows come from the revenue table's memo
+    (RevenueTable.stages), which every search on the instance shares.
     """
 
-    __slots__ = ("rows", "start", "n_f", "windows", "cells", "scale")
+    __slots__ = ("rows", "start", "n_f", "masks", "stages", "windows", "cells", "scale")
 
-    EMPTY = (frozenset(), None)
+    EMPTY = (0, None)
 
     def __init__(self, inst: Instance, pi: Optional[Money]):
         table = revenue_table(inst, inst.model)
         self.rows = table if table.ints is None else table.ints
         self.start = zero_revenue(inst.model) if table.ints is None else 0
         self.scale = table.scale
+        self.masks = table.masks
+        self.stages = table.stages
         self.n_f = adjacency(inst)[1]
         self.windows = _windows(inst.grid.prices, pi)
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
 
-    def stage(self, covered, f: int):
-        """Outlet f's nodes outside covered, and their summed row.
+    def stage(self, covered: int, f: int):
+        """Outlet f's nodes outside covered, as a bitmask, and their summed row.
 
-        The row is None when there are no such nodes. Rows are summed in
-        n_f[f] order, as dp_prices sums them.
+        The row is None when there are no such nodes. On a memo miss the
+        rows are summed in n_f[f] order, as dp_prices sums them. Threads
+        may share the memo without a lock: a race only sums a row twice.
         """
-        new = [e for e in self.n_f[f] if e not in covered]
+        new = self.masks[f] & ~covered
         if not new:
-            return new, None
-        rows = [self.rows[(e, f)] for e in new]
-        return new, [sum(column, self.start) for column in zip(*rows)]
+            return 0, None
+        row = self.stages.get((f, new))
+        if row is None:
+            rows = [self.rows[(e, f)] for e in self.n_f[f] if new >> e & 1]
+            row = tuple(sum(column, self.start) for column in zip(*rows))
+            self.stages[(f, new)] = row
+        return new, row
 
     def push(self, state, f: int):
         """The state of the prefix followed by outlet f."""
@@ -235,7 +247,7 @@ class _Prefixes:
                 list(accumulate(map(add, stage[lo : hi + 1], before), max))
                 for (lo, hi), before in zip(self.windows, maxima)
             ]
-        return covered.union(new), maxima
+        return covered | new, maxima
 
     def value(self, state):
         """Best raw revenue of any pricing of the prefix."""

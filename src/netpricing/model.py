@@ -200,8 +200,10 @@ class Instance:
 
     def __hash__(self) -> int:
         # Hashing the fields reaches every Fraction of every node, and the
-        # table caches hash their instance on each call, so the hash is
-        # computed once and kept.
+        # table caches (adjacency, and revenue_table, whose table also holds
+        # the ladder searches' stage memo) hash their instance on every
+        # lookup, at least once per prefix search, so the hash is computed
+        # once and kept.
         try:
             return self.__dict__["_hash"]
         except KeyError:
@@ -302,12 +304,22 @@ class RevenueTable(dict):
     Under MNPP, scale is the least common multiple of the entry
     denominators and ints[(e, f)][m] == self[(e, f)][m] * scale exactly;
     under BMNPP both are None.
+
+    The table is also the state the ladder searches on its instance share
+    (see ladder._Prefixes): masks[f] is outlet f's demand nodes as a
+    bitmask over node ids, and stages memoises, under the key (f, new),
+    the summed row of outlet f's nodes in new (a submask of masks[f]), in
+    the raw numbers the programme runs on.
     """
 
-    __slots__ = ("scale", "ints")
+    __slots__ = ("scale", "ints", "masks", "stages")
 
 
-@lru_cache(maxsize=64)
+# A table carries its instance's stage memo, which can outgrow the rows,
+# so only a few tables are kept. Callers finish one instance before the
+# next (bench runs every algorithm on an instance in turn), so eight is
+# plenty; 64 tables with their memos raised a benchmark pass's peak RSS.
+@lru_cache(maxsize=8)
 def revenue_table(inst: Instance, model: str) -> RevenueTable:
     """Per-edge revenue contribution at every grid price.
 
@@ -316,10 +328,16 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     depends on its node only, so each node's row, and its integer image
     (see RevenueTable), is built once and shared by the node's edges; the
     ladder programme runs on that image. A BMNPP row is built from its
-    own edge's coefficients.
+    own edge's coefficients. The table starts with the outlets' node masks
+    and an empty stage memo, which the ladder searches fill.
     """
     grid = inst.grid
     table = RevenueTable()
+    masks = [0] * inst.n_outlets
+    for edge in inst.edges:
+        masks[edge.f] |= 1 << edge.e
+    table.masks = tuple(masks)
+    table.stages = {}
     if model != MNPP:
         for edge in inst.edges:
             table[(edge.e, edge.f)] = _bmnpp_row(inst.demands[edge.e], edge, grid)

@@ -224,7 +224,8 @@ class TestRunSuite:
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
 
     def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
-        # 70 instances outnumber the 64 tables revenue_table keeps.
+        # 70 instances far outnumber the 8 tables revenue_table keeps; the
+        # bench finishes each instance before the next, so none is rebuilt.
         block = {
             "outlets": 2,
             "demands": 3,

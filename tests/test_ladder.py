@@ -7,6 +7,10 @@ revenue (MNPP) for any ladder and allocation.
 """
 
 import itertools
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +20,9 @@ from netpricing import (
     GenParams,
     allocate,
     dp_prices,
+    full_insertion,
     generate,
+    ladder_exact,
     revenue_table,
     zero_revenue,
 )
@@ -136,3 +142,32 @@ def test_dp_equals_enumeration_random(seed):
     _, got = dp_prices(inst, ladder, assignment, pi=pi)
     want = enumerate_ladder_optimum(inst, ladder, assignment, pi=pi)
     assert got == want
+
+
+@pytest.mark.parametrize("model", ["mnpp", "bmnpp"])
+def test_threads_share_the_stage_memo(model):
+    # The ladder searches share one stage memo per revenue table without a
+    # lock; a race may only sum a row twice, never change a result.
+    inst = generate(GenParams(model=model, n_outlets=6, seed=5, pi="10"))
+
+    def both():
+        fi = full_insertion(inst, pi=inst.pi)
+        return repr((replace(fi, wall_time=0), ladder_exact(inst)))
+
+    revenue_table.cache_clear()
+    serial = both()
+    revenue_table.cache_clear()
+    start = threading.Barrier(8)
+
+    def task(_):
+        start.wait(timeout=60)
+        return both()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(task, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 8

@@ -9,10 +9,14 @@ on the public Fraction (MNPP) or float (BMNPP) table.
 The searches that share prefix states (best_insertion, greedy_select,
 ladder_exact) must give exactly what allocate + dp_prices from scratch on
 every trial ladder gives, floats included; ladder_exact's completion bound
-must equal the best completion of every prefix.
+must equal the best completion of every prefix. The stage memo those
+searches share on an instance's revenue table must not change any result:
+a search on a cold table and on one warmed by the other searches gives the
+same numbers, and a memoised stage row equals its from-scratch sum.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -34,7 +38,9 @@ from netpricing import (
     allocate,
     best_insertion,
     dp_prices,
+    full_insertion,
     greedy_select,
+    insertion_with_order,
     ladder_exact,
     revenue_table,
     zero_revenue,
@@ -101,14 +107,14 @@ def table_dp(inst, ladder, assignment, n_active, pi):
 
 
 @st.composite
-def instances(draw, model, max_outlets=3, max_prices=6):
+def instances(draw, model, max_outlets=3, max_prices=6, max_demands=4):
     """Tiny instances, with no spread cap or a finite one."""
     step = draw(st.sampled_from([25, 50, 100]))
     grid = PriceGrid(
         tuple(step * k for k in range(draw(st.integers(1, max_prices))))
     )
     n_outlets = draw(st.integers(1, max_outlets))
-    n_demands = draw(st.integers(1, 4))
+    n_demands = draw(st.integers(1, max_demands))
     demands = []
     for e in range(n_demands):
         c = draw(st.sampled_from(grid.prices))
@@ -300,5 +306,62 @@ def test_completion_bound_is_the_best_completion(model):
                 walk(prefixes.push(state, f), subset | 1 << f, prefix + (f,))
 
         walk(prefixes.EMPTY, 0, ())
+
+    check()
+
+
+def searches(inst):
+    """The prefix searches on inst, each giving a repr of its result."""
+    pi = inst.pi
+    order = tuple(reversed(range(inst.n_outlets)))
+    return {
+        "ladder_exact": lambda: repr(ladder_exact(inst)),
+        "fi": lambda: repr(replace(full_insertion(inst, pi=pi), wall_time=0)),
+        "greedy": lambda: repr(greedy_select(inst, pi=pi)),
+        "insertion": lambda: repr(
+            replace(insertion_with_order(inst, order, pi=pi), wall_time=0)
+        ),
+    }
+
+
+CAPS = pytest.mark.parametrize("cap", [None, 0, 150])
+
+
+@MODELS
+@CAPS
+def test_warm_stage_memo_gives_cold_results(model, cap):
+    # Up to 7 nodes, so a stage can sum enough float rows for the
+    # summation order to show.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4, max_demands=7))
+    def check(inst):
+        inst = replace(inst, pi=cap)
+        runs = searches(inst)
+        for name, run in runs.items():
+            revenue_table.cache_clear()
+            cold = run()
+            revenue_table.cache_clear()
+            for other in reversed(runs):
+                if other != name:
+                    runs[other]()
+            assert revenue_table(inst, model).stages
+            assert run() == cold
+
+        # Every stage, memoised or not, is the from-scratch column sum of
+        # the uncovered nodes' rows in n_f[f] order.
+        prefixes = _Prefixes(inst, inst.pi)
+        n_f = adjacency(inst)[1]
+        for covered in range(1 << inst.n_demands):
+            for f in range(inst.n_outlets):
+                nodes = [e for e in n_f[f] if not covered >> e & 1]
+                new, row = prefixes.stage(covered, f)
+                assert new == sum(1 << e for e in nodes)
+                if not nodes:
+                    assert row is None
+                    continue
+                rows = [prefixes.rows[(e, f)] for e in nodes]
+                want = [sum(column, prefixes.start) for column in zip(*rows)]
+                assert list(row) == want
+                assert list(map(type, row)) == list(map(type, want))
 
     check()

@@ -274,22 +274,17 @@ class TestSolveExternal:
         assert outcome.status == OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(1600.0)
 
-    def test_builtin_runs_callers_package(self, tiny_disjoint, solver, tmp_path, monkeypatch):
-        # A relative PYTHONPATH (such as the checkout's PYTHONPATH=src) and
-        # the cwd must not decide which netpricing the builtin solver uses,
-        # nor whether it finds one at all.
-        monkeypatch.setenv("PYTHONPATH", "no-such-dir")
-        monkeypatch.chdir(tmp_path)
-        outcome = solve_external(build_ip2(tiny_disjoint), solver)
-        assert outcome.status == OPTIMAL, outcome.message
-        assert outcome.objective == pytest.approx(1600.0)
-
-    def test_builtin_runs_in_process(self, tiny_disjoint, solver, monkeypatch):
+    def test_builtin_runs_in_process(self, tiny_disjoint, solver, tmp_path, monkeypatch):
+        # No file, no child process: so a relative PYTHONPATH (such as the
+        # checkout's PYTHONPATH=src) and the cwd cannot decide which
+        # netpricing the builtin solver uses, nor whether it finds one.
         def refuse(*args, **kwargs):
             raise AssertionError("the builtin solver wrote a file or started a process")
 
         monkeypatch.setattr("netpricing.mip.write_lp", refuse)
         monkeypatch.setattr("netpricing.mip.subprocess.run", refuse)
+        monkeypatch.setenv("PYTHONPATH", "no-such-dir")
+        monkeypatch.chdir(tmp_path)
         outcome = solve_external(build_ip2(tiny_disjoint), solver)
         assert outcome.status == OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(1600.0)
