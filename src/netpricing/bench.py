@@ -336,14 +336,23 @@ def _run_instance(
     time_limit: Optional[float],
     solver_time_limit: Optional[float],
 ) -> list[RunRecord]:
-    """Reference scores, runs and PM accounting of one instance.
+    """Runs, reference scores and PM accounting of one instance.
 
     All the work on one instance happens together, so its revenue table,
     with the stage memo that the reference and every ladder heuristic
     share, is built once and stays cached while it is in use, at any suite
-    size; revenue_table need keep only a few tables.
+    size; revenue_table need keep only a few tables. The sp reference is
+    the sp run's revenue when that run succeeded.
     """
-    _, r_sp = single_price(inst)
+    runs = [
+        (alg, _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit))
+        for alg in algorithms
+    ]
+    # A successful sp run has computed the sp reference already.
+    sp = [
+        fields["revenue"] for alg, fields in runs if alg == "sp" and fields["status"] == STATUS_OK
+    ]
+    r_sp = sp[0] if sp else single_price(inst)[1]
     r_opt = None
     skipped = ""
     try:
@@ -354,8 +363,7 @@ def _run_instance(
     except (exact_mod.TooManyOutlets, exact_mod.EnumerationTooLarge) as exc:
         skipped = f"reference skipped: {exc}"
     records = []
-    for alg in algorithms:
-        fields = _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit)
+    for alg, fields in runs:
         message = "; ".join(m for m in (fields.get("message", ""), skipped) if m)
         rec = RunRecord(
             instance_id=iid,

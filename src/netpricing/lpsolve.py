@@ -1,8 +1,10 @@
 """The bundled scipy/HiGHS solver for netpricing.mip's linear models.
 
 solve() solves a LinearModel in the calling process; the builtin adapter
-of netpricing.mip.solve_external calls it directly, passing HiGHS the
-model's columns and rows in model order.
+of netpricing.mip.solve_external calls it directly. HiGHS gets numpy views
+of the model's own arrays (the CSR rows become a column-wise matrix, as
+milp requires), so columns and rows keep model order and no term is
+copied one at a time.
 """
 
 from __future__ import annotations
@@ -72,46 +74,45 @@ class _MutedStdout:
 _MUTED_STDOUT = _MutedStdout()
 
 
+def _view(buffer, dtype=np.float64) -> np.ndarray:
+    """A read-only numpy view of one of the model's arrays: no copy, and
+    nothing downstream can write into the model."""
+    view = np.frombuffer(buffer, dtype=dtype)
+    view.flags.writeable = False
+    return view
+
+
 def _milp(model: LinearModel, seconds: float):
     # scipy is imported here, not at module level: importing netpricing
     # must not pay for it.
     from scipy import optimize, sparse
 
-    n = len(model.variables)
-    index = {v.name: i for i, v in enumerate(model.variables)}
+    model.check_finite()
+    n = len(model.names)
     cost = np.zeros(n)
-    for name, coef in model.objective:
-        cost[index[name]] -= coef  # maximisation via negated minimisation
-    integrality = np.array(
-        [1 if v.kind == "binary" else 0 for v in model.variables]
-    )
-    lb = np.array([-np.inf if v.lb is None else v.lb for v in model.variables])
-    ub = np.array([np.inf if v.ub is None else v.ub for v in model.variables])
+    # Maximisation via negated minimisation.
+    np.subtract.at(cost, _view(model.obj_cols, np.intc), _view(model.obj_coefs))
     constraints = []
-    if model.constraints:
-        data, rows, cols = [], [], []
-        clo = np.full(len(model.constraints), -np.inf)
-        chi = np.full(len(model.constraints), np.inf)
-        for i, row in enumerate(model.constraints):
-            for name, coef in row.terms:
-                rows.append(i)
-                cols.append(index[name])
-                data.append(coef)
-            if row.sense in ("<=", "="):
-                chi[i] = row.rhs
-            if row.sense in (">=", "="):
-                clo[i] = row.rhs
+    if model.row_names:
+        rhs = _view(model.rhs)
+        senses = np.array(model.senses)
+        clo = np.where(senses == "<=", -np.inf, rhs)
+        chi = np.where(senses == ">=", np.inf, rhs)
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(model.constraints), n)
-        )
+            (_view(model.coefs), _view(model.cols, np.intc), _view(model.row_start, np.intc)),
+            shape=(len(model.row_names), n),
+        ).tocsc()
+        # milp hands HiGHS the matrix by columns. Repeated terms of a row
+        # are summed, on the fresh column arrays.
+        matrix.sum_duplicates()
         constraints = [optimize.LinearConstraint(matrix, clo, chi)]
     options = {"mip_rel_gap": 0.0, "time_limit": seconds}
     with _MUTED_STDOUT:
         return optimize.milp(
             c=cost,
             constraints=constraints,
-            integrality=integrality,
-            bounds=optimize.Bounds(lb, ub),
+            integrality=_view(model.binary, np.uint8),
+            bounds=optimize.Bounds(_view(model.lb), _view(model.ub)),
             options=options,
         )
 
@@ -126,7 +127,7 @@ def solve(model: LinearModel, seconds: float) -> SolveOutcome:
     """
     if seconds <= 0:
         return SolveOutcome(FEASIBLE_TIMEOUT, None, {}, "time limit")
-    if not model.variables:
+    if not model.names:
         return SolveOutcome(OPTIMAL, model.objective_value({}), {})
     result = _milp(model, seconds)
     if result.status == 2:
@@ -136,7 +137,7 @@ def solve(model: LinearModel, seconds: float) -> SolveOutcome:
     values = {}
     objective = None
     if result.x is not None:
-        values = {v.name: float(x) for v, x in zip(model.variables, result.x)}
+        values = {name: float(x) for name, x in zip(model.names, result.x)}
         objective = model.objective_value(values)
     dual = result.mip_dual_bound
     return SolveOutcome(

@@ -9,30 +9,36 @@ Two formulations of the same pricing problem:
   binaries per (node, outlet, price). Works for both demand models since
   demand enters only through coefficients.
 
-Models are held in a small solver-agnostic IR (LinearModel) that is
-written as LP text for external solvers; the writer output is byte-stable
-for fixed inputs.
+Models are held in a small solver-agnostic IR (LinearModel): named
+columns with bounds and binary flags, and the rows in compressed sparse
+row arrays. Builders append whole rows of column indices, relax copies
+the arrays, and both LP text for external solvers and the builtin solve
+read the same arrays; the LP text is byte-stable for fixed inputs.
 
 Solving goes through solve_external and a SolverAdapter. The builtin
 adapter solves in this process with the bundled scipy/HiGHS backend
-(netpricing.lpsolve.solve), passing HiGHS the model's columns and rows in
-model order; it writes no LP file and starts no process, so it needs no
-install. An in-process solve cannot be killed, so it relies on HiGHS's own
-time limit. Any other adapter holds a command template with {model},
-{solution}, and {seconds} placeholders, run on an LP file in a temporary
-directory. The command must write a solution file of "name value" lines
-(absent variables read as 0) and exit 0 when optimal, 2 on a time limit,
-and 3 when infeasible; any other exit is an error.
+(netpricing.lpsolve.solve), passing HiGHS the model's arrays as they are,
+columns and rows in model order; it writes no LP file and starts no
+process, so it needs no install. An in-process solve cannot be killed, so
+it relies on HiGHS's own time limit. Any other adapter holds a command
+template with {model}, {solution}, and {seconds} placeholders, run on an
+LP file in a temporary directory. The command must write a solution file
+of "name value" lines (absent variables read as 0) and exit 0 when
+optimal, 2 on a time limit, and 3 when infeasible; any other exit is an
+error.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import os
 import re
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,6 +63,7 @@ BUILTIN_SOLVER = "builtin"
 SOLVER_ENV_VAR = "NETPRICING_SOLVER_CMD"
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
+_ONE = array("d", [1.0])
 
 
 class ModelError(ValueError):
@@ -71,38 +78,61 @@ class SolutionParseError(ValueError):
     """A solution file did not follow the "name value" line format."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
+    """Read-only view of one column; None bounds mean unbounded."""
+
     name: str
     lb: Optional[float]
     ub: Optional[float]
     kind: str = CONTINUOUS
 
 
-@dataclass
+@dataclass(frozen=True)
 class Row:
+    """Read-only view of one constraint row."""
+
     name: str
     terms: tuple[tuple[str, float], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
 
 
-@dataclass
 class LinearModel:
-    """Maximisation model over named variables.
+    """Maximisation model over named columns, held as arrays.
 
-    meta carries builder bookkeeping (variable roles keyed by name) and is
-    excluded from equality and repr.
+    Columns are names, bounds lb/ub (-inf/+inf where the bound is None,
+    i.e. unbounded) and a binary flag; the objective is (column,
+    coefficient) arrays; the rows are compressed sparse rows: row i's
+    terms are cols/coefs[row_start[i]:row_start[i + 1]], in the order they
+    were added, with names, senses and rhs per row. Read the arrays, do
+    not write them: add_var, set_bounds, add_row, add_constr and
+    set_objective keep them consistent.
+
+    add_row is the index-based primitive that builders call; it checks
+    the row (name, sense, rhs) but not its terms, which must be valid
+    column indices with finite, nonzero coefficients. add_constr and
+    set_objective resolve names, drop zero coefficients and check every
+    term. lp_text and the builtin solver call check_finite once per model.
+    variables, constraints, objective and variable(name) are views built
+    on each access.
     """
 
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Row] = field(default_factory=list)
-    objective: tuple[tuple[str, float], ...] = ()
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._by_name = {v.name: v for v in self.variables}
-        self._row_names = {r.name for r in self.constraints}
+    def __init__(self):
+        self.names: list[str] = []
+        self._index: dict[str, int] = {}
+        self.lb = array("d")
+        self.ub = array("d")
+        self.binary = bytearray()
+        self.obj_cols = array("i")
+        self.obj_coefs = array("d")
+        self.row_names: list[str] = []
+        self._row_set: set[str] = set()
+        self.senses: list[str] = []
+        self.rhs = array("d")
+        self.row_start = array("i", [0])
+        self.cols = array("i")
+        self.coefs = array("d")
 
     def add_var(
         self,
@@ -110,22 +140,57 @@ class LinearModel:
         lb: Optional[float] = 0.0,
         ub: Optional[float] = None,
         kind: str = CONTINUOUS,
-        role: Optional[tuple] = None,
     ) -> str:
         if not _NAME_RE.match(name):
             raise ModelError(f"bad variable name {name!r}")
-        if name in self._by_name:
+        if name in self._index:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb, ub = 0.0, 1.0
-        var = Variable(name, lb, ub, kind)
-        self.variables.append(var)
-        self._by_name[name] = var
-        if role is not None:
-            self.meta[name] = role
+        lb, ub = (0.0, 1.0) if kind == BINARY else _bounds(name, lb, ub)
+        self._index[name] = len(self.names)
+        self.names.append(name)
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.binary.append(kind == BINARY)
         return name
+
+    def set_bounds(self, name: str, lb: Optional[float], ub: Optional[float]):
+        """Replace a column's bounds; None means unbounded on that side."""
+        j = self._column(name, "set_bounds")
+        self.lb[j], self.ub[j] = _bounds(name, lb, ub)
+
+    def add_row(self, name: str, cols, coefs, sense: str, rhs: float):
+        """Append a row over column indices; see the class docstring."""
+        if not _NAME_RE.match(name):
+            raise ModelError(f"bad constraint name {name!r}")
+        if name in self._row_set:
+            raise ModelError(f"duplicate constraint {name!r}")
+        if sense not in ("<=", ">=", "="):
+            raise ModelError(f"unknown sense {sense!r}")
+        self.rhs.append(_finite(rhs, f"rhs of {name!r}"))
+        self.row_names.append(name)
+        self._row_set.add(name)
+        self.senses.append(sense)
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.row_start.append(len(self.cols))
+
+    def _column(self, name: str, where: str) -> int:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ModelError(f"{where} references unknown {name!r}") from None
+
+    def _resolve(self, terms: Sequence[tuple[str, float]], where: str):
+        cols, coefs = [], []
+        for var, coef in terms:
+            j = self._column(var, where)
+            coef = _finite(coef, f"coefficient of {var!r} in {where}")
+            if coef != 0.0:
+                cols.append(j)
+                coefs.append(coef)
+        return cols, coefs
 
     def add_constr(
         self,
@@ -134,37 +199,70 @@ class LinearModel:
         sense: str,
         rhs: float,
     ):
-        if not _NAME_RE.match(name):
-            raise ModelError(f"bad constraint name {name!r}")
-        if name in self._row_names:
-            raise ModelError(f"duplicate constraint {name!r}")
-        if sense not in ("<=", ">=", "="):
-            raise ModelError(f"unknown sense {sense!r}")
-        kept = []
-        for var, coef in terms:
-            if var not in self._by_name:
-                raise ModelError(f"constraint {name!r} references unknown {var!r}")
-            coef = float(coef)
-            if coef != 0.0:
-                kept.append((var, coef))
-        self.constraints.append(Row(name, tuple(kept), sense, float(rhs)))
-        self._row_names.add(name)
+        self.add_row(name, *self._resolve(terms, f"constraint {name!r}"), sense, rhs)
 
     def set_objective(self, terms: Sequence[tuple[str, float]]):
-        kept = []
-        for var, coef in terms:
-            if var not in self._by_name:
-                raise ModelError(f"objective references unknown {var!r}")
-            coef = float(coef)
-            if coef != 0.0:
-                kept.append((var, coef))
-        self.objective = tuple(kept)
+        cols, coefs = self._resolve(terms, "objective")
+        self.obj_cols = array("i", cols)
+        self.obj_coefs = array("d", coefs)
+
+    def check_finite(self):
+        """Raise ModelError if a row coefficient is infinite or NaN.
+
+        Every other number was checked where it entered the model.
+        """
+        if not all(map(math.isfinite, self.coefs)):
+            raise ModelError("non-finite constraint coefficient")
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        return tuple(map(self._variable_view, range(len(self.names))))
 
     def variable(self, name: str) -> Variable:
-        return self._by_name[name]
+        return self._variable_view(self._index[name])
+
+    def _variable_view(self, j: int) -> Variable:
+        lb, ub = self.lb[j], self.ub[j]
+        return Variable(
+            self.names[j],
+            None if lb == -math.inf else lb,
+            None if ub == math.inf else ub,
+            BINARY if self.binary[j] else CONTINUOUS,
+        )
+
+    @property
+    def constraints(self) -> tuple[Row, ...]:
+        return tuple(
+            Row(name, self._terms(i), sense, rhs)
+            for i, (name, sense, rhs) in enumerate(zip(self.row_names, self.senses, self.rhs))
+        )
+
+    def _terms(self, i: int) -> tuple[tuple[str, float], ...]:
+        lo, hi = self.row_start[i], self.row_start[i + 1]
+        return tuple(zip(map(self.names.__getitem__, self.cols[lo:hi]), self.coefs[lo:hi]))
+
+    @property
+    def objective(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(map(self.names.__getitem__, self.obj_cols), self.obj_coefs))
 
     def objective_value(self, values: dict[str, float]) -> float:
         return sum(coef * values.get(name, 0.0) for name, coef in self.objective)
+
+
+def _finite(x, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ModelError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _bounds(name: str, lb: Optional[float], ub: Optional[float]) -> tuple[float, float]:
+    """Stored bounds: None becomes -inf/+inf; a given bound must be finite."""
+    hint = "(None is unbounded)"
+    return (
+        -math.inf if lb is None else _finite(lb, f"lower bound of {name!r} {hint}"),
+        math.inf if ub is None else _finite(ub, f"upper bound of {name!r} {hint}"),
+    )
 
 
 def _big_m(inst: Instance) -> float:
@@ -189,16 +287,16 @@ def build_ip1(inst: Instance) -> LinearModel:
     link = big if pi_c is None else pi_c
 
     for f in inst.outlets():
-        m.add_var(f"x_f{f}", 0.0, big, role=("price", f))
+        m.add_var(f"x_f{f}", 0.0, big)
     for node in inst.demands:
         e = node.id
-        m.add_var(f"x_e{e}", 0.0, big, role=("node_price", e))
+        m.add_var(f"x_e{e}", 0.0, big)
         for f in o_e[e]:
-            m.add_var(f"mu_{e}_{f}", kind=BINARY, role=("assign", e, f))
-        m.add_var(f"y_{e}", 0.0, None, role=("match_rev", e))
-        m.add_var(f"z_{e}", 0.0, None, role=("war_rev", e))
+            m.add_var(f"mu_{e}_{f}", kind=BINARY)
+        m.add_var(f"y_{e}", 0.0, None)
+        m.add_var(f"z_{e}", 0.0, None)
         for k in range(1, 6):
-            m.add_var(f"w{k}_{e}", kind=BINARY, role=("regime", e, k))
+            m.add_var(f"w{k}_{e}", kind=BINARY)
 
     m.set_objective(
         [(f"y_{node.id}", 1.0) for node in inst.demands]
@@ -300,7 +398,7 @@ def build_ip1(inst: Instance) -> LinearModel:
         if below is None:
             # No grid price undercuts this competitor; undercut revenue
             # stays at zero and the w4/w5 pair is forced to the idle side.
-            m.variable(f"z_{e}").ub = 0.0
+            m.set_bounds(f"z_{e}", 0.0, 0.0)
             m.add_constr(f"war_off_{e}", [(f"w5_{e}", 1.0)], "<=", 0.0)
         else:
             below_c = money_float(below)
@@ -352,62 +450,58 @@ def build_ip2(inst: Instance) -> LinearModel:
     n_prices = len(grid)
     pi = inst.pi
 
+    # Column v_{f}_{level} is f * n_prices + level.
     for f in inst.outlets():
         for level in range(n_prices):
-            m.add_var(f"v_{f}_{level}", kind=BINARY, role=("price_level", f, level))
+            m.add_var(f"v_{f}_{level}", kind=BINARY)
     obj = []
-    purchases: dict[int, list[tuple[int, int]]] = {node.id: [] for node in inst.demands}
+    # Per node: (outlet, level, column of y_{e}_{f}_{level}) of each purchase.
+    purchases: dict[int, list[tuple[int, int, int]]] = {node.id: [] for node in inst.demands}
     for node in inst.demands:
         e = node.id
+        bought = None
         for f in o_e[e]:
-            for level in range(n_prices):
-                vol = demand_at(inst, e, f, grid[level])
-                if vol <= 0:
-                    continue
-                name = m.add_var(
-                    f"y_{e}_{f}_{level}", kind=BINARY, role=("buy", e, f, level)
-                )
-                obj.append((name, float(vol) * money_float(grid[level])))
-                purchases[e].append((f, level))
+            if bought is None or inst.model != MNPP:
+                # (level, objective coefficient) wherever f captures volume;
+                # fixed-fraction volume does not depend on the outlet.
+                bought = []
+                for level, price in enumerate(grid):
+                    vol = demand_at(inst, e, f, price)
+                    if vol > 0:
+                        bought.append((level, float(vol) * money_float(price)))
+            for level, coef in bought:
+                name = m.add_var(f"y_{e}_{f}_{level}", kind=BINARY)
+                obj.append((name, coef))
+                purchases[e].append((f, level, len(m.names) - 1))
     m.set_objective(obj)
 
     for f in inst.outlets():
-        m.add_constr(
-            f"one_level_{f}",
-            [(f"v_{f}_{level}", 1.0) for level in range(n_prices)],
-            "=",
-            1.0,
-        )
+        start = f * n_prices
+        m.add_row(f"one_level_{f}", range(start, start + n_prices), _ONE * n_prices, "=", 1.0)
 
     for node in inst.demands:
         e = node.id
         buys = purchases[e]
         if not buys:
             continue
-        m.add_constr(
-            f"one_buy_{e}",
-            [(f"y_{e}_{f}_{level}", 1.0) for f, level in buys],
-            "<=",
-            1.0,
-        )
+        m.add_row(f"one_buy_{e}", [y for _, _, y in buys], _ONE * len(buys), "<=", 1.0)
         k = len(o_e[e])
-        for f, level in buys:
-            terms = [(f"v_{f}_{level}", 1.0)]
+        for f, level, y in buys:
+            # Buying forces the level on and no rival strictly cheaper. The
+            # grid ascends strictly, so a rival's cheaper levels are the
+            # ones below this level.
+            v = f * n_prices + level
+            cols = [v]
             for g in o_e[e]:
-                if g == f:
-                    continue
-                for lower in range(n_prices):
-                    if grid[lower] < grid[level]:
-                        terms.append((f"v_{g}_{lower}", 1.0))
-            # Buying forces the level on and no rival strictly cheaper.
-            terms.append((f"y_{e}_{f}_{level}", float(k - 1)))
-            m.add_constr(f"cheapest_{e}_{f}_{level}", terms, "<=", float(k))
-            m.add_constr(
-                f"uses_level_{e}_{f}_{level}",
-                [(f"y_{e}_{f}_{level}", 1.0), (f"v_{f}_{level}", -1.0)],
-                "<=",
-                0.0,
-            )
+                if g != f:
+                    cols.extend(range(g * n_prices, g * n_prices + level))
+            coefs = _ONE * len(cols)
+            # With a single outlet the purchase's coefficient k - 1 is zero.
+            if k > 1:
+                cols.append(y)
+                coefs.append(float(k - 1))
+            m.add_row(f"cheapest_{e}_{f}_{level}", array("i", cols), coefs, "<=", float(k))
+            m.add_row(f"uses_level_{e}_{f}_{level}", (y, v), (1.0, -1.0), "<=", 0.0)
 
     if pi is not None:
         for f in inst.outlets():
@@ -415,9 +509,10 @@ def build_ip2(inst: Instance) -> LinearModel:
                 for a in range(n_prices):
                     for b in range(n_prices):
                         if abs(grid[a] - grid[b]) > pi:
-                            m.add_constr(
+                            m.add_row(
                                 f"spread_{f}_{a}_{g}_{b}",
-                                [(f"v_{f}_{a}", 1.0), (f"v_{g}_{b}", 1.0)],
+                                (f * n_prices + a, g * n_prices + b),
+                                (1.0, 1.0),
                                 "<=",
                                 1.0,
                             )
@@ -425,16 +520,14 @@ def build_ip2(inst: Instance) -> LinearModel:
 
 
 def relax(model: LinearModel) -> LinearModel:
-    """Continuous relaxation: binaries become [0, 1] continuous."""
-    out = LinearModel(meta=dict(model.meta))
-    for var in model.variables:
-        if var.kind == BINARY:
-            out.add_var(var.name, 0.0, 1.0, CONTINUOUS)
-        else:
-            out.add_var(var.name, var.lb, var.ub, var.kind)
-    for row in model.constraints:
-        out.add_constr(row.name, list(row.terms), row.sense, row.rhs)
-    out.set_objective(list(model.objective))
+    """Continuous relaxation: binaries become [0, 1] continuous.
+
+    Each array is copied whole. Binary columns already carry the bounds
+    [0, 1], so only their flags are cleared.
+    """
+    out = copy.copy(model)
+    vars(out).update((key, copy.copy(value)) for key, value in vars(model).items())
+    out.binary = bytearray(len(model.binary))
     return out
 
 
@@ -444,38 +537,42 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-def _terms_text(terms: Sequence[tuple[str, float]]) -> str:
-    parts = []
-    for i, (name, coef) in enumerate(terms):
-        mag = _num(abs(coef))
-        if i == 0:
-            parts.append(f"- {mag} {name}" if coef < 0 else f"{mag} {name}")
-        else:
-            parts.append(f"{'-' if coef < 0 else '+'} {mag} {name}")
-    return " ".join(parts)
+def _terms_text(names: list[str], signed: dict[float, str], cols, coefs) -> str:
+    text = " ".join([signed[coef] + names[j] for j, coef in zip(cols, coefs)])
+    # The first term carries a sign only when negative.
+    return text[2:] if text.startswith("+") else text
 
 
 def lp_text(model: LinearModel) -> str:
     """Render the model in LP text form, deterministically."""
+    model.check_finite()
+    names, cols, coefs, starts = model.names, model.cols, model.coefs, model.row_start
+    # "+ 1 ", "- 2.5 ", ...: each distinct coefficient is formatted once.
+    signed = {
+        coef: f"{'-' if coef < 0 else '+'} {_num(abs(coef))} "
+        for coef in {*coefs, *model.obj_coefs}
+    }
     lines = ["\\ netpricing linear model, lp dialect v1"]
     lines.append("Maximize")
-    lines.append(f" obj: {_terms_text(model.objective)}".rstrip())
+    lines.append(f" obj: {_terms_text(names, signed, model.obj_cols, model.obj_coefs)}".rstrip())
     lines.append("Subject To")
-    for row in model.constraints:
-        lines.append(f" {row.name}: {_terms_text(row.terms)} {row.sense} {_num(row.rhs)}")
+    for i, (name, sense, rhs) in enumerate(zip(model.row_names, model.senses, model.rhs)):
+        lo, hi = starts[i], starts[i + 1]
+        terms = _terms_text(names, signed, cols[lo:hi], coefs[lo:hi])
+        lines.append(f" {name}: {terms} {sense} {_num(rhs)}")
     lines.append("Bounds")
-    for var in model.variables:
-        if var.lb is None and var.ub is None:
-            lines.append(f" {var.name} free")
-        elif var.lb is None:
-            lines.append(f" {var.name} <= {_num(var.ub)}")
-        elif var.ub is None:
-            lines.append(f" {var.name} >= {_num(var.lb)}")
-        elif var.lb == var.ub:
-            lines.append(f" {var.name} = {_num(var.lb)}")
+    for name, lb, ub in zip(names, model.lb, model.ub):
+        if lb == -math.inf and ub == math.inf:
+            lines.append(f" {name} free")
+        elif lb == -math.inf:
+            lines.append(f" {name} <= {_num(ub)}")
+        elif ub == math.inf:
+            lines.append(f" {name} >= {_num(lb)}")
+        elif lb == ub:
+            lines.append(f" {name} = {_num(lb)}")
         else:
-            lines.append(f" {_num(var.lb)} <= {var.name} <= {_num(var.ub)}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+            lines.append(f" {_num(lb)} <= {name} <= {_num(ub)}")
+    binaries = [name for name, flag in zip(names, model.binary) if flag]
     if binaries:
         lines.append("Binary")
         for name in binaries:
@@ -611,7 +708,7 @@ def solve_external(
             return SolveOutcome(
                 FEASIBLE_TIMEOUT, None, {}, "solver killed at the hard time limit"
             )
-        known = {v.name for v in model.variables}
+        known = set(model.names)
         values: dict[str, float] = {}
         have_solution = solution_path.exists()
         if have_solution:

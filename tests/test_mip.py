@@ -41,7 +41,10 @@ from netpricing.mip import (
     FEASIBLE_TIMEOUT,
     INFEASIBLE,
     OPTIMAL,
+    ModelError,
+    Row,
     SolutionParseError,
+    Variable,
     _num,
     parse_solution,
 )
@@ -97,6 +100,72 @@ class TestLinearModel:
         m.add_var("y", 0, 10)
         m.set_objective([("x", 2.0), ("y", 3.0)])
         assert m.objective_value({"x": 1.0, "y": 2.0}) == 8.0
+
+    def test_name_wrappers_resolve_and_drop_zeros(self):
+        m = LinearModel()
+        m.add_var("x", 0, 10)
+        m.add_var("y", None, None)
+        m.add_constr("c", [("y", 2.0), ("x", 0.0)], ">=", 1)
+        m.set_objective([("x", 0.0), ("y", -1.0)])
+        assert m.constraints == (Row("c", (("y", 2.0),), ">=", 1.0),)
+        assert m.objective == (("y", -1.0),)
+        assert m.variable("y") == Variable("y", None, None, CONTINUOUS)
+        with pytest.raises(ModelError):
+            m.add_constr("d", [("nope", 1.0)], "<=", 1.0)
+        with pytest.raises(ModelError):
+            m.add_constr("c", [("x", 1.0)], "<=", 1.0)
+        with pytest.raises(ModelError):
+            m.add_constr("e", [("x", 1.0)], "<>", 1.0)
+        with pytest.raises(ModelError):
+            m.set_objective([("nope", 1.0)])
+        assert len(m.constraints) == 1
+
+    def test_non_finite_bounds_rejected(self):
+        # None is the way to leave a side unbounded; inf and nan are errors.
+        m = LinearModel()
+        with pytest.raises(ModelError):
+            m.add_var("x", 0, float("inf"))
+        with pytest.raises(ModelError):
+            m.add_var("x", float("nan"), 1)
+        assert m.variables == ()
+        m.add_var("x", 0, None)
+        with pytest.raises(ModelError):
+            m.set_bounds("x", float("-inf"), 1)
+        m.set_bounds("x", None, 2)
+        assert m.variable("x") == Variable("x", None, 2.0, CONTINUOUS)
+
+    def test_non_finite_numbers_rejected(self):
+        m = LinearModel()
+        m.add_var("x", 0, 1)
+        with pytest.raises(ModelError):
+            m.add_constr("c", [("x", float("nan"))], "<=", 1.0)
+        with pytest.raises(ModelError):
+            m.add_constr("c", [("x", 1.0)], "<=", float("inf"))
+        with pytest.raises(ModelError):
+            m.set_objective([("x", float("-inf"))])
+        assert m.constraints == ()
+        assert m.objective == ()
+
+    def test_non_finite_index_row_stops_lp_text_and_solve(self, solver):
+        # add_row leaves its terms unchecked; the whole model is checked
+        # once before it is written or handed to HiGHS.
+        m = LinearModel()
+        m.add_var("x", 0, 1)
+        m.set_objective([("x", 1.0)])
+        m.add_row("c", [0], [float("nan")], "<=", 1.0)
+        with pytest.raises(ModelError):
+            lp_text(m)
+        with pytest.raises(ModelError):
+            solve_external(m, solver)
+
+    def test_relax_copies_instead_of_sharing(self, tiny_disjoint):
+        model = build_ip2(tiny_disjoint)
+        text = lp_text(model)
+        relaxed = relax(model)
+        relaxed.add_var("extra", 0, 1)
+        relaxed.add_constr("extra_row", [("extra", 1.0), ("v_0_0", 1.0)], "<=", 1.0)
+        relaxed.set_bounds("v_0_0", 0, 0)
+        assert lp_text(model) == text
 
 
 class TestBuildIp1:
