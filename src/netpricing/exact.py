@@ -5,8 +5,8 @@ is the ground truth everything else is checked against. ladder_exact finds
 the best outlet ordering, each ordering priced optimally; for the
 fixed-fraction model the two agree exactly.
 
-ladder_exact is a branch and bound over ladder prefixes with an exact
-bound. Under first-fit allocation the nodes a prefix covers depend only on
+ladder_exact is a subset pass followed by a descent over ladder prefixes.
+Under first-fit allocation the nodes a prefix covers depend only on
 its set of outlets S, so the best revenue the unplaced outlets can still
 earn, in any order, is a function of S, the spread window w and the grid
 index m the remaining prices may not go below:
@@ -23,10 +23,13 @@ suffix maximum per set: the maximum over m' >= m commutes with the
 maximum over f. A prefix whose last stage has prefix maxima
 maxima[w][m] then completes to at best
 
-    max over w, m of maxima[w][m] + rest[S][w][m],
+    max over w, m of maxima[w][m] + rest[S][w][m].
 
-which is exact, so the depth-first search descends only into prefixes
-that can still reach the optimum and beat the best ordering found so far.
+Both passes run on the revenue table's integer image, so this bound is
+exactly the prefix's best completion under either demand model. The
+first child, by outlet id, whose bound equals the optimum therefore
+begins the lexicographically first optimal ordering, and the descent
+never backtracks.
 """
 
 from __future__ import annotations
@@ -35,18 +38,13 @@ from itertools import accumulate
 from operator import add
 
 from .ladder import DP_CALLS, _Prefixes, allocate, dp_prices
-from .model import Instance, evaluate_prices, zero_revenue
+from .model import Instance, evaluate_prices
 
 ENUMERATION_LIMIT = 5_000_000
 # The subset table holds 2^n rows of one entry per window cell, so its
 # memory doubles with every outlet; at 10 outlets with a spread cap a
 # search already peaks near 70 MB.
 LADDER_OUTLET_LIMIT = 10
-# Under the logit model the forward (prefix) and backward (subset) sums
-# add the same floats in different orders and differ by about 1e-14
-# relative, so a bound is widened by this share of the optimum before it
-# prunes anything.
-FLOAT_SLACK = 1e-9
 
 
 class EnumerationTooLarge(ValueError):
@@ -93,27 +91,24 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
             walk(pos + 1, new_lo, new_hi)
 
     walk(0, None, None)
-    if best_rev is None:  # only possible when pi prunes everything, n >= 1 guards rest
-        return zero_revenue(inst.model), tuple([grid[0]] * n)
     return best_rev, best_prices
 
 
 def ladder_exact(inst: Instance):
     """Best revenue over all outlet orderings, each priced optimally.
 
-    A depth-first search over ladder prefixes that tries the remaining
-    outlets in ascending id order, so orderings come in lexicographic
-    order, and pushes one programme stage per outlet added to a prefix.
-    A child prefix is pruned when its exact completion bound (see the
-    module docstring) falls below the optimum or does not beat the best
-    ordering found so far, so the first ordering attaining the best
-    revenue wins, as if all |O|! orderings were walked. Under the logit
-    model the bound is first widened by FLOAT_SLACK times the optimum.
-    The winner is priced with dp_prices. At n outlets, without a cap and
-    under the fixed-fraction model, the search fills
-    (n * 2^(n-1) + n(n+1)/2 + n) rows of the grid: the subset pass, one
-    push per child along the path to the winner, and its pricing.
-    Returns (revenue, ladder, prices) with prices indexed by outlet id.
+    The subset pass gives every prefix's exact completion bound (see the
+    module docstring) and the optimum. The descent then grows one prefix
+    from the empty ladder: at each step it pushes the unplaced outlets in
+    ascending id order and keeps the first whose bound equals the
+    optimum, so the result is the first optimal ordering in
+    lexicographic order, as if all |O|! orderings were walked. The winner
+    is priced with dp_prices. At n outlets, without a cap, the search
+    fills (n * 2^(n-1) + sum(rank_i + 1) + n) rows of the grid: the
+    subset pass, the pushes of the descent, where rank_i counts the
+    unplaced outlets with an id below the i-th chosen one, and the
+    pricing. Returns (revenue, ladder, prices) with prices indexed by
+    outlet id.
     """
     n = inst.n_outlets
     if n > LADDER_OUTLET_LIMIT:
@@ -124,43 +119,28 @@ def ladder_exact(inst: Instance):
     prefixes = _Prefixes(inst, inst.pi)
     rest = _completions(prefixes, n)
     target = max(window[0] for window in rest[0])
-    slack = 0 if prefixes.scale is not None else FLOAT_SLACK * max(1.0, abs(target))
-    best_rev = None
-    best_ladder = None
-    ladder: list[int] = []
-
-    def walk(state, subset: int, remaining: list[int]):
-        nonlocal best_rev, best_ladder
-        if not remaining:
-            revenue = prefixes.value(state)
-            if best_rev is None or revenue > best_rev:
-                best_rev = revenue
-                best_ladder = tuple(ladder)
-            return
-        for f in remaining:
-            child = prefixes.push(state, f)
-            bound = _bound(child[1], rest[subset | 1 << f]) + slack
-            if bound < target or (best_rev is not None and bound <= best_rev):
+    state, subset, ladder = prefixes.EMPTY, 0, []
+    for _ in range(n):
+        for f in range(n):
+            if subset >> f & 1:
                 continue
-            ladder.append(f)
-            walk(child, subset | 1 << f, [g for g in remaining if g != f])
-            ladder.pop()
-
-    walk(prefixes.EMPTY, 0, list(range(n)))
-    prices, revenue = dp_prices(
-        inst, best_ladder, allocate(inst, best_ladder), pi=inst.pi
-    )
+            child = prefixes.push(state, f)
+            if _bound(child[1], rest[subset | 1 << f]) == target:
+                break
+        state, subset = child, subset | 1 << f
+        ladder.append(f)
+    prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=inst.pi)
     by_outlet = [0] * n
-    for pos, f in enumerate(best_ladder):
+    for pos, f in enumerate(ladder):
         by_outlet[f] = prices[pos]
-    return revenue, best_ladder, tuple(by_outlet)
+    return revenue, tuple(ladder), tuple(by_outlet)
 
 
 def _completions(prefixes: _Prefixes, n: int) -> list:
     """rest[S][w][m] of the module docstring, for every outlet set S.
 
     S is a bitmask over outlet ids and m an index into window w. Entries
-    are the raw table numbers of prefixes, and each (S, f) stage counts as
+    are sums of the table's integer image, and each (S, f) stage counts as
     one push in DP_CALLS.cells.
     """
     full = (1 << n) - 1
@@ -169,7 +149,7 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
         low = subset & -subset
         covered[subset] = covered[subset ^ low] | prefixes.masks[low.bit_length() - 1]
     rest = [None] * (full + 1)
-    rest[full] = [[prefixes.start] * (hi - lo + 1) for lo, hi in prefixes.windows]
+    rest[full] = [[0] * (hi - lo + 1) for lo, hi in prefixes.windows]
     for subset in range(full - 1, -1, -1):
         best = None
         for f in range(n):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ladder import _Prefixes, allocate, dp_prices
@@ -67,7 +66,10 @@ class HeuristicResult:
 
     prices always covers every outlet. ladder is None for the uniform-price
     heuristic. revenue for ladder heuristics is the ladder programme's
-    value for (ladder, prices); for sp it is the undercut-only score the
+    value for (ladder, prices), summed exactly on the revenue table's
+    integer image and, under the logit model, rounded once; it equals
+    evaluate_prices of prices whenever no demand node sees two of its
+    outlets at the same price. For sp it is the undercut-only score the
     heuristic optimises, which understates what the uniform vector earns
     whenever the price lands exactly on some competitor price.
     """
@@ -86,33 +88,24 @@ def single_price(inst: Instance):
     undercut at that price the best single-outlet revenue; the lowest
     price attaining the best score wins. Returns (price, revenue).
 
-    One pass over the nodes in id order adds each node's best row to the
-    score of every grid price it counts at, so every price's score is
-    summed in node order. Under MNPP a node's row is the same for all its
-    outlets and the sums run on the table's integer image.
+    One pass over the nodes adds each node's best row to the score of
+    every grid price it counts at. The scores are sums of the revenue
+    table's integer image, so they compare exactly under both models.
     """
     o_e, _, _ = adjacency(inst)
     table = revenue_table(inst, inst.model)
     grid = inst.grid
-    score = [zero_revenue(inst.model) if table.ints is None else 0] * len(grid)
+    score = [0] * len(grid)
     for node in inst.demands:
         outlets = o_e[node.id]
-        if not outlets:
-            continue
-        if table.ints is not None:
-            row = table.ints[(node.id, outlets[0])]
-        elif len(outlets) == 1:
-            row = table[(node.id, outlets[0])]
-        else:
-            row = list(map(max, *(table[(node.id, f)] for f in outlets)))
         below = grid.below_index(node.c)
-        for m in range(0 if below is None else below + 1):
-            score[m] += row[m]
+        if not outlets or below is None:
+            continue
+        columns = zip(*(table.ints[(node.id, f)][: below + 1] for f in outlets))
+        for m, column in enumerate(columns):
+            score[m] += max(column)
     best = max(range(len(grid)), key=score.__getitem__)
-    best_rev = score[best]
-    if table.scale is not None:
-        best_rev = Fraction(best_rev, table.scale)
-    return grid.prices[best], best_rev
+    return grid.prices[best], table.revenue(score[best])
 
 
 def greedy_select(

@@ -19,10 +19,11 @@ A finite spread cap pi restricts max(price) - min(price). The programme is
 then repeated once per candidate floor index, restricting the grid to the
 window [b(m0), b(m0) + pi], and the best window wins.
 
-Under the fixed-fraction model the programme runs on the revenue table's
-integer image (every entry times one common scale, exactly), so its hot
-loops add and compare plain integers; the result becomes a Fraction only
-on the way out. Under the logit model it runs on the float table itself.
+The programme runs on the revenue table's integer image (every entry
+times one common scale, exactly) under both demand models, so its hot
+loops add and compare plain integers and every comparison is exact; the
+result becomes a Fraction, or under the logit model a float rounded once,
+only on the way out.
 
 Under first-fit allocation a prefix's forward values do not depend on the
 outlets that follow it. The searches that try many ladders sharing a
@@ -33,19 +34,17 @@ onto a state adds one stage, at a cost of one cell per grid index of every
 window; the state's value is the best revenue of any pricing of the
 prefix. A stage's row, the sum of the outlet's still-uncovered node rows,
 depends only on the outlet and those nodes, so it is kept in the revenue
-table's stage memo and summed once per instance. Stages are summed and
-added exactly as dp_prices does, so a search gets the same numbers, floats
-included.
+table's stage memo and summed once per instance. A search therefore gets
+exactly the numbers dp_prices gets.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import add
 from typing import Optional, Sequence
 
-from .model import Instance, adjacency, revenue_table, zero_revenue
+from .model import Instance, adjacency, revenue_table
 from .money import Money
 
 
@@ -112,15 +111,11 @@ def dp_prices(
         n_active = len(ladder)
     if n_active > len(ladder):
         raise ValueError("n_active exceeds ladder length")
-    zero = zero_revenue(inst.model)
-    grid = inst.grid.prices
-    n_prices = len(grid)
-    if n_active == 0:
-        return (), zero
-
     table = revenue_table(inst, inst.model)
-    rows_of = table if table.ints is None else table.ints
-    start = zero if table.ints is None else 0
+    grid = inst.grid.prices
+    if n_active == 0:
+        return (), table.revenue(0)
+
     by_position = [[] for _ in range(n_active)]
     pos_of = {ladder[k]: k for k in range(n_active)}
     for e, f in assignment.items():
@@ -128,11 +123,11 @@ def dp_prices(
     stage_rev = []
     for pos in range(n_active):
         f = ladder[pos]
-        rows = [rows_of[(e, f)] for e in by_position[pos]]
+        rows = [table.ints[(e, f)] for e in by_position[pos]]
         if rows:
-            stage_rev.append([sum(column, start) for column in zip(*rows)])
+            stage_rev.append([sum(column) for column in zip(*rows)])
         else:
-            stage_rev.append([start] * n_prices)
+            stage_rev.append([0] * len(grid))
 
     def run_window(lo: int, hi: int):
         # Forward pass: each stage adds its revenue to the prefix maximum
@@ -163,10 +158,7 @@ def dp_prices(
         rev, idx = run_window(lo, hi)
         if best_rev is None or rev > best_rev:
             best_rev, best_idx = rev, idx
-    prices = tuple(grid[m] for m in best_idx)
-    if table.scale is not None:
-        best_rev = Fraction(best_rev, table.scale)
-    return prices, best_rev
+    return tuple(grid[m] for m in best_idx), table.revenue(best_rev)
 
 
 def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
@@ -192,21 +184,20 @@ class _Prefixes:
 
     A state is (covered nodes as a bitmask, prefix maxima of the last
     stage per window); the maxima are None while no stage has earned
-    anything, which stands for all zeros. push and value work on the raw
-    table numbers (integers under MNPP); revenue turns a raw value into the
-    public number type. Stage rows come from the revenue table's memo
+    anything, which stands for all zeros. push and value work on the
+    table's integer image; revenue turns a raw value into the public
+    number type. Stage rows come from the revenue table's memo
     (RevenueTable.stages), which every search on the instance shares.
     """
 
-    __slots__ = ("rows", "start", "n_f", "masks", "stages", "windows", "cells", "scale")
+    __slots__ = ("rows", "revenue", "n_f", "masks", "stages", "windows", "cells")
 
     EMPTY = (0, None)
 
     def __init__(self, inst: Instance, pi: Optional[Money]):
         table = revenue_table(inst, inst.model)
-        self.rows = table if table.ints is None else table.ints
-        self.start = zero_revenue(inst.model) if table.ints is None else 0
-        self.scale = table.scale
+        self.rows = table.ints
+        self.revenue = table.revenue
         self.masks = table.masks
         self.stages = table.stages
         self.n_f = adjacency(inst)[1]
@@ -216,9 +207,8 @@ class _Prefixes:
     def stage(self, covered: int, f: int):
         """Outlet f's nodes outside covered, as a bitmask, and their summed row.
 
-        The row is None when there are no such nodes. On a memo miss the
-        rows are summed in n_f[f] order, as dp_prices sums them. Threads
-        may share the memo without a lock: a race only sums a row twice.
+        The row is None when there are no such nodes. Threads may share
+        the memo without a lock: a race only sums a row twice.
         """
         new = self.masks[f] & ~covered
         if not new:
@@ -226,7 +216,7 @@ class _Prefixes:
         row = self.stages.get((f, new))
         if row is None:
             rows = [self.rows[(e, f)] for e in self.n_f[f] if new >> e & 1]
-            row = tuple(sum(column, self.start) for column in zip(*rows))
+            row = tuple(sum(column) for column in zip(*rows))
             self.stages[(f, new)] = row
         return new, row
 
@@ -253,8 +243,5 @@ class _Prefixes:
         """Best raw revenue of any pricing of the prefix."""
         maxima = state[1]
         if maxima is None:
-            return self.start
+            return 0
         return max(window[-1] for window in maxima)
-
-    def revenue(self, raw):
-        return raw if self.scale is None else Fraction(raw, self.scale)

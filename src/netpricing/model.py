@@ -13,8 +13,11 @@ point or below captures a gamma fraction. Under the binary-logit variant
 separate coefficient pairs for the match and undercut regimes.
 
 All prices are integer minor units (see money.py), so price equality is
-exact. MNPP volumes are Fractions and MNPP revenues are therefore exact;
-BMNPP shares involve exp() and stay in floats.
+exact. MNPP volumes are Fractions and MNPP revenues are therefore exact.
+BMNPP shares involve exp() and are floats, but every finite float is an
+integer times a power of two, so a BMNPP revenue table has an exact
+integer image too. Revenues are summed on that image and a BMNPP total is
+rounded to a float once, on the way out.
 """
 
 from __future__ import annotations
@@ -299,20 +302,28 @@ def demand_at(inst: Instance, e: int, f: int, price: Money):
 
 
 class RevenueTable(dict):
-    """Per-edge revenue rows, with an exact integer image under MNPP.
+    """Per-edge revenue rows, with an exact integer image under both models.
 
-    Under MNPP, scale is the least common multiple of the entry
-    denominators and ints[(e, f)][m] == self[(e, f)][m] * scale exactly;
-    under BMNPP both are None.
+    ints[(e, f)][m] == self[(e, f)][m] * scale exactly. Under MNPP, scale
+    is the least common multiple of the entry denominators; under BMNPP it
+    is the power of two 2^k that makes every float entry an integer.
+    revenue(raw) turns a sum of image entries back into the public number
+    type: the exact Fraction under MNPP, the correctly rounded float under
+    BMNPP.
 
     The table is also the state the ladder searches on its instance share
     (see ladder._Prefixes): masks[f] is outlet f's demand nodes as a
     bitmask over node ids, and stages memoises, under the key (f, new),
-    the summed row of outlet f's nodes in new (a submask of masks[f]), in
-    the raw numbers the programme runs on.
+    the summed image row of outlet f's nodes in new (a submask of
+    masks[f]).
     """
 
-    __slots__ = ("scale", "ints", "masks", "stages")
+    __slots__ = ("model", "scale", "ints", "masks", "stages")
+
+    def revenue(self, raw: int):
+        if self.model == MNPP:
+            return Fraction(raw, self.scale)
+        return raw / self.scale
 
 
 # A table carries its instance's stage memo, which can outgrow the rows,
@@ -326,22 +337,37 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     table[(e, f)][m] is price * captured volume with the price at grid
     index m, as a Fraction for MNPP and a float for BMNPP. An MNPP row
     depends on its node only, so each node's row, and its integer image
-    (see RevenueTable), is built once and shared by the node's edges; the
-    ladder programme runs on that image. A BMNPP row is built from its
-    own edge's coefficients. The table starts with the outlets' node masks
-    and an empty stage memo, which the ladder searches fill.
+    (see RevenueTable), is built once and shared by the node's edges. A
+    BMNPP row is built from its own edge's coefficients. The table starts
+    with the outlets' node masks and an empty stage memo, which the ladder
+    searches fill.
     """
     grid = inst.grid
     table = RevenueTable()
     masks = [0] * inst.n_outlets
     for edge in inst.edges:
         masks[edge.f] |= 1 << edge.e
+    table.model = model
     table.masks = tuple(masks)
     table.stages = {}
     if model != MNPP:
         for edge in inst.edges:
             table[(edge.e, edge.f)] = _bmnpp_row(inst.demands[edge.e], edge, grid)
-        table.scale = table.ints = None
+        # Each nonzero entry is num / 2^j; under 2^k, the largest j, it
+        # is num << (k - j). Shifts stay exact however far apart the
+        # entries' exponents lie.
+        ratios = {
+            key: [v.as_integer_ratio() for v in row] for key, row in table.items()
+        }
+        k = max(
+            (den.bit_length() - 1 for row in ratios.values() for _, den in row),
+            default=0,
+        )
+        table.scale = 1 << k
+        table.ints = {
+            key: tuple(num << (k - den.bit_length() + 1) for num, den in row)
+            for key, row in ratios.items()
+        }
         return table
     node_rows = {}
     for edge in inst.edges:
@@ -401,15 +427,17 @@ def evaluate_prices(inst: Instance, prices: Sequence[Money]):
     """Revenue of a full price vector, with allocation and regime labels.
 
     Each demand node buys from the lowest-priced connected outlet, ties
-    going to the lowest outlet id. Returns (revenue, assignment, labels)
-    where assignment maps the node id to the serving outlet for every node
-    with a positive contribution and labels marks each assigned node PM
-    (price match) or PW (price war).
+    going to the lowest outlet id. The contributions are summed on the
+    revenue table's integer image, so a BMNPP revenue is rounded once.
+    Returns (revenue, assignment, labels) where assignment maps the node
+    id to the serving outlet for every node with a positive contribution
+    and labels marks each assigned node PM (price match) or PW (price
+    war).
     """
     prices = validate_prices(inst, prices)
     o_e, _, _ = adjacency(inst)
     table = revenue_table(inst, inst.model)
-    revenue = zero_revenue(inst.model)
+    total = 0
     assignment: dict[int, int] = {}
     labels: dict[int, str] = {}
     for node in inst.demands:
@@ -418,9 +446,9 @@ def evaluate_prices(inst: Instance, prices: Sequence[Money]):
             continue
         best = min(outlets, key=lambda f: (prices[f], f))
         price = prices[best]
-        contribution = table[(node.id, best)][inst.grid.index_of(price)]
+        contribution = table.ints[(node.id, best)][inst.grid.index_of(price)]
         if contribution > 0:
-            revenue += contribution
+            total += contribution
             assignment[node.id] = best
             labels[node.id] = PM if price == node.c else PW
-    return revenue, assignment, labels
+    return table.revenue(total), assignment, labels

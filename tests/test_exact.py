@@ -15,6 +15,7 @@ from netpricing import (
     generate,
     ladder_exact,
 )
+from netpricing.ladder import _Prefixes
 from tests.conftest import two_node_instance
 
 
@@ -96,9 +97,7 @@ class TestLadderExact:
         # ordering optimum is an upper bound rather than an exact match.
         for seed in range(10):
             inst = generate(tiny_params(BMNPP, seed))
-            lr = ladder_exact(inst)[0]
-            br = brute_force(inst)[0]
-            assert lr >= br - 1e-9 * max(1.0, abs(br))
+            assert ladder_exact(inst)[0] >= brute_force(inst)[0]
 
     def test_spread_cap_honoured(self):
         inst = two_node_instance([(0, 0), (1, 1)], pi=100)
@@ -106,16 +105,38 @@ class TestLadderExact:
         assert max(prices) - min(prices) <= 100
         assert revenue == Fraction(1500)
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_one_stage_per_prefix(self, n):
+    @staticmethod
+    def search_rows(inst, ladder):
         # The subset pass fills one stage per (outlet set, unplaced outlet)
-        # pair, n * 2^(n-1). With an exact integer bound the search then
-        # pushes every child of each prefix on the path to the winner,
-        # n(n+1)/2, and pricing the winner takes n: 100 rows of the grid
-        # at n = 5, where walking every prefix took 325 + 5.
-        inst = generate(tiny_params("mnpp", 0, outlets=n, demands=6))
+        # pair, n * 2^(n-1). With an exact bound the descent pushes the
+        # unplaced outlets in id order up to the first that can still reach
+        # the optimum, rank_i + 1 of them at step i, and pricing the winner
+        # takes n.
+        n = inst.n_outlets
+        pushes = sum(
+            sum(g < f for g in ladder[i:]) + 1 for i, f in enumerate(ladder)
+        )
+        return n * 2 ** (n - 1) + pushes + n
+
+    @pytest.mark.parametrize("model", ["mnpp", BMNPP])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_one_stage_per_prefix(self, n, model):
+        inst = generate(tiny_params(model, 0, outlets=n, demands=6))
         assert inst.pi is None
         DP_CALLS.reset()
-        ladder_exact(inst)
-        stages = n * 2 ** (n - 1) + n * (n + 1) // 2 + n
-        assert DP_CALLS.cells == stages * len(inst.grid)
+        _, ladder, _ = ladder_exact(inst)
+        assert DP_CALLS.cells == self.search_rows(inst, ladder) * len(inst.grid)
+
+    @pytest.mark.parametrize("seed, cells", [(0, 1_263_465), (1, 1_262_240)])
+    def test_logit_search_descends_without_backtracking(self, seed, cells):
+        # Logit orderings tie to within rounding here; on the exact image
+        # the search still fills only the subset pass, one descent and the
+        # pricing.
+        params = GenParams(
+            model=BMNPP, n_outlets=10, n_demands=30, density=0.25, seed=seed, pi="2"
+        )
+        inst = generate(params)
+        DP_CALLS.reset()
+        _, ladder, _ = ladder_exact(inst)
+        assert DP_CALLS.cells == cells
+        assert cells == self.search_rows(inst, ladder) * _Prefixes(inst, inst.pi).cells

@@ -17,15 +17,16 @@ from netpricing import (
     adjacency,
     best_insertion,
     brute_force,
+    evaluate_prices,
     full_insertion,
     generate,
     greedy_select,
     insertion_with_order,
+    ladder_exact,
     order_select,
     revenue_table,
     run_algorithm,
     single_price,
-    zero_revenue,
 )
 from netpricing.instgen import make_grid
 from tests.conftest import two_node_instance
@@ -65,22 +66,24 @@ class TestSinglePrice:
     def test_matches_a_scan_per_grid_price(self, model):
         def scan(inst):
             # Every grid price scored on its own: nodes in id order, each
-            # adding its best outlet's table entry.
+            # adding its best outlet's table entry as an exact Fraction.
             o_e = adjacency(inst)[0]
             table = revenue_table(inst, inst.model)
             best_price, best_rev = None, None
             for m, price in enumerate(inst.grid.prices):
-                rev = zero_revenue(inst.model)
+                rev = Fraction(0)
                 for node in inst.demands:
                     if not o_e[node.id]:
                         continue
                     below = inst.grid.below_index(node.c)
                     war_ok = below is not None and price <= inst.grid.prices[below]
                     if war_ok:
-                        rev += max(table[(node.id, f)][m] for f in o_e[node.id])
+                        rev += Fraction(
+                            max(table[(node.id, f)][m] for f in o_e[node.id])
+                        )
                 if best_rev is None or rev > best_rev:
                     best_price, best_rev = price, rev
-            return best_price, best_rev
+            return best_price, best_rev if model == "mnpp" else float(best_rev)
 
         # Prices 1 and 2 both score 400 here (2 under the logit model's
         # even shares), so the lowest must win.
@@ -249,6 +252,33 @@ def test_bmnpp_heuristics_bounded_by_optimum():
         for algorithm in ("sp", "greedy", "order", "fi", "greedyI", "orderI"):
             revenue = run_algorithm(inst, algorithm).revenue
             assert revenue <= best + 1e-9 * max(1.0, abs(best))
+
+
+def test_reported_revenue_is_the_evaluated_revenue_bmnpp():
+    """A ladder's reported revenue is what its prices earn, to the last bit.
+
+    Both sum the revenue table's integer image and round once. The ladder
+    programme serves a price tie from the earlier ladder position and
+    evaluate_prices from the lowest outlet id, so runs where some node sees
+    two of its outlets at one price are left out.
+    """
+    checked = 0
+    for seed in range(40):
+        params = GenParams(model=BMNPP, n_outlets=4, n_demands=8, density=0.5, seed=seed)
+        inst = generate(params)
+        o_e = adjacency(inst)[0]
+        runs = []
+        for alg in ("greedy", "order", "fi", "greedyI", "orderI"):
+            result = run_algorithm(inst, alg)
+            runs.append((alg, result.revenue, result.prices))
+        revenue, _, prices = ladder_exact(inst)
+        runs.append(("ladder_exact", revenue, prices))
+        for alg, revenue, prices in runs:
+            if any(len({prices[f] for f in fs}) < len(fs) for fs in o_e):
+                continue
+            checked += 1
+            assert revenue == evaluate_prices(inst, prices)[0], (seed, alg)
+    assert checked >= 50
 
 
 def test_ladder_heuristics_honour_the_instance_spread_cap():

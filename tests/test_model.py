@@ -1,6 +1,8 @@
 """Instance data model, demand functions, and the price-vector evaluator."""
 
 import pickle
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -246,6 +248,14 @@ def test_revenue_table_shape_and_cache(tiny_connected):
 
 def test_revenue_table_integer_image():
     inst = generate(GenParams(model=MNPP, n_outlets=3, n_demands=6, seed=4, beta="0.3"))
+    # A volume of 1e-310 is a subnormal float, so this node's logit entries
+    # lie more than 2^1000 below the others.
+    tiny = DemandNode(id=6, c=inst.demands[0].c, c_bar=0, d=Fraction(1, 10**310))
+    inst = replace(
+        inst,
+        demands=inst.demands + (tiny,),
+        edges=inst.edges + (Edge(6, 0, 300.0, 10.0, 300.0, 10.0),),
+    )
     table = revenue_table(inst, MNPP)
     assert set(table.ints) == set(table)
     for key, row in table.items():
@@ -253,8 +263,13 @@ def test_revenue_table_integer_image():
         assert table.ints[key] == tuple(v * table.scale for v in row)
     assert all(table.scale % v.denominator == 0 for row in table.values() for v in row)
     logit = revenue_table(inst, BMNPP)
-    assert logit.scale is None and logit.ints is None
-    assert all(isinstance(v, float) for row in logit.values() for v in row)
+    assert 0 < min(v for v in logit[(6, 0)] if v) < sys.float_info.min
+    assert set(logit.ints) == set(logit)
+    assert logit.scale & (logit.scale - 1) == 0
+    for key, row in logit.items():
+        assert all(isinstance(v, float) for v in row)
+        for m, v in enumerate(row):
+            assert Fraction(logit.ints[key][m], logit.scale) == Fraction(v)
 
 
 def test_bmnpp_revenue_table_is_price_times_demand():
