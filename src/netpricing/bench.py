@@ -99,28 +99,32 @@ class PmStats:
 def pm_accounting(inst: Instance, prices) -> PmStats:
     """Classify each served demand node as a price match or a price war.
 
-    A node's money is the revenue-table entry evaluate_prices adds up for
-    it, so r_pm + r_pw is the evaluated revenue of prices.
+    A node's money is the revenue-table image entry evaluate_prices adds
+    up for it. Each part is summed on the image and converted once, so
+    under MNPP r_pm + r_pw is exactly the evaluated revenue of prices, and
+    under BMNPP each part is its exact sum rounded once.
     """
     _, assignment, labels = evaluate_prices(inst, prices)
     table = revenue_table(inst, inst.model)
     zero = zero_revenue(inst.model)
     d_pm = d_pw = zero
-    r_pm = r_pw = zero
+    raw_pm = raw_pw = 0
     pm_count = pw_count = 0
     for e, f in assignment.items():
         price = prices[f]
         volume = demand_at(inst, e, f, price)
-        money = table[(e, f)][inst.grid.index_of(price)]
+        money = table.ints[(e, f)][inst.grid.index_of(price)]
         if labels[e] == PM:
             pm_count += 1
             d_pm += volume
-            r_pm += money
+            raw_pm += money
         else:
             pw_count += 1
             d_pw += volume
-            r_pw += money
-    return PmStats(pm_count, pw_count, d_pm, d_pw, r_pm, r_pw)
+            raw_pw += money
+    return PmStats(
+        pm_count, pw_count, d_pm, d_pw, table.revenue(raw_pm), table.revenue(raw_pw)
+    )
 
 
 def cross_model_gap(

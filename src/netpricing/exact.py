@@ -119,7 +119,7 @@ def ladder_exact(inst: Instance):
     prefixes = _Prefixes(inst, inst.pi)
     rest = _completions(prefixes, n)
     target = max(window[0] for window in rest[0])
-    state, subset, ladder = prefixes.EMPTY, 0, []
+    state, subset, ladder = prefixes.root, 0, []
     for _ in range(n):
         for f in range(n):
             if subset >> f & 1:

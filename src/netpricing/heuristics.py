@@ -127,7 +127,7 @@ def greedy_select(
     active = set(range(inst.n_demands))
     ladder: list[int] = []
     prefixes = _Prefixes(inst, pi)
-    state = prefixes.EMPTY
+    state = prefixes.root
     revenue = zero_revenue(inst.model)
     while pool and active:
         if deadline:
@@ -205,15 +205,18 @@ def best_insertion(
     ladder: Sequence[int],
     f: int,
     pi: Optional[Money] = None,
+    _prefixes: Optional[_Prefixes] = None,
 ):
     """Best position for one new outlet. Returns (position, revenue).
 
     Tries every slot from the front to just past the end and keeps the
     lowest position attaining the best optimal ladder revenue. The prefix
-    before each slot is grown once and shared by the slots after it.
+    before each slot is grown once and shared by the slots after it. An
+    insertion run passes its own prefix trie (built for inst and pi) as
+    _prefixes, so that prefixes its earlier calls pushed are looked up.
     """
-    prefixes = _Prefixes(inst, pi)
-    prefix = prefixes.EMPTY
+    prefixes = _Prefixes(inst, pi) if _prefixes is None else _prefixes
+    prefix = prefixes.root
     best_pos = None
     best_rev = None
     for j in range(len(ladder) + 1):
@@ -238,17 +241,19 @@ def full_insertion(
 
     Each round scores every remaining outlet at its best position and
     commits the best (outlet, position) pair; ties prefer the lower outlet
-    id, then the lower position.
+    id, then the lower position. Every trial of the run shares one prefix
+    trie.
     """
     t0 = time.perf_counter()
     remaining = sorted(inst.outlets())
     ladder: list[int] = []
+    prefixes = _Prefixes(inst, pi)
     while remaining:
         if deadline:
             deadline.check()
         best = None  # (revenue, f, pos), strictly-better updates keep ties stable
         for f in remaining:
-            pos, rev = best_insertion(inst, ladder, f, pi=pi)
+            pos, rev = best_insertion(inst, ladder, f, pi=pi, _prefixes=prefixes)
             if best is None or rev > best[0]:
                 best = (rev, f, pos)
         _, f, pos = best
@@ -264,15 +269,19 @@ def insertion_with_order(
     deadline: Optional[Deadline] = None,
     algorithm: str = "insertion",
 ) -> HeuristicResult:
-    """Insert outlets one at a time following a fixed selection order."""
+    """Insert outlets one at a time following a fixed selection order.
+
+    Every trial of the run shares one prefix trie.
+    """
     t0 = time.perf_counter()
     if sorted(order) != list(inst.outlets()):
         raise ValueError("selection order must cover every outlet exactly once")
     ladder: list[int] = []
+    prefixes = _Prefixes(inst, pi)
     for f in order:
         if deadline:
             deadline.check()
-        pos, _ = best_insertion(inst, ladder, f, pi=pi)
+        pos, _ = best_insertion(inst, ladder, f, pi=pi, _prefixes=prefixes)
         ladder.insert(pos, f)
     return _finish(inst, algorithm, tuple(ladder), pi, t0)
 

@@ -32,10 +32,12 @@ prefix states: the nodes the prefix covers, as a bitmask over node ids,
 and, per window, the prefix maxima of its last stage. Pushing one outlet
 onto a state adds one stage, at a cost of one cell per grid index of every
 window; the state's value is the best revenue of any pricing of the
-prefix. A stage's row, the sum of the outlet's still-uncovered node rows,
-depends only on the outlet and those nodes, so it is kept in the revenue
-table's stage memo and summed once per instance. A search therefore gets
-exactly the numbers dp_prices gets.
+prefix. The states form a trie that lasts one search (an insertion
+heuristic's whole run, say): a prefix pushed again is looked up, not
+recomputed, and fills no cells. A stage's row, the sum of the outlet's
+still-uncovered node rows, depends only on the outlet and those nodes, so
+it is kept in the revenue table's stage memo and summed once per
+instance. A search therefore gets exactly the numbers dp_prices gets.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class DpCallCounter:
     count is the number of dp_prices invocations; cells is the total
     number of (stage, grid index) table entries filled by them and by the
     prefix searches' stages, which is the unit the stated running-time
-    bounds are expressed in.
+    bounds are expressed in. A prefix the search's trie already holds
+    fills no cells.
     """
 
     __slots__ = ("count", "cells")
@@ -180,19 +183,22 @@ def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]
 
 
 class _Prefixes:
-    """Prefix states of the ladder programme on one instance and cap.
+    """A trie of prefix states of the ladder programme on one instance and cap.
 
     A state is (covered nodes as a bitmask, prefix maxima of the last
-    stage per window); the maxima are None while no stage has earned
-    anything, which stands for all zeros. push and value work on the
-    table's integer image; revenue turns a raw value into the public
-    number type. Stage rows come from the revenue table's memo
+    stage per window, children by outlet); the maxima are None while no
+    stage has earned anything, which stands for all zeros. root is the
+    empty prefix. push returns the stored child when the trie has it, so
+    one object serves one search, such as an insertion run, and dies with
+    it; it is never kept on the cached revenue table. push and value work
+    on the table's integer image; revenue turns a raw value into the
+    public number type. Stage rows come from the revenue table's memo
     (RevenueTable.stages), which every search on the instance shares.
     """
 
-    __slots__ = ("rows", "revenue", "n_f", "masks", "stages", "windows", "cells")
-
-    EMPTY = (0, None)
+    __slots__ = (
+        "rows", "revenue", "n_f", "masks", "stages", "windows", "cells", "root"
+    )
 
     def __init__(self, inst: Instance, pi: Optional[Money]):
         table = revenue_table(inst, inst.model)
@@ -203,6 +209,7 @@ class _Prefixes:
         self.n_f = adjacency(inst)[1]
         self.windows = _windows(inst.grid.prices, pi)
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
+        self.root = (0, None, {})
 
     def stage(self, covered: int, f: int):
         """Outlet f's nodes outside covered, as a bitmask, and their summed row.
@@ -222,22 +229,26 @@ class _Prefixes:
 
     def push(self, state, f: int):
         """The state of the prefix followed by outlet f."""
+        covered, maxima, children = state
+        child = children.get(f)
+        if child is not None:
+            return child
         DP_CALLS.cells += self.cells
-        covered, maxima = state
         new, stage = self.stage(covered, f)
-        if stage is None:
-            # An empty stage adds zero to every prefix maximum.
-            return covered, maxima
-        if maxima is None:
-            maxima = [
-                list(accumulate(stage[lo : hi + 1], max)) for lo, hi in self.windows
-            ]
-        else:
-            maxima = [
-                list(accumulate(map(add, stage[lo : hi + 1], before), max))
-                for (lo, hi), before in zip(self.windows, maxima)
-            ]
-        return covered | new, maxima
+        # An empty stage adds zero to every prefix maximum.
+        if stage is not None:
+            if maxima is None:
+                maxima = [
+                    list(accumulate(stage[lo : hi + 1], max))
+                    for lo, hi in self.windows
+                ]
+            else:
+                maxima = [
+                    list(accumulate(map(add, stage[lo : hi + 1], before), max))
+                    for (lo, hi), before in zip(self.windows, maxima)
+                ]
+        child = children[f] = (covered | new, maxima, {})
+        return child
 
     def value(self, state):
         """Best raw revenue of any pricing of the prefix."""

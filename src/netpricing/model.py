@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .money import MONEY_SCALE, Money, money_str, money_unit
+from .money import MONEY_SCALE, Money, money_str
 
 MNPP = "mnpp"
 BMNPP = "bmnpp"
@@ -305,17 +305,20 @@ class RevenueTable(dict):
     """Per-edge revenue rows, with an exact integer image under both models.
 
     ints[(e, f)][m] == self[(e, f)][m] * scale exactly. Under MNPP, scale
-    is the least common multiple of the entry denominators; under BMNPP it
-    is the power of two 2^k that makes every float entry an integer.
-    revenue(raw) turns a sum of image entries back into the public number
-    type: the exact Fraction under MNPP, the correctly rounded float under
-    BMNPP.
+    is MONEY_SCALE times the least common multiple of the denominators of
+    the nodes' captured volumes d * beta and d * gamma, so every image
+    entry is a price times a volume numerator times an integer factor;
+    under BMNPP it is the power of two 2^k that makes every float entry an
+    integer. revenue(raw) turns a sum of image entries back into the
+    public number type: the exact Fraction under MNPP, the correctly
+    rounded float under BMNPP.
 
-    The table is also the state the ladder searches on its instance share
-    (see ladder._Prefixes): masks[f] is outlet f's demand nodes as a
-    bitmask over node ids, and stages memoises, under the key (f, new),
-    the summed image row of outlet f's nodes in new (a submask of
-    masks[f]).
+    The table also keeps per-instance data the ladder searches read:
+    masks[f] is outlet f's demand nodes as a bitmask over node ids, and
+    stages memoises, under the key (f, new), the summed image row of
+    outlet f's nodes in new (a submask of masks[f]). It holds no search
+    states: those live in a prefix trie that lasts one search (see
+    ladder._Prefixes).
     """
 
     __slots__ = ("model", "scale", "ints", "masks", "stages")
@@ -336,11 +339,12 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
 
     table[(e, f)][m] is price * captured volume with the price at grid
     index m, as a Fraction for MNPP and a float for BMNPP. An MNPP row
-    depends on its node only, so each node's row, and its integer image
-    (see RevenueTable), is built once and shared by the node's edges. A
-    BMNPP row is built from its own edge's coefficients. The table starts
-    with the outlets' node masks and an empty stage memo, which the ladder
-    searches fill.
+    depends on its node only, so each node's row and its integer image
+    (see RevenueTable) are built once and shared by the node's edges:
+    the image from integers alone, and the Fraction row from the image.
+    A BMNPP row is built from its own edge's coefficients. The table
+    starts with the outlets' node masks and an empty stage memo, which
+    the ladder searches fill.
     """
     grid = inst.grid
     table = RevenueTable()
@@ -369,24 +373,41 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
             for key, row in ratios.items()
         }
         return table
-    node_rows = {}
+    volumes = {}
     for edge in inst.edges:
-        row = node_rows.get(edge.e)
-        if row is None:
+        if edge.e not in volumes:
             node = inst.demands[edge.e]
-            row = node_rows[edge.e] = tuple(
-                money_unit(price) * demand_mnpp(node, price, grid)
-                for price in grid.prices
-            )
-        table[(edge.e, edge.f)] = row
-    scale = math.lcm(*(v.denominator for row in node_rows.values() for v in row))
-    node_ints = {
-        e: tuple(v.numerator * (scale // v.denominator) for v in row)
-        for e, row in node_rows.items()
-    }
-    table.scale = scale
-    table.ints = {key: node_ints[key[0]] for key in table}
+            volumes[edge.e] = (node.d * node.beta, node.d * node.gamma)
+    lcm = math.lcm(*(v.denominator for pair in volumes.values() for v in pair))
+    scale = table.scale = MONEY_SCALE * lcm
+    zero = Fraction(0)
+    node_rows, node_ints = {}, {}
+    for e, (match, undercut) in volumes.items():
+        ints = node_ints[e] = _mnpp_image(inst.demands[e], match, undercut, lcm, grid)
+        node_rows[e] = tuple(Fraction(v, scale) if v else zero for v in ints)
+    table.ints = {}
+    for edge in inst.edges:
+        key = (edge.e, edge.f)
+        table[key] = node_rows[edge.e]
+        table.ints[key] = node_ints[edge.e]
     return table
+
+
+def _mnpp_image(
+    node: DemandNode, match: Fraction, undercut: Fraction, lcm: int, grid: PriceGrid
+) -> tuple:
+    """money_unit(price) * demand_mnpp at every grid price, times
+    MONEY_SCALE * lcm: price * num * (lcm // den) for the captured volume
+    num / den, which is undercut (d * gamma) at or below the grid price
+    just under c, match (d * beta) at c, and nothing elsewhere."""
+    below = grid.below_index(node.c)
+    n_under = 0 if below is None else below + 1
+    per_unit = undercut.numerator * (lcm // undercut.denominator)
+    row = [price * per_unit for price in grid.prices[:n_under]]
+    row.extend([0] * (len(grid) - n_under))
+    if node.c in grid:
+        row[n_under] = node.c * match.numerator * (lcm // match.denominator)
+    return tuple(row)
 
 
 def _bmnpp_row(node: DemandNode, edge: Edge, grid: PriceGrid) -> tuple:

@@ -83,6 +83,33 @@ class TestPmAccounting:
             stats = pm_accounting(inst, prices)
             assert stats.r_pm + stats.r_pw == evaluate_prices(inst, prices)[0]
 
+    @pytest.mark.parametrize("model", ["mnpp", BMNPP])
+    def test_each_part_is_its_exact_sum_rounded_once(self, model):
+        # Under MNPP the parts add up to the evaluated revenue exactly;
+        # under BMNPP each part is the exact sum of its float entries,
+        # rounded to a float once.
+        for seed in range(10):
+            inst = generate(
+                GenParams(model=model, n_outlets=5, n_demands=15, density=0.5, seed=seed)
+            )
+            table = revenue_table(inst, model)
+            for algorithm in ("greedy", "fi", "orderI"):
+                prices = run_algorithm(inst, algorithm).prices
+                stats = pm_accounting(inst, prices)
+                revenue, assignment, labels = evaluate_prices(inst, prices)
+                parts = {"PM": [], "PW": []}
+                for e, f in assignment.items():
+                    parts[labels[e]].append(
+                        table[(e, f)][inst.grid.index_of(prices[f])]
+                    )
+                if model == BMNPP:
+                    assert stats.r_pm == float(sum(Fraction(v) for v in parts["PM"]))
+                    assert stats.r_pw == float(sum(Fraction(v) for v in parts["PW"]))
+                else:
+                    assert stats.r_pm == sum(parts["PM"])
+                    assert stats.r_pw == sum(parts["PW"])
+                    assert stats.r_pm + stats.r_pw == revenue
+
 
 class TestCrossModelGap:
     def test_nonnegative_on_twin_prices(self):

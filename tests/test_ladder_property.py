@@ -9,15 +9,20 @@ of the same programme run on the public table's entries as Fractions.
 The searches that share prefix states (best_insertion, greedy_select,
 ladder_exact) must give exactly what allocate + dp_prices from scratch on
 every trial ladder gives; ladder_exact's completion bound must equal the
-best completion of every prefix, under both models. The stage memo those
-searches share on an instance's revenue table must not change any result:
-a search on a cold table and on one warmed by the other searches gives the
-same numbers, and a memoised stage row equals its from-scratch sum.
+best completion of every prefix, under both models. The insertion runs
+(full_insertion, insertion_with_order) keep one prefix trie for all their
+best_insertion calls: they must place every outlet where a from-scratch
+scan does, and an fi run fills one stage per distinct prefix it pushes,
+a trie hit filling none. The stage memo the searches share on an
+instance's revenue table must not change any result: a search on a cold
+table and on one warmed by the other searches gives the same numbers, and
+a memoised stage row equals its from-scratch sum.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from unittest.mock import patch
 
 import pytest
 
@@ -28,6 +33,7 @@ from hypothesis import strategies as st
 
 from netpricing import (
     BMNPP,
+    DP_CALLS,
     MNPP,
     DemandNode,
     Edge,
@@ -44,6 +50,7 @@ from netpricing import (
     revenue_table,
     zero_revenue,
 )
+from netpricing import heuristics
 from netpricing.exact import _bound, _completions
 from netpricing.ladder import _Prefixes
 from tests.test_ladder import enumerate_ladder_optimum
@@ -300,7 +307,105 @@ def test_completion_bound_is_the_best_completion(model):
             for f in remaining:
                 walk(prefixes.push(state, f), subset | 1 << f, prefix + (f,))
 
-        walk(prefixes.EMPTY, 0, ())
+        walk(prefixes.root, 0, ())
+
+    check()
+
+
+def scratch_full_insertion(inst, pi):
+    remaining, ladder = sorted(inst.outlets()), ()
+    while remaining:
+        best = None
+        for f in remaining:
+            pos, rev = scratch_insertion(inst, ladder, f, pi)
+            if best is None or rev > best[0]:
+                best = (rev, f, pos)
+        _, f, pos = best
+        ladder = ladder[:pos] + (f,) + ladder[pos:]
+        remaining.remove(f)
+    return ladder
+
+
+def scratch_insertion_with_order(inst, order, pi):
+    ladder = ()
+    for f in order:
+        pos, _ = scratch_insertion(inst, ladder, f, pi)
+        ladder = ladder[:pos] + (f,) + ladder[pos:]
+    return ladder
+
+
+def priced(inst, ladder, pi):
+    prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=pi)
+    by_outlet = [0] * inst.n_outlets
+    for pos, f in enumerate(ladder):
+        by_outlet[f] = prices[pos]
+    return ladder, tuple(by_outlet), revenue
+
+
+@MODELS
+@pytest.mark.parametrize("cap", [None, 150])
+def test_insertion_runs_equal_scratch_dp(model, cap):
+    # A run shares one prefix trie across all its best_insertion calls;
+    # it must place every outlet where a from-scratch scan does.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(insertions(model))
+    def check(case):
+        inst, rest, first = case
+        inst = replace(inst, pi=cap)
+        order = (first,) + rest
+        got = full_insertion(inst, pi=cap)
+        want = priced(inst, scratch_full_insertion(inst, cap), cap)
+        assert (got.ladder, got.prices, got.revenue) == want
+        got = insertion_with_order(inst, order, pi=cap)
+        want = priced(inst, scratch_insertion_with_order(inst, order, cap), cap)
+        assert (got.ladder, got.prices, got.revenue) == want
+
+    check()
+
+
+def pushed_prefixes(ladder, f):
+    """The outlet sequences best_insertion(ladder, f) pushes: the base
+    prefixes, and each slot's new outlet followed by the rest."""
+    ladder = tuple(ladder)
+    seen = {ladder[:j] for j in range(1, len(ladder) + 1)}
+    for j in range(len(ladder) + 1):
+        for k in range(j, len(ladder) + 1):
+            seen.add(ladder[:j] + (f,) + ladder[j:k])
+    return seen
+
+
+@MODELS
+def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
+    # Every best_insertion call of an fi run goes through the module
+    # attribute heuristics.best_insertion, and a prefix the run pushed
+    # before is a trie hit that fills no cells; so the run fills one
+    # stage per distinct prefix, plus the n stages of pricing its ladder.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=5, max_demands=6))
+    def check(inst):
+        calls = []
+        original = heuristics.best_insertion
+
+        def recording(inst, ladder, f, *args, **kwargs):
+            calls.append((tuple(ladder), f))
+            return original(inst, ladder, f, *args, **kwargs)
+
+        DP_CALLS.reset()
+        with patch.object(heuristics, "best_insertion", recording):
+            full_insertion(inst, pi=inst.pi)
+        n = inst.n_outlets
+        assert len(calls) == n * (n + 1) // 2
+        distinct = set().union(*(pushed_prefixes(ladder, f) for ladder, f in calls))
+        assert DP_CALLS.cells == (len(distinct) + n) * _Prefixes(inst, inst.pi).cells
+
+        # A second identical call on the same trie is all hits.
+        prefixes = _Prefixes(inst, inst.pi)
+        ladder = tuple(range(n - 1))
+        first = best_insertion(inst, ladder, n - 1, pi=inst.pi, _prefixes=prefixes)
+        DP_CALLS.reset()
+        again = best_insertion(inst, ladder, n - 1, pi=inst.pi, _prefixes=prefixes)
+        assert again == first
+        assert DP_CALLS.cells == 0
 
     check()
 

@@ -31,7 +31,7 @@ from netpricing import (
     zero_revenue,
 )
 from netpricing.model import demand_bmnpp, demand_mnpp
-from netpricing.money import MONEY_SCALE
+from netpricing.money import MONEY_SCALE, money_unit
 from tests.conftest import two_node_instance
 
 
@@ -270,6 +270,62 @@ def test_revenue_table_integer_image():
         assert all(isinstance(v, float) for v in row)
         for m, v in enumerate(row):
             assert Fraction(logit.ints[key][m], logit.scale) == Fraction(v)
+
+
+def test_mnpp_revenue_table_is_price_times_demand():
+    # The MNPP image is built from integers alone and the Fraction rows
+    # from the image; every entry must still be price times demand_mnpp.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    odd = st.sampled_from(
+        [Fraction(1, 3), Fraction(2, 7), Fraction(4, 9), Fraction(5, 11), Fraction(1, 2)]
+    )
+
+    @st.composite
+    def instances(draw):
+        step = draw(st.sampled_from([7, 25, 50, 100]))
+        start = draw(st.sampled_from([0, step]))
+        grid = PriceGrid(
+            tuple(start + step * k for k in range(draw(st.integers(1, 8))))
+        )
+        demands = []
+        for e in range(draw(st.integers(1, 4))):
+            # Node 0's competitor sits on the grid floor: no undercut entries.
+            c = grid.min if e == 0 else draw(st.sampled_from(grid.prices))
+            beta = draw(odd)
+            gamma = beta + (1 - beta) * draw(odd | st.just(Fraction(1)))
+            d = Fraction(draw(st.integers(1, 500)), draw(st.integers(1, 21)))
+            demands.append(DemandNode(id=e, c=c, c_bar=0, d=d, beta=beta, gamma=gamma))
+        n_outlets = draw(st.integers(1, 3))
+        pairs = draw(
+            st.sets(
+                st.tuples(st.integers(0, len(demands) - 1), st.integers(0, n_outlets - 1))
+            )
+        )
+        edges = tuple(Edge(e, f) for e, f in sorted(pairs | {(0, 0)}))
+        return Instance(n_outlets, tuple(demands), edges, grid, model=MNPP)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances())
+    def check(inst):
+        table = revenue_table(inst, MNPP)
+        assert set(table) == set(table.ints) == {(edge.e, edge.f) for edge in inst.edges}
+        for (e, f), row in table.items():
+            node = inst.demands[e]
+            assert row == tuple(
+                money_unit(price) * demand_mnpp(node, price, inst.grid)
+                for price in inst.grid.prices
+            )
+            assert all(type(v) is Fraction for v in row)
+            assert table.ints[(e, f)] == tuple(v * table.scale for v in row)
+        floor_row = table[(0, 0)]
+        node = inst.demands[0]
+        assert floor_row[0] == money_unit(node.c) * node.d * node.beta
+        assert not any(floor_row[1:])
+
+    check()
 
 
 def test_bmnpp_revenue_table_is_price_times_demand():
