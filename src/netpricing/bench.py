@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -186,7 +185,6 @@ _CONFIG_KEYS = (
     "exact",
     "time_limit",
     "solver_cmd",
-    "solver_time_limit",
     "record_times",
     "pi",
 )
@@ -206,6 +204,14 @@ def load_config(path) -> dict:
     return config
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]]:
     spec = config.get("instances")
     if not isinstance(spec, dict):
@@ -213,6 +219,9 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
     for key in spec:
         if key not in ("files", "generate"):
             raise ConfigError(f"instances: unknown field {key!r}")
+    for key in ("files", "generate"):
+        if not isinstance(spec.get(key, []), list):
+            raise ConfigError(f"instances: {key!r} must be a list")
     out: list[tuple[str, Instance]] = []
     for entry in spec.get("files", []):
         path = Path(entry)
@@ -240,6 +249,13 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
             if key not in allowed:
                 raise ConfigError(f"instances.generate: unknown field {key!r}")
         seeds = block.get("seeds", [0])
+        if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
+            raise ConfigError("instances.generate: 'seeds' must be a list of integers")
+        for key in ("outlets", "demands"):
+            if key in block and not _is_int(block[key]):
+                raise ConfigError(f"instances.generate: {key!r} must be an integer")
+        if "density" in block and not _is_number(block["density"]):
+            raise ConfigError("instances.generate: 'density' must be a number")
         for seed in seeds:
             params = GenParams(
                 model=block.get("model", "mnpp"),
@@ -266,7 +282,6 @@ def _run_one(
     algorithm: str,
     solver_cmd: Optional[str],
     time_limit: Optional[float],
-    solver_time_limit: Optional[float],
 ) -> dict:
     """One (instance, algorithm) execution; returns plain fields."""
     import time as _time
@@ -285,9 +300,7 @@ def _run_one(
             adapter = resolve_adapter(solver_cmd)
             if adapter is None:
                 raise SolverUnavailable("mip algorithms need a solver adapter")
-            outcome, prices = solve_ip(
-                inst, algorithm, adapter, time_limit=solver_time_limit or time_limit
-            )
+            outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
             wall = _time.perf_counter() - t0
             if outcome.status == OPTIMAL:
                 status = STATUS_OK
@@ -306,13 +319,7 @@ def _run_one(
                 "wall_time": wall,
             }
         adapter = resolve_adapter(solver_cmd)
-        result = run_algorithm(
-            inst,
-            algorithm,
-            time_limit=time_limit,
-            adapter=adapter,
-            solver_time_limit=solver_time_limit,
-        )
+        result = run_algorithm(inst, algorithm, time_limit=time_limit, adapter=adapter)
         return {
             "status": STATUS_OK,
             "revenue": result.revenue,
@@ -338,7 +345,6 @@ def _run_instance(
     exact_method: Optional[str],
     solver_cmd: Optional[str],
     time_limit: Optional[float],
-    solver_time_limit: Optional[float],
 ) -> list[RunRecord]:
     """Runs, reference scores and PM accounting of one instance.
 
@@ -348,10 +354,7 @@ def _run_instance(
     size; revenue_table need keep only a few tables. The sp reference is
     the sp run's revenue when that run succeeded.
     """
-    runs = [
-        (alg, _run_one(inst, alg, solver_cmd, time_limit, solver_time_limit))
-        for alg in algorithms
-    ]
+    runs = [(alg, _run_one(inst, alg, solver_cmd, time_limit)) for alg in algorithms]
     # A successful sp run has computed the sp reference already.
     sp = [
         fields["revenue"] for alg, fields in runs if alg == "sp" and fields["status"] == STATUS_OK
@@ -409,7 +412,15 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     exact_method = config.get("exact")
     if exact_method not in (None, "ladder", "brute"):
         raise ConfigError("config 'exact' must be 'ladder', 'brute', or null")
-    record_times = bool(config.get("record_times", False))
+    record_times = config.get("record_times", False)
+    if not isinstance(record_times, bool):
+        raise ConfigError("config 'record_times' must be true or false")
+    solver_cmd = config.get("solver_cmd")
+    if solver_cmd is not None and not isinstance(solver_cmd, str):
+        raise ConfigError("config 'solver_cmd' must be a string or null")
+    time_limit = config.get("time_limit")
+    if time_limit is not None and not (_is_number(time_limit) and time_limit >= 0):
+        raise ConfigError("config 'time_limit' must be a non-negative number or null")
     try:
         pi = None if config.get("pi") is None else parse_money(config["pi"])
     except MoneyError as exc:
@@ -420,19 +431,14 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         # One cap for the references and every run on an instance.
         instances = [(iid, replace(inst, pi=pi)) for iid, inst in instances]
     tasks = [
-        (
-            iid,
-            inst,
-            algorithms,
-            exact_method,
-            config.get("solver_cmd"),
-            config.get("time_limit"),
-            config.get("solver_time_limit"),
-        )
+        (iid, inst, algorithms, exact_method, solver_cmd, time_limit)
         for iid, inst in instances
     ]
     # Instances are handled one at a time, in config order.
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: multiprocessing is slow to load and only --jobs uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_instance = list(pool.map(_pool_task, tasks))
     else:

@@ -177,8 +177,6 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
 
 def _bound(maxima, rest_of_subset):
     """Best raw revenue of any completion of a prefix state's maxima."""
-    if maxima is None:
-        return max(window[0] for window in rest_of_subset)
     return max(
         max(map(add, before, after))
         for before, after in zip(maxima, rest_of_subset)

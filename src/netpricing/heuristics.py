@@ -313,7 +313,6 @@ def run_algorithm(
     algorithm: str,
     time_limit: Optional[float] = None,
     adapter=None,
-    solver_time_limit: Optional[float] = None,
 ) -> HeuristicResult:
     """Run one named heuristic and return its result.
 
@@ -352,9 +351,7 @@ def run_algorithm(
     else:
         from .mip import relax_order
 
-        order = relax_order(
-            inst, selector, adapter=adapter, time_limit=solver_time_limit
-        )
+        order = relax_order(inst, selector, adapter=adapter)
     return insertion_with_order(
         inst, order, pi=pi, deadline=deadline, algorithm=algorithm
     )

@@ -14,6 +14,11 @@ programme over (ladder position, grid index):
 where rev_k(m) is the revenue position k earns from its assigned nodes at
 grid price m. The inner maximum is a prefix maximum carried incrementally,
 so one pass costs O(positions * |grid|) plus the revenue table lookups.
+One stage step, _advance, turns the prefix maxima after k-1 stages into
+those after k, starting from all zeros; pricing and the prefix searches
+below both run it. dp_prices keeps the chain of prefix maxima and walks
+back through it, taking at every stage the highest grid index that
+attains the maximum the next stage continues from.
 
 A finite spread cap pi restricts max(price) - min(price). The programme is
 then repeated once per candidate floor index, restricting the grid to the
@@ -37,7 +42,8 @@ heuristic's whole run, say): a prefix pushed again is looked up, not
 recomputed, and fills no cells. A stage's row, the sum of the outlet's
 still-uncovered node rows, depends only on the outlet and those nodes, so
 it is kept in the revenue table's stage memo and summed once per
-instance. A search therefore gets exactly the numbers dp_prices gets.
+instance. A search therefore gets exactly the numbers dp_prices gets,
+from the same stage step.
 """
 
 from __future__ import annotations
@@ -74,22 +80,15 @@ class DpCallCounter:
 DP_CALLS = DpCallCounter()
 
 
-def allocate(
-    inst: Instance, ladder: Sequence[int], n_active: Optional[int] = None
-) -> dict[int, int]:
-    """First-fit assignment of demand nodes to the first n_active outlets.
+def allocate(inst: Instance, ladder: Sequence[int]) -> dict[int, int]:
+    """First-fit assignment of demand nodes to the ladder's outlets.
 
     Returns a map from demand id to the serving outlet. Nodes connected to
-    none of the active outlets stay unassigned.
+    none of the ladder's outlets stay unassigned.
     """
-    if n_active is None:
-        n_active = len(ladder)
-    if n_active > len(ladder):
-        raise ValueError("n_active exceeds ladder length")
     _, n_f, _ = adjacency(inst)
     assignment: dict[int, int] = {}
-    for pos in range(n_active):
-        f = ladder[pos]
+    for f in ladder:
         for e in n_f[f]:
             if e not in assignment:
                 assignment[e] = f
@@ -100,68 +99,60 @@ def dp_prices(
     inst: Instance,
     ladder: Sequence[int],
     assignment: dict[int, int],
-    n_active: Optional[int] = None,
+    *,
     pi: Optional[Money] = None,
 ):
     """Optimal non-decreasing prices for a ladder under a fixed allocation.
 
-    Returns (prices, revenue) with one price per active ladder position.
-    Ties are broken toward the highest price at every position, so an
-    outlet that earns nothing is pushed to the top of its feasible range.
+    Returns (prices, revenue) with one price per ladder position. Ties are
+    broken toward the highest price at every position, so an outlet that
+    earns nothing is pushed to the top of its feasible range.
     """
     DP_CALLS.count += 1
-    if n_active is None:
-        n_active = len(ladder)
-    if n_active > len(ladder):
-        raise ValueError("n_active exceeds ladder length")
     table = revenue_table(inst, inst.model)
     grid = inst.grid.prices
-    if n_active == 0:
-        return (), table.revenue(0)
-
-    by_position = [[] for _ in range(n_active)]
-    pos_of = {ladder[k]: k for k in range(n_active)}
+    windows = _windows(grid, pi)
+    DP_CALLS.cells += len(ladder) * sum(hi - lo + 1 for lo, hi in windows)
+    by_outlet = {f: [] for f in ladder}
     for e, f in assignment.items():
-        by_position[pos_of[f]].append(e)
-    stage_rev = []
-    for pos in range(n_active):
-        f = ladder[pos]
-        rows = [table.ints[(e, f)] for e in by_position[pos]]
-        if rows:
-            stage_rev.append([sum(column) for column in zip(*rows)])
-        else:
-            stage_rev.append([0] * len(grid))
+        by_outlet[f].append(table.ints[(e, f)])
+    stages = [
+        [sum(column) for column in zip(*by_outlet[f])] if by_outlet[f] else None
+        for f in ladder
+    ]
+    chain = [[[0] * (hi - lo + 1) for lo, hi in windows]]
+    for stage in stages:
+        chain.append(_advance(windows, stage, chain[-1]))
+    # The first window attaining the best value wins; walking back, each
+    # stage takes the highest grid index attaining the maximum the stage
+    # after it continues from.
+    finals = [maxima[-1] for maxima in chain[-1]]
+    w = finals.index(max(finals))
+    lo, hi = windows[w]
+    target, m = finals[w], hi - lo
+    indices = [0] * len(ladder)
+    for pos in range(len(ladder) - 1, -1, -1):
+        stage, before = stages[pos], chain[pos][w]
+        while (stage[lo + m] if stage else 0) + before[m] != target:
+            m -= 1
+        indices[pos] = lo + m
+        target = before[m]
+    return tuple(grid[m] for m in indices), table.revenue(finals[w])
 
-    def run_window(lo: int, hi: int):
-        # Forward pass: each stage adds its revenue to the prefix maximum
-        # of the stage before. The backward pass takes, at every stage,
-        # the highest grid index attaining the maximum it continues from.
-        DP_CALLS.cells += n_active * (hi - lo + 1)
-        values = [stage_rev[0][lo : hi + 1]]
-        prefix_best = []
-        for pos in range(1, n_active):
-            prefix_best.append(list(accumulate(values[-1], max)))
-            values.append(
-                [r + b for r, b in zip(stage_rev[pos][lo : hi + 1], prefix_best[-1])]
-            )
-        best = max(values[-1])
-        target, m = best, hi - lo
-        indices = [0] * n_active
-        for pos in range(n_active - 1, -1, -1):
-            value = values[pos]
-            while value[m] != target:
-                m -= 1
-            indices[pos] = lo + m
-            if pos:
-                target = prefix_best[pos - 1][m]
-        return best, indices
 
-    best_rev, best_idx = None, None
-    for lo, hi in _windows(grid, pi):
-        rev, idx = run_window(lo, hi)
-        if best_rev is None or rev > best_rev:
-            best_rev, best_idx = rev, idx
-    return tuple(grid[m] for m in best_idx), table.revenue(best_rev)
+def _advance(windows, stage, before):
+    """Per-window prefix maxima after one more stage.
+
+    before holds the prefix maxima of the stages so far, one list per
+    (lo, hi) window; stage is the new stage's row over the whole grid, or
+    None when it earns nothing, which adds zero to every prefix maximum.
+    """
+    if stage is None:
+        return before
+    return [
+        list(accumulate(map(add, stage[lo : hi + 1], maxima), max))
+        for (lo, hi), maxima in zip(windows, before)
+    ]
 
 
 def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
@@ -186,11 +177,10 @@ class _Prefixes:
     """A trie of prefix states of the ladder programme on one instance and cap.
 
     A state is (covered nodes as a bitmask, prefix maxima of the last
-    stage per window, children by outlet); the maxima are None while no
-    stage has earned anything, which stands for all zeros. root is the
-    empty prefix. push returns the stored child when the trie has it, so
-    one object serves one search, such as an insertion run, and dies with
-    it; it is never kept on the cached revenue table. push and value work
+    stage per window, children by outlet); root is the empty prefix, whose
+    maxima are all zero. push returns the stored child when the trie has
+    it, so one object serves one search, such as an insertion run, and
+    dies with it; it is never kept on the cached revenue table. push and value work
     on the table's integer image; revenue turns a raw value into the
     public number type. Stage rows come from the revenue table's memo
     (RevenueTable.stages), which every search on the instance shares.
@@ -209,7 +199,7 @@ class _Prefixes:
         self.n_f = adjacency(inst)[1]
         self.windows = _windows(inst.grid.prices, pi)
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
-        self.root = (0, None, {})
+        self.root = (0, [[0] * (hi - lo + 1) for lo, hi in self.windows], {})
 
     def stage(self, covered: int, f: int):
         """Outlet f's nodes outside covered, as a bitmask, and their summed row.
@@ -235,24 +225,9 @@ class _Prefixes:
             return child
         DP_CALLS.cells += self.cells
         new, stage = self.stage(covered, f)
-        # An empty stage adds zero to every prefix maximum.
-        if stage is not None:
-            if maxima is None:
-                maxima = [
-                    list(accumulate(stage[lo : hi + 1], max))
-                    for lo, hi in self.windows
-                ]
-            else:
-                maxima = [
-                    list(accumulate(map(add, stage[lo : hi + 1], before), max))
-                    for (lo, hi), before in zip(self.windows, maxima)
-                ]
-        child = children[f] = (covered | new, maxima, {})
+        child = children[f] = (covered | new, _advance(self.windows, stage, maxima), {})
         return child
 
     def value(self, state):
         """Best raw revenue of any pricing of the prefix."""
-        maxima = state[1]
-        if maxima is None:
-            return 0
-        return max(window[-1] for window in maxima)
+        return max(window[-1] for window in state[1])

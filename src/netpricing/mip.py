@@ -785,15 +785,15 @@ def relax_order(
     inst: Instance,
     which: str,
     adapter: Optional[SolverAdapter],
-    time_limit: Optional[float] = None,
 ) -> tuple[int, ...]:
     """Selection order from a relaxation's fractional prices.
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
-    price, i.e. the level-weighted sum). Requires a solver adapter.
+    price, i.e. the level-weighted sum). Requires a solver adapter. The
+    relaxation is solved without a time limit.
     """
     model = relax(build_model(inst, which))
-    outcome = solve_external(model, adapter, time_limit=time_limit)
+    outcome = solve_external(model, adapter)
     if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT) or not outcome.values:
         raise SolverUnavailable(
             f"relaxation solve failed: {outcome.status} {outcome.message}".strip()

@@ -104,7 +104,7 @@ def test_c2_dp_matches_exhaustive_enumeration():
             if edge.f in active and edge.e not in assignment and rng.random() < 0.8:
                 assignment[edge.e] = edge.f
         pi = None if i % 3 else 200
-        _, rev_dp = dp_prices(inst, ladder, assignment, n_active=n_active, pi=pi)
+        _, rev_dp = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
         rev_ref = enumerate_ladder_optimum(inst, ladder[:n_active], assignment, pi=pi)
         assert rev_dp == rev_ref, f"pair {i}: {rev_dp} != {rev_ref}"
 

@@ -202,7 +202,7 @@ class TestLoadConfig:
             load_config(path)
         assert "surprise" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["sp_include_match", "order_prefer_max"])
+    @pytest.mark.parametrize("key", ["sp_include_match", "order_prefer_max", "solver_time_limit"])
     def test_rejects_removed_variant_keys(self, tmp_path, key):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"algorithms": ["sp"], key: True}))

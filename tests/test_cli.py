@@ -198,6 +198,36 @@ class TestBenchAndReport:
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         assert "order_prefer_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("generate", "seeds", 3),
+            ("generate", "seeds", ["a"]),
+            ("generate", "outlets", "5"),
+            ("generate", "outlets", True),
+            ("generate", "density", "0.5"),
+            ("config", "time_limit", "x"),
+            ("config", "time_limit", -1),
+            ("config", "record_times", "x"),
+            ("config", "solver_cmd", 5),
+            ("instances", "files", 5),
+            ("instances", "generate", 5),
+        ],
+    )
+    def test_bench_malformed_value_exits_3(self, tmp_path, capsys, where, key, value):
+        config = json.loads(self.write_config(tmp_path).read_text())
+        target = {
+            "config": config,
+            "instances": config["instances"],
+            "generate": config["instances"]["generate"][0],
+        }[where]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
     def test_reference_too_large_is_skipped_not_fatal(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)
         config = tmp_path / "config.json"

@@ -16,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 from netpricing import (
+    BMNPP,
     DP_CALLS,
+    MNPP,
     GenParams,
     allocate,
     dp_prices,
@@ -26,6 +28,7 @@ from netpricing import (
     revenue_table,
     zero_revenue,
 )
+from netpricing.ladder import _Prefixes
 
 
 def enumerate_ladder_optimum(inst, ladder, assignment, pi=None, model=None):
@@ -58,14 +61,11 @@ class TestAllocate:
         assert allocate(tiny_connected, (1, 0)) == {0: 1, 1: 1}
 
     def test_prefix_only(self, tiny_connected):
-        assert allocate(tiny_connected, (1, 0), n_active=1) == {0: 1, 1: 1}
+        ladder = (1, 0)
+        assert allocate(tiny_connected, ladder[:1]) == {0: 1, 1: 1}
 
     def test_uncovered_nodes_stay_out(self, tiny_disjoint):
         assert allocate(tiny_disjoint, (0,)) == {0: 0}
-
-    def test_n_active_bounds(self, tiny_disjoint):
-        with pytest.raises(ValueError):
-            allocate(tiny_disjoint, (0,), n_active=2)
 
 
 class TestDpPrices:
@@ -80,10 +80,16 @@ class TestDpPrices:
         assert prices == (900,)
         assert revenue == Fraction(900)
 
-    def test_empty_ladder(self, tiny_disjoint):
-        prices, revenue = dp_prices(tiny_disjoint, (), {})
+    @pytest.mark.parametrize("pi", [None, 0, 100])
+    @pytest.mark.parametrize("model", [MNPP, BMNPP])
+    def test_empty_ladder(self, tiny_disjoint, model, pi):
+        inst = replace(tiny_disjoint, model=model, pi=pi)
+        prices, revenue = dp_prices(inst, (), {}, pi=pi)
         assert prices == ()
-        assert revenue == Fraction(0)
+        assert revenue == 0
+        assert type(revenue) is type(zero_revenue(model))
+        prefixes = _Prefixes(inst, pi)
+        assert prefixes.value(prefixes.root) == 0
 
     def test_prices_non_decreasing(self, tiny_connected):
         ladder = (0, 1)

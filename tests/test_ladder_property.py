@@ -158,7 +158,7 @@ def cases(draw, model):
     n_active = draw(st.integers(1, inst.n_outlets))
     assignment = {
         e: f
-        for e, f in allocate(inst, ladder, n_active).items()
+        for e, f in allocate(inst, ladder[:n_active]).items()
         if draw(st.booleans())
     }
     return inst, ladder, assignment, n_active, inst.pi
@@ -168,7 +168,7 @@ def cases(draw, model):
 @given(cases(MNPP))
 def test_integer_dp_is_exact_on_mnpp(case):
     inst, ladder, assignment, n_active, pi = case
-    prices, revenue = dp_prices(inst, ladder, assignment, n_active=n_active, pi=pi)
+    prices, revenue = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
     assert isinstance(revenue, Fraction)
     assert revenue == enumerate_ladder_optimum(
         inst, ladder[:n_active], assignment, pi=pi
@@ -180,7 +180,7 @@ def test_integer_dp_is_exact_on_mnpp(case):
 @given(cases(BMNPP))
 def test_dp_on_bmnpp_matches_the_float_table(case):
     inst, ladder, assignment, n_active, pi = case
-    prices, revenue = dp_prices(inst, ladder, assignment, n_active=n_active, pi=pi)
+    prices, revenue = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
     want_prices, want_revenue = table_dp(inst, ladder, assignment, n_active, pi)
     assert isinstance(revenue, float)
     assert revenue == want_revenue

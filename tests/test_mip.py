@@ -506,9 +506,10 @@ def test_overlapping_builtin_solves_restore_stdout(tiny_disjoint, solver):
 def test_import_does_not_load_scipy():
     out = run_python(
         "import sys, netpricing, netpricing.cli; "
-        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+        "print('scipy' in sys.modules, 'numpy' in sys.modules, "
+        "'multiprocessing' in sys.modules)"
     )
-    assert out == "False False\n"
+    assert out == "False False False\n"
 
 
 class TestSolveIp:
