@@ -224,6 +224,8 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
             raise ConfigError(f"instances: {key!r} must be a list")
     out: list[tuple[str, Instance]] = []
     for entry in spec.get("files", []):
+        if not isinstance(entry, str):
+            raise ConfigError("instances: 'files' entries must be strings")
         path = Path(entry)
         if not path.is_absolute():
             path = base_dir / path
@@ -348,11 +350,11 @@ def _run_instance(
 ) -> list[RunRecord]:
     """Runs, reference scores and PM accounting of one instance.
 
-    All the work on one instance happens together, so its revenue table,
+    All the work on one instance happens together: its revenue table,
     with the stage memo that the reference and every ladder heuristic
-    share, is built once and stays cached while it is in use, at any suite
-    size; revenue_table need keep only a few tables. The sp reference is
-    the sp run's revenue when that run succeeded.
+    share, is built once and kept on the instance, and run_suite lets the
+    instance go when its records are made. The sp reference is the sp
+    run's revenue when that run succeeded.
     """
     runs = [(alg, _run_one(inst, alg, solver_cmd, time_limit)) for alg in algorithms]
     # A successful sp run has computed the sp reference already.
@@ -402,7 +404,11 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-    suite_id = str(config.get("suite_id", "suite"))
+    suite_id = config.get("suite_id", "suite")
+    if not isinstance(suite_id, str) or suite_id in ("", ".", "..") or (
+        {"/", "\\"} & set(suite_id)
+    ):
+        raise ConfigError("config 'suite_id' must name a file in the output directory")
     algorithms = config.get("algorithms")
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("config needs a non-empty 'algorithms' list")
@@ -426,13 +432,11 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     except MoneyError as exc:
         raise ConfigError(f"config 'pi': {exc}") from exc
 
-    instances = _config_instances(config, base_dir)
-    if pi is not None:
-        # One cap for the references and every run on an instance.
-        instances = [(iid, replace(inst, pi=pi)) for iid, inst in instances]
+    # A config cap is one cap for the references and every run on an instance.
+    shared = (algorithms, exact_method, solver_cmd, time_limit)
     tasks = [
-        (iid, inst, algorithms, exact_method, solver_cmd, time_limit)
-        for iid, inst in instances
+        (iid, inst if pi is None else replace(inst, pi=pi), *shared)
+        for iid, inst in _config_instances(config, base_dir)
     ]
     # Instances are handled one at a time, in config order.
     if jobs > 1 and len(tasks) > 1:
@@ -442,7 +446,10 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_instance = list(pool.map(_pool_task, tasks))
     else:
-        per_instance = [_run_instance(*task) for task in tasks]
+        # Each instance keeps its revenue table, so each task is popped as
+        # it runs: no finished instance stays alive.
+        tasks.reverse()
+        per_instance = [_run_instance(*tasks.pop()) for _ in range(len(tasks))]
     records = [rec for recs in per_instance for rec in recs]
 
     paths = {

@@ -23,7 +23,13 @@ from .bench import (
     run_suite,
     write_summary,
 )
-from .exact import EnumerationTooLarge, TooManyOutlets, brute_force, ladder_exact
+from .exact import (
+    ENUMERATION_LIMIT,
+    EnumerationTooLarge,
+    TooManyOutlets,
+    brute_force,
+    ladder_exact,
+)
 from .heuristics import ALGORITHMS, HeuristicTimeout, run_algorithm
 from .instgen import (
     GenParams,
@@ -246,6 +252,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netpricing",
@@ -280,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--pi", default=None, help="price spread cap; default: the instance's own"
     )
-    solve.add_argument("--time-limit", type=float, default=None)
+    solve.add_argument("--time-limit", type=_seconds, default=None)
     solve.add_argument("--solver-cmd", default=None)
     solve.add_argument("--record-times", action="store_true")
     solve.set_defaults(func=cmd_solve)
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("exact", help="solve an instance exactly")
     ex.add_argument("--in", dest="input", required=True)
     ex.add_argument("--method", choices=("brute", "ladder"), default="brute")
-    ex.add_argument("--limit", type=int, default=5_000_000)
+    ex.add_argument("--limit", type=int, default=ENUMERATION_LIMIT)
     ex.add_argument("--out", default=None)
     ex.set_defaults(func=cmd_exact)
 

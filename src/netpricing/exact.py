@@ -91,6 +91,7 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
             walk(pos + 1, new_lo, new_hi)
 
     walk(0, None, None)
+    del walk  # walk refers to itself: break the cycle, so inst is freed on return
     return best_rev, best_prices
 
 

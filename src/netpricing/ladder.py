@@ -41,8 +41,8 @@ prefix. The states form a trie that lasts one search (an insertion
 heuristic's whole run, say): a prefix pushed again is looked up, not
 recomputed, and fills no cells. A stage's row, the sum of the outlet's
 still-uncovered node rows, depends only on the outlet and those nodes, so
-it is kept in the revenue table's stage memo and summed once per
-instance. A search therefore gets exactly the numbers dp_prices gets,
+it is kept in the stage memo of the instance's revenue table and summed
+once per instance. A search therefore gets exactly the numbers dp_prices gets,
 from the same stage step.
 """
 
@@ -180,10 +180,11 @@ class _Prefixes:
     stage per window, children by outlet); root is the empty prefix, whose
     maxima are all zero. push returns the stored child when the trie has
     it, so one object serves one search, such as an insertion run, and
-    dies with it; it is never kept on the cached revenue table. push and value work
-    on the table's integer image; revenue turns a raw value into the
-    public number type. Stage rows come from the revenue table's memo
-    (RevenueTable.stages), which every search on the instance shares.
+    dies with it; it is never kept on the instance's revenue table. push
+    and value work on the table's integer image; revenue turns a raw
+    value into the public number type. Stage rows come from the revenue
+    table's memo (RevenueTable.stages), which every search on the
+    instance shares.
     """
 
     __slots__ = (

@@ -15,18 +15,18 @@ separate coefficient pairs for the match and undercut regimes.
 All prices are integer minor units (see money.py), so price equality is
 exact. MNPP volumes are Fractions and MNPP revenues are therefore exact.
 BMNPP shares involve exp() and are floats, but every finite float is an
-integer times a power of two, so a BMNPP revenue table has an exact
-integer image too. Revenues are summed on that image and a BMNPP total is
-rounded to a float once, on the way out.
+integer times a power of two, so a revenue table is held under both
+models as one exact integer image. Revenues are summed on that image and
+a BMNPP total is rounded to a float once, on the way out.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .money import MONEY_SCALE, Money, money_str
@@ -201,40 +201,19 @@ class Instance:
     def outlets(self) -> range:
         return range(self.n_outlets)
 
-    def __hash__(self) -> int:
-        # Hashing the fields reaches every Fraction of every node, and the
-        # table caches (adjacency, and revenue_table, whose table also holds
-        # the ladder searches' stage memo) hash their instance on every
-        # lookup, at least once per prefix search, so the hash is computed
-        # once and kept.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = hash(
-                (
-                    self.n_outlets,
-                    self.demands,
-                    self.edges,
-                    self.grid,
-                    self.model,
-                    self.pi,
-                    self.seed,
-                )
-            )
-            object.__setattr__(self, "_hash", value)
-            return value
-
     def __getstate__(self):
-        # str hashes differ between processes, so the kept hash stays out
-        # of pickles and copies.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # What adjacency and revenue_table keep on an instance (its "_"
+        # keys) stays out of pickles and copies; each process builds its own.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
-@lru_cache(maxsize=256)
 def adjacency(inst: Instance):
-    """(outlets per demand node, demand nodes per outlet, edge lookup)."""
+    """(outlets per demand node, demand nodes per outlet, edge lookup),
+    built on first use and kept on the instance like its revenue table."""
+    try:
+        return inst.__dict__["_adjacency"]
+    except KeyError:
+        pass
     o_e = [[] for _ in inst.demands]
     n_f = [[] for _ in range(inst.n_outlets)]
     edge_of = {}
@@ -242,11 +221,9 @@ def adjacency(inst: Instance):
         o_e[edge.e].append(edge.f)
         n_f[edge.f].append(edge.e)
         edge_of[(edge.e, edge.f)] = edge
-    return (
-        tuple(tuple(sorted(fs)) for fs in o_e),
-        tuple(tuple(sorted(es)) for es in n_f),
-        edge_of,
-    )
+    o_e = tuple(tuple(sorted(fs)) for fs in o_e)
+    n_f = tuple(tuple(sorted(es)) for es in n_f)
+    return inst.__dict__.setdefault("_adjacency", (o_e, n_f, edge_of))
 
 
 def logit_share(exponent: float) -> float:
@@ -301,17 +278,19 @@ def demand_at(inst: Instance, e: int, f: int, price: Money):
     return demand_bmnpp(node, edge, price, inst.grid)
 
 
-class RevenueTable(dict):
-    """Per-edge revenue rows, with an exact integer image under both models.
+@dataclass(eq=False, slots=True)
+class RevenueTable:
+    """Per-edge revenue rows of one demand model, as an exact integer image.
 
-    ints[(e, f)][m] == self[(e, f)][m] * scale exactly. Under MNPP, scale
-    is MONEY_SCALE times the least common multiple of the denominators of
-    the nodes' captured volumes d * beta and d * gamma, so every image
-    entry is a price times a volume numerator times an integer factor;
-    under BMNPP it is the power of two 2^k that makes every float entry an
-    integer. revenue(raw) turns a sum of image entries back into the
-    public number type: the exact Fraction under MNPP, the correctly
-    rounded float under BMNPP.
+    ints[(e, f)][m] is price * captured volume with the price at grid
+    index m, times scale, exactly. Under MNPP, scale is MONEY_SCALE times
+    the least common multiple of the denominators of the nodes' captured
+    volumes d * beta and d * gamma, so every entry is a price times a
+    volume numerator times an integer factor; under BMNPP it is the power
+    of two 2^k that makes every float entry an integer. revenue(raw)
+    turns a sum of entries back into the public number type: the exact
+    Fraction under MNPP, the correctly rounded float under BMNPP. One
+    entry's public value is revenue(ints[(e, f)][m]).
 
     The table also keeps per-instance data the ladder searches read:
     masks[f] is outlet f's demand nodes as a bitmask over node ids, and
@@ -321,7 +300,11 @@ class RevenueTable(dict):
     ladder._Prefixes).
     """
 
-    __slots__ = ("model", "scale", "ints", "masks", "stages")
+    model: str
+    scale: int
+    ints: dict
+    masks: tuple
+    stages: dict = field(default_factory=dict)
 
     def revenue(self, raw: int):
         if self.model == MNPP:
@@ -329,77 +312,70 @@ class RevenueTable(dict):
         return raw / self.scale
 
 
-# A table carries its instance's stage memo, which can outgrow the rows,
-# so only a few tables are kept. Callers finish one instance before the
-# next (bench runs every algorithm on an instance in turn), so eight is
-# plenty; 64 tables with their memos raised a benchmark pass's peak RSS.
-@lru_cache(maxsize=8)
-def revenue_table(inst: Instance, model: str) -> RevenueTable:
-    """Per-edge revenue contribution at every grid price.
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+_table_counts = [0, 0]  # hits, misses
 
-    table[(e, f)][m] is price * captured volume with the price at grid
-    index m, as a Fraction for MNPP and a float for BMNPP. An MNPP row
-    depends on its node only, so each node's row and its integer image
-    (see RevenueTable) are built once and shared by the node's edges:
-    the image from integers alone, and the Fraction row from the image.
-    A BMNPP row is built from its own edge's coefficients. The table
-    starts with the outlets' node masks and an empty stage memo, which
-    the ladder searches fill.
+
+def revenue_table(inst: Instance, model: str) -> RevenueTable:
+    """The instance's revenue table under a demand model (see RevenueTable).
+
+    Built on first use and kept in the instance's __dict__, so every run
+    on the instance shares it and its stage memo; setdefault makes threads
+    racing on a first build share one table. revenue_table.cache_info()
+    gives this process's (hits, misses): lookups a kept table answered,
+    and tables built.
     """
+    try:
+        table = inst.__dict__["_tables"][model]
+    except KeyError:
+        _table_counts[1] += 1
+        tables = inst.__dict__.setdefault("_tables", {})
+        return tables.setdefault(model, _build_table(inst, model))
+    _table_counts[0] += 1
+    return table
+
+
+revenue_table.cache_info = lambda: CacheInfo(*_table_counts)
+
+
+def _build_table(inst: Instance, model: str) -> RevenueTable:
+    """An MNPP row depends on its node only, so each node's image is built
+    once, from integers alone, and shared by the node's edges. A BMNPP row
+    is built from its own edge's coefficients and turned into its image."""
     grid = inst.grid
-    table = RevenueTable()
-    masks = [0] * inst.n_outlets
-    for edge in inst.edges:
-        masks[edge.f] |= 1 << edge.e
-    table.model = model
-    table.masks = tuple(masks)
-    table.stages = {}
+    masks = tuple(sum(1 << e for e in es) for es in adjacency(inst)[1])
     if model != MNPP:
-        for edge in inst.edges:
-            table[(edge.e, edge.f)] = _bmnpp_row(inst.demands[edge.e], edge, grid)
         # Each nonzero entry is num / 2^j; under 2^k, the largest j, it
         # is num << (k - j). Shifts stay exact however far apart the
         # entries' exponents lie.
         ratios = {
-            key: [v.as_integer_ratio() for v in row] for key, row in table.items()
+            (edge.e, edge.f): _bmnpp_ratios(inst.demands[edge.e], edge, grid)
+            for edge in inst.edges
         }
         k = max(
             (den.bit_length() - 1 for row in ratios.values() for _, den in row),
             default=0,
         )
-        table.scale = 1 << k
-        table.ints = {
+        ints = {
             key: tuple(num << (k - den.bit_length() + 1) for num, den in row)
             for key, row in ratios.items()
         }
-        return table
-    volumes = {}
-    for edge in inst.edges:
-        if edge.e not in volumes:
-            node = inst.demands[edge.e]
-            volumes[edge.e] = (node.d * node.beta, node.d * node.gamma)
-    lcm = math.lcm(*(v.denominator for pair in volumes.values() for v in pair))
-    scale = table.scale = MONEY_SCALE * lcm
-    zero = Fraction(0)
-    node_rows, node_ints = {}, {}
-    for e, (match, undercut) in volumes.items():
-        ints = node_ints[e] = _mnpp_image(inst.demands[e], match, undercut, lcm, grid)
-        node_rows[e] = tuple(Fraction(v, scale) if v else zero for v in ints)
-    table.ints = {}
-    for edge in inst.edges:
-        key = (edge.e, edge.f)
-        table[key] = node_rows[edge.e]
-        table.ints[key] = node_ints[edge.e]
-    return table
+        return RevenueTable(model, 1 << k, ints, masks)
+    nodes = {edge.e: inst.demands[edge.e] for edge in inst.edges}
+    lcm = math.lcm(
+        *(v.denominator for n in nodes.values() for v in (n.d * n.beta, n.d * n.gamma))
+    )
+    rows = {e: _mnpp_image(node, lcm, grid) for e, node in nodes.items()}
+    ints = {(edge.e, edge.f): rows[edge.e] for edge in inst.edges}
+    return RevenueTable(model, MONEY_SCALE * lcm, ints, masks)
 
 
-def _mnpp_image(
-    node: DemandNode, match: Fraction, undercut: Fraction, lcm: int, grid: PriceGrid
-) -> tuple:
+def _mnpp_image(node: DemandNode, lcm: int, grid: PriceGrid) -> tuple:
     """money_unit(price) * demand_mnpp at every grid price, times
     MONEY_SCALE * lcm: price * num * (lcm // den) for the captured volume
     num / den, which is undercut (d * gamma) at or below the grid price
     just under c, match (d * beta) at c, and nothing elsewhere."""
+    match, undercut = node.d * node.beta, node.d * node.gamma
     below = grid.below_index(node.c)
     n_under = 0 if below is None else below + 1
     per_unit = undercut.numerator * (lcm // undercut.denominator)
@@ -410,9 +386,10 @@ def _mnpp_image(
     return tuple(row)
 
 
-def _bmnpp_row(node: DemandNode, edge: Edge, grid: PriceGrid) -> tuple:
-    """price * demand_bmnpp at every grid price, with the per-edge terms
-    (volume, undercut ceiling, match share) worked out once."""
+def _bmnpp_ratios(node: DemandNode, edge: Edge, grid: PriceGrid) -> list:
+    """price * demand_bmnpp at every grid price, as float.as_integer_ratio()
+    pairs, with the per-edge terms (volume, undercut ceiling, match share)
+    worked out once."""
     d = float(node.d)
     below = price_below(grid, node.c)
     match = d * logit_share(edge.a_bar - edge.b_bar * (node.c / MONEY_SCALE))
@@ -424,8 +401,8 @@ def _bmnpp_row(node: DemandNode, edge: Edge, grid: PriceGrid) -> tuple:
             volume = d * logit_share(edge.a_hat - edge.b_hat * (price / MONEY_SCALE))
         else:
             volume = 0.0
-        row.append((price / MONEY_SCALE) * volume)
-    return tuple(row)
+        row.append(((price / MONEY_SCALE) * volume).as_integer_ratio())
+    return row
 
 
 def zero_revenue(model: str):

@@ -1,6 +1,7 @@
 """Benchmark metrics, accounting, and the suite runner's artifacts."""
 
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from netpricing import (
     save_instance,
     summarise,
 )
+from netpricing import bench
 
 
 class TestGapMetrics:
@@ -100,7 +102,7 @@ class TestPmAccounting:
                 parts = {"PM": [], "PW": []}
                 for e, f in assignment.items():
                     parts[labels[e]].append(
-                        table[(e, f)][inst.grid.index_of(prices[f])]
+                        table.revenue(table.ints[(e, f)][inst.grid.index_of(prices[f])])
                     )
                 if model == BMNPP:
                     assert stats.r_pm == float(sum(Fraction(v) for v in parts["PM"]))
@@ -224,6 +226,24 @@ class TestLoadConfig:
 
 
 class TestRunSuite:
+    def test_serial_suite_frees_each_finished_instance(self, tmp_path, monkeypatch):
+        # An instance keeps its revenue table, so run_suite must let go of
+        # each instance once its records are made.
+        run_instance = bench._run_instance
+        seen = []
+
+        def spy(iid, inst, *rest):
+            assert all(ref() is None for ref in seen)
+            seen.append(weakref.ref(inst))
+            return run_instance(iid, inst, *rest)
+
+        monkeypatch.setattr(bench, "_run_instance", spy)
+        config = suite_config()
+        config["instances"]["generate"][0]["seeds"] = list(range(5))
+        paths = run_suite(config, tmp_path / "out")
+        assert len(records_from_csv(paths["runs"])) == 15
+        assert len(seen) == 5
+
     def test_artifacts_and_statuses(self, tmp_path):
         paths = run_suite(suite_config(), tmp_path / "out")
         records = records_from_csv(paths["runs"])
@@ -251,8 +271,8 @@ class TestRunSuite:
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
 
     def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
-        # 70 instances far outnumber the 8 tables revenue_table keeps; the
-        # bench finishes each instance before the next, so none is rebuilt.
+        # Each of the 70 instances keeps its own table, so every algorithm
+        # and the reference on an instance share one build.
         block = {
             "outlets": 2,
             "demands": 3,
@@ -265,10 +285,10 @@ class TestRunSuite:
             exact="ladder",
             instances={"generate": [block]},
         )
-        revenue_table.cache_clear()
+        before = revenue_table.cache_info().misses
         paths = run_suite(config, tmp_path / "out")
         assert len(records_from_csv(paths["runs"])) == 210
-        assert revenue_table.cache_info().misses == 70
+        assert revenue_table.cache_info().misses - before == 70
 
     def test_config_cap_also_caps_the_reference(self, tmp_path):
         # Generated with a 1.00 cap, run under 10.00: when the reference

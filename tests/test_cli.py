@@ -99,6 +99,12 @@ class TestSolve:
         code = run("solve", "--in", inst, "--alg", "fi", "--time-limit", "0")
         assert code == 5
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "x"])
+    def test_bad_time_limit_exits_2(self, value):
+        with pytest.raises(SystemExit) as err:
+            run("solve", "--in", TINY, "--alg", "fi", "--time-limit", value)
+        assert err.value.code == 2
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run("solve", "--in", TINY, "--alg", "simplex")
@@ -210,7 +216,14 @@ class TestBenchAndReport:
             ("config", "time_limit", -1),
             ("config", "record_times", "x"),
             ("config", "solver_cmd", 5),
+            ("config", "suite_id", "../escaped"),
+            ("config", "suite_id", "a\\b"),
+            ("config", "suite_id", ".."),
+            ("config", "suite_id", "."),
+            ("config", "suite_id", ""),
+            ("config", "suite_id", 7),
             ("instances", "files", 5),
+            ("instances", "files", [5]),
             ("instances", "generate", 5),
         ],
     )
@@ -227,6 +240,8 @@ class TestBenchAndReport:
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+        # No artifact escapes the output directory.
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_reference_too_large_is_skipped_not_fatal(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)

@@ -79,7 +79,10 @@ class TestSinglePrice:
                     war_ok = below is not None and price <= inst.grid.prices[below]
                     if war_ok:
                         rev += Fraction(
-                            max(table[(node.id, f)][m] for f in o_e[node.id])
+                            max(
+                                table.revenue(table.ints[(node.id, f)][m])
+                                for f in o_e[node.id]
+                            )
                         )
                 if best_rev is None or rev > best_rev:
                     best_price, best_rev = price, rev
@@ -228,6 +231,16 @@ class TestRunAlgorithm:
     def test_relaxation_guided_with_builtin(self, tiny_disjoint, solver):
         result = run_algorithm(tiny_disjoint, "ip2I", adapter=solver)
         assert result.revenue == Fraction(1600)
+
+    def test_algorithm_major_sweep_builds_one_table_per_instance(self):
+        # Each algorithm in turn over every instance: the instances keep
+        # their tables, however many there are.
+        instances = [generate(small_grid_params("mnpp", seed)) for seed in range(10)]
+        before = revenue_table.cache_info().misses
+        for algorithm in ("greedyI", "orderI", "fi"):
+            for inst in instances:
+                run_algorithm(inst, algorithm)
+        assert revenue_table.cache_info().misses - before == len(instances)
 
     def test_deadline_zero_raises(self):
         inst = generate(GenParams(n_outlets=6, n_demands=12, density=0.8, seed=3))

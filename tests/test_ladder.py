@@ -49,7 +49,7 @@ def enumerate_ladder_optimum(inst, ladder, assignment, pi=None, model=None):
         rev = zero_revenue(model)
         for k, m in enumerate(combo):
             for e in by_pos[k]:
-                rev += table[(e, ladder[k])][m]
+                rev += table.revenue(table.ints[(e, ladder[k])][m])
         if best is None or rev > best:
             best = rev
     return best
@@ -156,18 +156,19 @@ def test_threads_share_the_stage_memo(model):
     # lock; a race may only sum a row twice, never change a result.
     inst = generate(GenParams(model=model, n_outlets=6, seed=5, pi="10"))
 
-    def both():
+    def both(inst):
         fi = full_insertion(inst, pi=inst.pi)
         return repr((replace(fi, wall_time=0), ladder_exact(inst)))
 
-    revenue_table.cache_clear()
-    serial = both()
-    revenue_table.cache_clear()
+    # Each copy of the instance starts with no table: the threads share
+    # one cold table.
+    serial = both(replace(inst))
+    inst = replace(inst)
     start = threading.Barrier(8)
 
     def task(_):
         start.wait(timeout=60)
-        return both()
+        return both(inst)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -71,7 +71,10 @@ def table_dp(inst, ladder, assignment, n_active, pi):
         by_position[pos_of[f]].append(e)
     stage_rev = [
         [
-            sum(Fraction(table[(e, ladder[pos])][m]) for e in by_position[pos])
+            sum(
+                Fraction(table.revenue(table.ints[(e, ladder[pos])][m]))
+                for e in by_position[pos]
+            )
             for m in range(len(grid))
         ]
         for pos in range(n_active)
@@ -435,16 +438,16 @@ def test_warm_stage_memo_gives_cold_results(model, cap):
     @given(instances(model, max_outlets=4, max_demands=7))
     def check(inst):
         inst = replace(inst, pi=cap)
-        runs = searches(inst)
-        for name, run in runs.items():
-            revenue_table.cache_clear()
-            cold = run()
-            revenue_table.cache_clear()
+        for name in searches(inst):
+            # A copy of the instance starts with no table, so a cold memo.
+            cold = searches(replace(inst))[name]()
+            warm = replace(inst)
+            runs = searches(warm)
             for other in reversed(runs):
                 if other != name:
                     runs[other]()
-            assert revenue_table(inst, model).stages
-            assert run() == cold
+            assert revenue_table(warm, model).stages
+            assert runs[name]() == cold
 
         # Every stage, memoised or not, is the from-scratch column sum of
         # the uncovered nodes' rows in n_f[f] order.

@@ -1,8 +1,9 @@
 """Instance data model, demand functions, and the price-vector evaluator."""
 
+import copy
 import pickle
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,6 @@ from netpricing import (
     demand_at,
     evaluate_prices,
     generate,
-    instance_from_doc,
-    instance_to_doc,
     logit_share,
     price_below,
     revenue_table,
@@ -240,10 +239,11 @@ def test_revenue_table_shape_and_cache(tiny_connected):
     t1 = revenue_table(tiny_connected, MNPP)
     t2 = revenue_table(tiny_connected, MNPP)
     assert t1 is t2
-    assert set(t1) == {(0, 0), (0, 1), (1, 1)}
-    assert len(t1[(0, 0)]) == 26
-    assert t1[(0, 0)][9] == Fraction(900) * 1  # undercut at 9: gamma volume
-    assert t1[(0, 0)][10] == Fraction(500)  # match at 10: beta volume
+    assert set(t1.ints) == {(0, 0), (0, 1), (1, 1)}
+    row = t1.ints[(0, 0)]
+    assert len(row) == 26
+    assert t1.revenue(row[9]) == Fraction(900) * 1  # undercut at 9: gamma volume
+    assert t1.revenue(row[10]) == Fraction(500)  # match at 10: beta volume
 
 
 def test_revenue_table_integer_image():
@@ -256,20 +256,29 @@ def test_revenue_table_integer_image():
         demands=inst.demands + (tiny,),
         edges=inst.edges + (Edge(6, 0, 300.0, 10.0, 300.0, 10.0),),
     )
+    edge_of = adjacency(inst)[2]
     table = revenue_table(inst, MNPP)
-    assert set(table.ints) == set(table)
-    for key, row in table.items():
-        assert all(isinstance(v, Fraction) for v in row)
-        assert table.ints[key] == tuple(v * table.scale for v in row)
-    assert all(table.scale % v.denominator == 0 for row in table.values() for v in row)
+    assert set(table.ints) == set(edge_of)
+    for (e, f), image in table.ints.items():
+        assert all(type(v) is int for v in image)
+        assert tuple(map(table.revenue, image)) == tuple(
+            money_unit(price) * demand_mnpp(inst.demands[e], price, inst.grid)
+            for price in inst.grid.prices
+        )
     logit = revenue_table(inst, BMNPP)
-    assert 0 < min(v for v in logit[(6, 0)] if v) < sys.float_info.min
-    assert set(logit.ints) == set(logit)
+    assert set(logit.ints) == set(edge_of)
     assert logit.scale & (logit.scale - 1) == 0
-    for key, row in logit.items():
-        assert all(isinstance(v, float) for v in row)
-        for m, v in enumerate(row):
-            assert Fraction(logit.ints[key][m], logit.scale) == Fraction(v)
+    for (e, f), image in logit.ints.items():
+        assert all(type(v) is int for v in image)
+        row = tuple(
+            (price / MONEY_SCALE)
+            * demand_bmnpp(inst.demands[e], edge_of[(e, f)], price, inst.grid)
+            for price in inst.grid.prices
+        )
+        assert tuple(Fraction(v, logit.scale) for v in image) == tuple(map(Fraction, row))
+        assert tuple(map(logit.revenue, image)) == row
+    tiny_row = [logit.revenue(v) for v in logit.ints[(6, 0)]]
+    assert 0 < min(v for v in tiny_row if v) < sys.float_info.min
 
 
 def test_mnpp_revenue_table_is_price_times_demand():
@@ -311,16 +320,16 @@ def test_mnpp_revenue_table_is_price_times_demand():
     @given(instances())
     def check(inst):
         table = revenue_table(inst, MNPP)
-        assert set(table) == set(table.ints) == {(edge.e, edge.f) for edge in inst.edges}
-        for (e, f), row in table.items():
+        assert set(table.ints) == {(edge.e, edge.f) for edge in inst.edges}
+        for (e, f), image in table.ints.items():
             node = inst.demands[e]
+            row = tuple(map(table.revenue, image))
             assert row == tuple(
                 money_unit(price) * demand_mnpp(node, price, inst.grid)
                 for price in inst.grid.prices
             )
             assert all(type(v) is Fraction for v in row)
-            assert table.ints[(e, f)] == tuple(v * table.scale for v in row)
-        floor_row = table[(0, 0)]
+        floor_row = tuple(map(table.revenue, table.ints[(0, 0)]))
         node = inst.demands[0]
         assert floor_row[0] == money_unit(node.c) * node.d * node.beta
         assert not any(floor_row[1:])
@@ -329,29 +338,35 @@ def test_mnpp_revenue_table_is_price_times_demand():
 
 
 def test_bmnpp_revenue_table_is_price_times_demand():
-    # The table builds each logit row with its per-edge terms hoisted; it
-    # must give the same floats as demand_bmnpp price by price.
+    # The table builds each logit row with its per-edge terms hoisted; its
+    # image must give the same floats as demand_bmnpp price by price.
     for seed in range(5):
         inst = generate(GenParams(model=BMNPP, n_outlets=3, n_demands=8, seed=seed))
         edge_of = adjacency(inst)[2]
-        for (e, f), row in revenue_table(inst, BMNPP).items():
+        table = revenue_table(inst, BMNPP)
+        for (e, f), image in table.ints.items():
             node = inst.demands[e]
-            assert row == tuple(
+            assert tuple(map(table.revenue, image)) == tuple(
                 (price / MONEY_SCALE) * demand_bmnpp(node, edge_of[(e, f)], price, inst.grid)
                 for price in inst.grid.prices
             )
 
 
-def test_instance_hash_is_kept_but_never_pickled():
+def test_kept_tables_are_never_pickled():
     inst = generate(GenParams(model=BMNPP, n_outlets=3, n_demands=6, seed=9))
-    first = hash(inst)
-    assert hash(inst) == first
+    table = revenue_table(inst, BMNPP)
+    o_e = adjacency(inst)[0]
+    names = {field.name for field in fields(Instance)}
     restored = pickle.loads(pickle.dumps(inst))
-    assert "_hash" not in restored.__dict__
+    assert set(restored.__dict__) == names
+    assert set(copy.copy(inst).__dict__) == names
     assert restored == inst
-    rebuilt = instance_from_doc(instance_to_doc(inst))
-    assert rebuilt == inst
-    assert hash(rebuilt) == hash(restored) == first
+    assert hash(restored) == hash(inst)
+    # An unpickled instance builds its own, equal, table and adjacency.
+    again = revenue_table(restored, BMNPP)
+    assert again is not table
+    assert (again.scale, again.ints, again.masks) == (table.scale, table.ints, table.masks)
+    assert adjacency(restored)[0] == o_e
 
 
 class TestValidatePrices:
