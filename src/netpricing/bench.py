@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -27,6 +28,14 @@ from typing import Optional
 from . import exact as exact_mod
 from .heuristics import ALGORITHMS, HeuristicTimeout, run_algorithm, single_price
 from .instgen import GenParams, generate, instance_label, load_instance
+from .mip import (
+    FEASIBLE_TIMEOUT,
+    OPTIMAL,
+    SolverAdapter,
+    SolverUnavailable,
+    resolve_adapter,
+    solve_ip,
+)
 from .model import (
     BMNPP,
     PM,
@@ -36,7 +45,7 @@ from .model import (
     revenue_table,
     zero_revenue,
 )
-from .money import Money, MoneyError, money_str, number_str, parse_money
+from .money import Money, MoneyError, money_str, number_str, parse_fraction, parse_money
 
 RUNS_SCHEMA = "netpricing-runs-v1"
 LONG_SCHEMA = "netpricing-long-v1"
@@ -194,7 +203,7 @@ def load_config(path) -> dict:
     path = Path(path)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -279,65 +288,48 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
     return out
 
 
-def _run_one(
+def run_one(
     inst: Instance,
     algorithm: str,
-    solver_cmd: Optional[str],
+    adapter: Optional[SolverAdapter],
     time_limit: Optional[float],
 ) -> dict:
-    """One (instance, algorithm) execution; returns plain fields."""
-    import time as _time
+    """One (instance, algorithm) execution, as plain fields.
 
-    from .mip import (
-        FEASIBLE_TIMEOUT,
-        OPTIMAL,
-        SolverUnavailable,
-        resolve_adapter,
-        solve_ip,
-    )
-
-    t0 = _time.perf_counter()
+    ip1 and ip2 go to the solver, every other name to run_algorithm. The
+    fields are status ("ok", "timeout" or "error"), revenue, prices,
+    ladder, wall_time and message. A solver status other than optimal or
+    feasible-timeout is an error run and a HeuristicTimeout a timeout run;
+    every other failure, SolverUnavailable included, is raised.
+    """
+    t0 = time.perf_counter()
+    run = {"revenue": None, "prices": None, "ladder": None, "message": ""}
+    if algorithm in MIP_ALGORITHMS:
+        outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
+        run["wall_time"] = time.perf_counter() - t0
+        if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT):
+            run.update(status=STATUS_ERROR, message=f"{outcome.status}: {outcome.message}")
+            return run
+        status = STATUS_OK if outcome.status == OPTIMAL else STATUS_TIMEOUT
+        run.update(
+            status=status, revenue=outcome.objective, prices=prices, message=outcome.message
+        )
+        return run
     try:
-        if algorithm in MIP_ALGORITHMS:
-            adapter = resolve_adapter(solver_cmd)
-            if adapter is None:
-                raise SolverUnavailable("mip algorithms need a solver adapter")
-            outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
-            wall = _time.perf_counter() - t0
-            if outcome.status == OPTIMAL:
-                status = STATUS_OK
-            elif outcome.status == FEASIBLE_TIMEOUT:
-                status = STATUS_TIMEOUT
-            else:
-                return {
-                    "status": STATUS_ERROR,
-                    "message": f"{outcome.status}: {outcome.message}",
-                    "wall_time": wall,
-                }
-            return {
-                "status": status,
-                "revenue": outcome.objective,
-                "prices": prices,
-                "wall_time": wall,
-            }
-        adapter = resolve_adapter(solver_cmd)
         result = run_algorithm(inst, algorithm, time_limit=time_limit, adapter=adapter)
-        return {
-            "status": STATUS_OK,
-            "revenue": result.revenue,
-            "prices": result.prices,
-            "wall_time": result.wall_time,
-        }
     except HeuristicTimeout as exc:
-        return {
-            "status": STATUS_TIMEOUT,
-            "message": str(exc),
-            "wall_time": _time.perf_counter() - t0,
-        }
-    except SolverUnavailable as exc:
-        return {"status": STATUS_UNAVAILABLE, "message": str(exc)}
-    except Exception as exc:  # isolate per-run failures
-        return {"status": STATUS_ERROR, "message": f"{type(exc).__name__}: {exc}"}
+        run.update(
+            status=STATUS_TIMEOUT, message=str(exc), wall_time=time.perf_counter() - t0
+        )
+        return run
+    run.update(
+        status=STATUS_OK,
+        revenue=result.revenue,
+        prices=result.prices,
+        ladder=result.ladder,
+        wall_time=result.wall_time,
+    )
+    return run
 
 
 def _run_instance(
@@ -345,7 +337,7 @@ def _run_instance(
     inst: Instance,
     algorithms: list[str],
     exact_method: Optional[str],
-    solver_cmd: Optional[str],
+    adapter: Optional[SolverAdapter],
     time_limit: Optional[float],
 ) -> list[RunRecord]:
     """Runs, reference scores and PM accounting of one instance.
@@ -353,10 +345,19 @@ def _run_instance(
     All the work on one instance happens together: its revenue table,
     with the stage memo that the reference and every ladder heuristic
     share, is built once and kept on the instance, and run_suite lets the
-    instance go when its records are made. The sp reference is the sp
-    run's revenue when that run succeeded.
+    instance go when its records are made. A failed run is recorded, not
+    raised. The sp reference is the sp run's revenue when that run
+    succeeded.
     """
-    runs = [(alg, _run_one(inst, alg, solver_cmd, time_limit)) for alg in algorithms]
+    runs = []
+    for alg in algorithms:
+        try:
+            fields = run_one(inst, alg, adapter, time_limit)
+        except SolverUnavailable as exc:
+            fields = {"status": STATUS_UNAVAILABLE, "message": str(exc)}
+        except Exception as exc:  # isolate per-run failures
+            fields = {"status": STATUS_ERROR, "message": f"{type(exc).__name__}: {exc}"}
+        runs.append((alg, fields))
     # A successful sp run has computed the sp reference already.
     sp = [
         fields["revenue"] for alg, fields in runs if alg == "sp" and fields["status"] == STATUS_OK
@@ -395,14 +396,8 @@ def _run_instance(
     return records
 
 
-def _pool_task(args):
-    return _run_instance(*args)
-
-
 def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     """Execute a benchmark config; returns paths of the written artifacts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     suite_id = config.get("suite_id", "suite")
     if not isinstance(suite_id, str) or suite_id in ("", ".", "..") or (
@@ -433,7 +428,7 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         raise ConfigError(f"config 'pi': {exc}") from exc
 
     # A config cap is one cap for the references and every run on an instance.
-    shared = (algorithms, exact_method, solver_cmd, time_limit)
+    shared = (algorithms, exact_method, resolve_adapter(solver_cmd), time_limit)
     tasks = [
         (iid, inst if pi is None else replace(inst, pi=pi), *shared)
         for iid, inst in _config_instances(config, base_dir)
@@ -444,7 +439,7 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_instance = list(pool.map(_pool_task, tasks))
+            per_instance = list(pool.map(_run_instance, *zip(*tasks)))
     else:
         # Each instance keeps its revenue table, so each task is popped as
         # it runs: no finished instance stays alive.
@@ -452,6 +447,8 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
         per_instance = [_run_instance(*tasks.pop()) for _ in range(len(tasks))]
     records = [rec for recs in per_instance for rec in recs]
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "runs": out_dir / f"{suite_id}.runs.csv",
         "summary": out_dir / f"{suite_id}.summary.txt",
@@ -673,8 +670,6 @@ def read_runs_csv(path) -> list[dict]:
 
 
 def _csv_number(text: str):
-    from .money import parse_fraction
-
     if text is None or text == "":
         return None
     try:
@@ -684,30 +679,35 @@ def _csv_number(text: str):
 
 
 def records_from_csv(path) -> list[RunRecord]:
-    """Rebuild summarisable records from a runs CSV."""
+    """Rebuild summarisable records from a runs CSV; a malformed one raises ConfigError."""
     records = []
-    for row in read_runs_csv(path):
-        rec = RunRecord(
-            instance_id=row["instance"],
-            model=row["model"],
-            n_outlets=int(row["n_outlets"]),
-            n_demands=int(row["n_demands"]),
-            density=float(row["density"]),
-            algorithm=row["algorithm"],
-            status=row["status"],
-            revenue=_csv_number(row["revenue"]),
-            r_opt=_csv_number(row["r_opt"]),
-            r_sp=_csv_number(row["r_sp"]),
-            message=row.get("message", ""),
-        )
-        if row["pm_count"] != "":
-            rec.pm = PmStats(
-                pm_count=int(row["pm_count"]),
-                pw_count=int(row["pw_count"]),
-                d_pm=_csv_number(row["d_pm"]),
-                d_pw=_csv_number(row["d_pw"]),
-                r_pm=_csv_number(row["r_pm"]),
-                r_pw=_csv_number(row["r_pw"]),
+    try:
+        for row in read_runs_csv(path):
+            rec = RunRecord(
+                instance_id=row["instance"],
+                model=row["model"],
+                n_outlets=int(row["n_outlets"]),
+                n_demands=int(row["n_demands"]),
+                density=float(row["density"]),
+                algorithm=row["algorithm"],
+                status=row["status"],
+                revenue=_csv_number(row["revenue"]),
+                r_opt=_csv_number(row["r_opt"]),
+                r_sp=_csv_number(row["r_sp"]),
+                message=row.get("message", ""),
             )
-        records.append(rec)
+            if row["pm_count"] != "":
+                rec.pm = PmStats(
+                    pm_count=int(row["pm_count"]),
+                    pw_count=int(row["pw_count"]),
+                    d_pm=_csv_number(row["d_pm"]),
+                    d_pw=_csv_number(row["d_pw"]),
+                    r_pm=_csv_number(row["r_pm"]),
+                    r_pw=_csv_number(row["r_pw"]),
+                )
+            records.append(rec)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8, a bad number, a short row
+        raise ConfigError(f"{path}: not a runs CSV: {type(exc).__name__}: {exc}") from exc
     return records

@@ -15,11 +15,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
+    MIP_ALGORITHMS,
+    STATUS_ERROR,
     STATUS_TIMEOUT,
     ConfigError,
     load_config,
     pm_accounting,
     records_from_csv,
+    run_one,
     run_suite,
     write_summary,
 )
@@ -30,7 +33,7 @@ from .exact import (
     brute_force,
     ladder_exact,
 )
-from .heuristics import ALGORITHMS, HeuristicTimeout, run_algorithm
+from .heuristics import ALGORITHMS
 from .instgen import (
     GenParams,
     InstanceFormatError,
@@ -40,13 +43,7 @@ from .instgen import (
     paper_grid,
     save_instance,
 )
-from .mip import (
-    FEASIBLE_TIMEOUT,
-    OPTIMAL,
-    SolverUnavailable,
-    resolve_adapter,
-    solve_ip,
-)
+from .mip import ModelError, SolverUnavailable, resolve_adapter
 from .model import MODELS, InvalidInstance
 from .money import MoneyError, money_str, number_str, parse_money
 
@@ -135,65 +132,27 @@ def cmd_solve(args) -> int:
     if args.pi is not None:
         # One cap for every algorithm, MIP formulations and relaxations too.
         inst = replace(inst, pi=parse_money(args.pi))
-    if args.alg in ("ip1", "ip2"):
-        adapter = resolve_adapter(args.solver_cmd)
-        if adapter is None:
-            print(
-                "error: --alg ip1/ip2 needs --solver-cmd or NETPRICING_SOLVER_CMD",
-                file=sys.stderr,
-            )
-            return EXIT_SOLVER
-        outcome, prices = solve_ip(inst, args.alg, adapter, time_limit=args.time_limit)
-        if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT):
-            print(f"error: solver {outcome.status}: {outcome.message}", file=sys.stderr)
-            return EXIT_SOLVER
-        status = "ok" if outcome.status == OPTIMAL else STATUS_TIMEOUT
-        pm = pm_accounting(inst, prices) if prices is not None else None
-        payload = _result_payload(
-            instance_id,
-            args.alg,
-            status,
-            revenue=outcome.objective,
-            prices=prices,
-            pm=pm,
-            wall_time=None,
-            message=outcome.message,
-        )
-        if args.out:
-            _write_result(args.out, payload)
-        rev = "" if outcome.objective is None else f" revenue {outcome.objective:.4f}"
-        print(f"{instance_id} {args.alg}: {status}{rev}")
-        return EXIT_TIMEOUT if status == STATUS_TIMEOUT else EXIT_OK
-    try:
-        result = run_algorithm(
-            inst,
-            args.alg,
-            time_limit=args.time_limit,
-            adapter=resolve_adapter(args.solver_cmd),
-        )
-    except HeuristicTimeout as exc:
-        payload = _result_payload(
-            instance_id, args.alg, STATUS_TIMEOUT, message=str(exc)
-        )
-        if args.out:
-            _write_result(args.out, payload)
-        print(f"{instance_id} {args.alg}: timeout")
-        return EXIT_TIMEOUT
-    pm = pm_accounting(inst, result.prices) if result.ladder is not None else None
+    run = run_one(inst, args.alg, resolve_adapter(args.solver_cmd), args.time_limit)
+    if run["status"] == STATUS_ERROR:
+        print(f"error: solver {run['message']}", file=sys.stderr)
+        return EXIT_SOLVER
+    prices = run["prices"]
     payload = _result_payload(
         instance_id,
         args.alg,
-        "ok",
-        revenue=result.revenue,
-        prices=result.prices,
-        ladder=result.ladder,
-        pm=pm,
-        wall_time=result.wall_time if args.record_times else None,
+        run["status"],
+        revenue=run["revenue"],
+        prices=prices,
+        ladder=run["ladder"],
+        pm=None if prices is None else pm_accounting(inst, prices),
+        wall_time=run["wall_time"] if args.record_times else None,
+        message=run["message"],
     )
     if args.out:
         _write_result(args.out, payload)
-    print(f"{instance_id} {args.alg}: ok revenue {number_str(result.revenue)}")
-    return EXIT_OK
+    revenue = "" if run["revenue"] is None else f" revenue {number_str(run['revenue'])}"
+    print(f"{instance_id} {args.alg}: {run['status']}{revenue}")
+    return EXIT_TIMEOUT if run["status"] == STATUS_TIMEOUT else EXIT_OK
 
 
 def cmd_exact(args) -> int:
@@ -288,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on an instance")
     solve.add_argument("--in", dest="input", required=True)
-    solve.add_argument("--alg", choices=ALGORITHMS + ("ip1", "ip2"), required=True)
+    solve.add_argument("--alg", choices=ALGORITHMS + MIP_ALGORITHMS, required=True)
     solve.add_argument("--out", default=None, help="result JSON path")
     solve.add_argument(
         "--pi", default=None, help="price spread cap; default: the instance's own"
@@ -330,7 +289,7 @@ def main(argv=None) -> int:
         InvalidInstance,
         EnumerationTooLarge,
         TooManyOutlets,
-        ValueError,
+        ModelError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .model import MNPP, MODELS, DemandNode, Edge, Instance, PriceGrid
+from .model import MNPP, MODELS, DemandNode, Edge, Instance, InvalidInstance, PriceGrid
 from .money import (
     Money,
     MoneyError,
@@ -82,24 +82,24 @@ class GenParams:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown demand model {self.model!r}")
+            raise InvalidInstance(f"unknown demand model {self.model!r}")
         if self.n_outlets <= 0 or self.n_demands <= 0:
-            raise ValueError("instance shape must be positive")
+            raise InvalidInstance("instance shape must be positive")
         if not (0.0 < self.density <= 1.0):
-            raise ValueError("edge density must lie in (0, 1]")
+            raise InvalidInstance("edge density must lie in (0, 1]")
         if self.d_lo <= 0 or self.d_hi < self.d_lo:
-            raise ValueError("volume range must be positive and ordered")
+            raise InvalidInstance("volume range must be positive and ordered")
         if self.c_hi < self.c_lo:
-            raise ValueError("competitor price range must be ordered")
+            raise InvalidInstance("competitor price range must be ordered")
 
 
 def make_grid(grid_min: str, grid_max: str, grid_step: str) -> PriceGrid:
     """Arithmetic price grid from decimal endpoints and step."""
     lo, hi, step = parse_money(grid_min), parse_money(grid_max), parse_money(grid_step)
     if step <= 0:
-        raise ValueError("grid step must be positive")
+        raise InvalidInstance("grid step must be positive")
     if hi < lo:
-        raise ValueError("grid endpoints must be ordered")
+        raise InvalidInstance("grid endpoints must be ordered")
     return PriceGrid(tuple(range(lo, hi + 1, step)))
 
 
@@ -351,7 +351,7 @@ def load_instance(path) -> Instance:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return instance_from_doc(doc)

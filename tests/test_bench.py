@@ -270,6 +270,20 @@ class TestRunSuite:
         p2 = run_suite(suite_config(), tmp_path / "b", jobs=2)
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
 
+    def test_parallel_mip_matches_serial(self, tmp_path):
+        # run_suite resolves the adapter once; each pool task carries it.
+        config = suite_config(algorithms=["ip2", "fi"], solver_cmd="builtin")
+        p1 = run_suite(config, tmp_path / "a", jobs=1)
+        p2 = run_suite(config, tmp_path / "b", jobs=2)
+        assert [r.status for r in records_from_csv(p1["runs"])] == ["ok"] * 4
+        for key in ("runs", "summary", "long"):
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
+
+    def test_mip_timeout_row_carries_the_solver_message(self, tmp_path):
+        config = suite_config(algorithms=["ip2"], solver_cmd="builtin", time_limit=0)
+        records = records_from_csv(run_suite(config, tmp_path / "out")["runs"])
+        assert [(r.status, r.message) for r in records] == [("timeout", "time limit")] * 2
+
     def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
         # Each of the 70 instances keeps its own table, so every algorithm
         # and the reference on an instance share one build.

@@ -1,12 +1,15 @@
 """Command line surface: files in, files out, meaningful exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from netpricing.bench import records_from_csv
+from netpricing import bench
+from netpricing.bench import MIP_ALGORITHMS, read_runs_csv, records_from_csv
 from netpricing.cli import main
+from netpricing.heuristics import ALGORITHMS
 
 GOLDEN = Path(__file__).parent / "golden"
 TINY = GOLDEN / "tiny_disjoint.json"
@@ -60,6 +63,14 @@ class TestSolve:
     def test_record_times_adds_wall_time(self, tmp_path):
         out = tmp_path / "r.json"
         run("solve", "--in", TINY, "--alg", "fi", "--out", out, "--record-times")
+        assert "wall_time" in json.loads(out.read_text())
+
+    def test_record_times_adds_wall_time_for_mip(self, tmp_path):
+        out = tmp_path / "r.json"
+        run(
+            "solve", "--in", TINY, "--alg", "ip2", "--solver-cmd", "builtin",
+            "--out", out, "--record-times",
+        )
         assert "wall_time" in json.loads(out.read_text())
 
     def test_ip2_without_solver_exits_4(self, tmp_path, monkeypatch, capsys):
@@ -133,6 +144,51 @@ class TestSolve:
         with pytest.raises(SystemExit) as err:
             run("solve", "--in", TINY, "--alg", "sp", "--sp-include-match")
         assert err.value.code == 2
+
+    def test_internal_value_error_is_not_an_input_error(self, monkeypatch):
+        # Only the package's named input errors exit 3; a bug surfaces.
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(bench, "run_algorithm", broken)
+        with pytest.raises(ValueError, match="internal"):
+            run("solve", "--in", TINY, "--alg", "fi")
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS + MIP_ALGORITHMS)
+def test_solve_matches_the_bench_row(tmp_path, capsys, alg):
+    inst = tmp_path / "tiny.json"
+    run(
+        "generate", "--outlets", 3, "--demands", 6, "--density", 0.6,
+        "--seed", 0, "--grid-max", 10, "--grid-step", 1, "--out", inst,
+    )
+    out = tmp_path / "r.json"
+    code = run("solve", "--in", inst, "--alg", alg, "--solver-cmd", "builtin", "--out", out)
+    assert code == 0, capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "suite_id": "one",
+        "algorithms": [alg],
+        "solver_cmd": "builtin",
+        "instances": {"files": [str(inst)]},
+    }))
+    assert run("bench", "--config", config, "--out-dir", tmp_path / "out") == 0
+    [row] = read_runs_csv(tmp_path / "out" / "one.runs.csv")
+
+    def same(csv_text, json_text):
+        # runs.csv prints a float with six decimals, the result JSON in full.
+        return float(Fraction(csv_text)) == pytest.approx(float(Fraction(json_text)), abs=1e-6)
+
+    assert row["status"] == payload["status"] == "ok"
+    assert same(row["revenue"], payload["revenue"])
+    assert row["prices"].split() == payload["prices"]
+    pm = payload["pm"]
+    assert (int(row["pm_count"]), int(row["pw_count"])) == (pm["pm_count"], pm["pw_count"])
+    for key in ("d_pm", "d_pw"):
+        assert same(row[key], pm[key])
+    for key in ("d_pm_pct", "r_pm_pct"):
+        assert float(row[key]) == pytest.approx(pm[key], abs=1e-6)
 
 
 class TestExact:
@@ -240,8 +296,10 @@ class TestBenchAndReport:
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
-        # No artifact escapes the output directory.
+        # No artifact escapes the output directory, and a bad config
+        # leaves no output directory behind.
         assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_reference_too_large_is_skipped_not_fatal(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)
@@ -268,7 +326,10 @@ class TestBenchAndReport:
         sp, ip2 = rows[2:]
         assert sp.r_opt is None and sp.revenue is not None
         assert sp.message.startswith(skipped)
-        assert ip2.message.startswith("mip algorithms need a solver adapter; " + skipped)
+        assert ip2.message.startswith(
+            "no solver configured; pass --solver-cmd, set NETPRICING_SOLVER_CMD, "
+            "or use 'builtin'; " + skipped
+        )
 
     def test_report_aggregates(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -280,6 +341,28 @@ class TestBenchAndReport:
 
     def test_report_without_runs_exits_3(self, tmp_path):
         assert run("report", "--runs", tmp_path, "--out", tmp_path / "r.txt") == 3
+
+    def test_report_malformed_runs_exits_3(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        run("bench", "--config", config, "--out-dir", out_dir)
+        runs = out_dir / "clismoke.runs.csv"
+        runs.write_text(runs.read_text().replace(",3,4,", ",three,4,", 1))
+        assert run("report", "--runs", out_dir, "--out", tmp_path / "r.txt") == 3
+        assert "not a runs CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "report"])
+def test_non_utf8_input_exits_3(tmp_path, command):
+    # A decode error is a ValueError, but only named input errors exit 3.
+    bad = tmp_path / "bad.runs.csv"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = {
+        "solve": ("solve", "--in", bad, "--alg", "sp"),
+        "bench": ("bench", "--config", bad, "--out-dir", tmp_path / "out"),
+        "report": ("report", "--runs", tmp_path, "--out", tmp_path / "r.txt"),
+    }[command]
+    assert run(*argv) == 3
 
 
 def test_missing_subcommand_exits_2():
