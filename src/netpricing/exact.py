@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add
 
-from .ladder import DP_CALLS, _Prefixes, allocate, dp_prices
+from .ladder import DP_CALLS, _Prefixes
 from .model import Instance, evaluate_prices
 
 ENUMERATION_LIMIT = 5_000_000
@@ -104,12 +104,12 @@ def ladder_exact(inst: Instance):
     ascending id order and keeps the first whose bound equals the
     optimum, so the result is the first optimal ordering in
     lexicographic order, as if all |O|! orderings were walked. The winner
-    is priced with dp_prices. At n outlets, without a cap, the search
-    fills (n * 2^(n-1) + sum(rank_i + 1) + n) rows of the grid: the
-    subset pass, the pushes of the descent, where rank_i counts the
-    unplaced outlets with an id below the i-th chosen one, and the
-    pricing. Returns (revenue, ladder, prices) with prices indexed by
-    outlet id.
+    is priced by walking back through the descent's own trie states. At n
+    outlets, without a cap, on a trie no earlier search on the instance
+    grew, the search fills (n * 2^(n-1) + sum(rank_i + 1)) rows of the
+    grid: the subset pass and the pushes of the descent, where rank_i
+    counts the unplaced outlets with an id below the i-th chosen one.
+    Returns (revenue, ladder, prices) with prices indexed by outlet id.
     """
     n = inst.n_outlets
     if n > LADDER_OUTLET_LIMIT:
@@ -130,11 +130,8 @@ def ladder_exact(inst: Instance):
                 break
         state, subset = child, subset | 1 << f
         ladder.append(f)
-    prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=inst.pi)
-    by_outlet = [0] * n
-    for pos, f in enumerate(ladder):
-        by_outlet[f] = prices[pos]
-    return revenue, tuple(ladder), tuple(by_outlet)
+    prices, revenue = prefixes.price(ladder)
+    return revenue, tuple(ladder), prices
 
 
 def _completions(prefixes: _Prefixes, n: int) -> list:

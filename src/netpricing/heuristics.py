@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ladder import _Prefixes, allocate, dp_prices
+from .ladder import _Prefixes, allocate  # noqa: F401  (perfbench traces it here)
 from .model import (
     MNPP,
     Instance,
@@ -205,17 +205,16 @@ def best_insertion(
     ladder: Sequence[int],
     f: int,
     pi: Optional[Money] = None,
-    _prefixes: Optional[_Prefixes] = None,
 ):
     """Best position for one new outlet. Returns (position, revenue).
 
     Tries every slot from the front to just past the end and keeps the
     lowest position attaining the best optimal ladder revenue. The prefix
-    before each slot is grown once and shared by the slots after it. An
-    insertion run passes its own prefix trie (built for inst and pi) as
-    _prefixes, so that prefixes its earlier calls pushed are looked up.
+    before each slot is grown once and shared by the slots after it, and
+    prefixes that earlier searches on inst and pi pushed are looked up in
+    the instance's prefix trie.
     """
-    prefixes = _Prefixes(inst, pi) if _prefixes is None else _prefixes
+    prefixes = _Prefixes(inst, pi)
     prefix = prefixes.root
     best_pos = None
     best_rev = None
@@ -241,19 +240,18 @@ def full_insertion(
 
     Each round scores every remaining outlet at its best position and
     commits the best (outlet, position) pair; ties prefer the lower outlet
-    id, then the lower position. Every trial of the run shares one prefix
-    trie.
+    id, then the lower position. Every trial of the run shares the
+    instance's prefix trie.
     """
     t0 = time.perf_counter()
     remaining = sorted(inst.outlets())
     ladder: list[int] = []
-    prefixes = _Prefixes(inst, pi)
     while remaining:
         if deadline:
             deadline.check()
         best = None  # (revenue, f, pos), strictly-better updates keep ties stable
         for f in remaining:
-            pos, rev = best_insertion(inst, ladder, f, pi=pi, _prefixes=prefixes)
+            pos, rev = best_insertion(inst, ladder, f, pi=pi)
             if best is None or rev > best[0]:
                 best = (rev, f, pos)
         _, f, pos = best
@@ -271,17 +269,16 @@ def insertion_with_order(
 ) -> HeuristicResult:
     """Insert outlets one at a time following a fixed selection order.
 
-    Every trial of the run shares one prefix trie.
+    Every trial of the run shares the instance's prefix trie.
     """
     t0 = time.perf_counter()
     if sorted(order) != list(inst.outlets()):
         raise ValueError("selection order must cover every outlet exactly once")
     ladder: list[int] = []
-    prefixes = _Prefixes(inst, pi)
     for f in order:
         if deadline:
             deadline.check()
-        pos, _ = best_insertion(inst, ladder, f, pi=pi, _prefixes=prefixes)
+        pos, _ = best_insertion(inst, ladder, f, pi=pi)
         ladder.insert(pos, f)
     return _finish(inst, algorithm, tuple(ladder), pi, t0)
 
@@ -293,16 +290,12 @@ def _finish(
     pi: Optional[Money],
     t0: float,
 ) -> HeuristicResult:
-    """Price the final ladder and assemble the result."""
-    assignment = allocate(inst, ladder)
-    ladder_prices, revenue = dp_prices(inst, ladder, assignment, pi=pi)
-    by_outlet = [0] * inst.n_outlets
-    for pos, f in enumerate(ladder):
-        by_outlet[f] = ladder_prices[pos]
+    """Price the final ladder from the prefix trie and assemble the result."""
+    prices, revenue = _Prefixes(inst, pi).price(ladder)
     return HeuristicResult(
         algorithm=algorithm,
         ladder=ladder,
-        prices=tuple(by_outlet),
+        prices=prices,
         revenue=revenue,
         wall_time=time.perf_counter() - t0,
     )

@@ -50,6 +50,9 @@ PAPER_OUTLETS = (5, 10, 15)
 PAPER_DEMANDS = (15, 30, 50)
 PAPER_DENSITIES = (0.9, 0.75, 0.5, 0.25, 0.1)
 PAPER_DRAWS = 10
+# The most price levels make_grid builds, far above the paper grid's 51:
+# the ladder programme's tables grow with the level count.
+GRID_LEVEL_LIMIT = 100_000
 
 
 class InstanceFormatError(ValueError):
@@ -94,12 +97,15 @@ class GenParams:
 
 
 def make_grid(grid_min: str, grid_max: str, grid_step: str) -> PriceGrid:
-    """Arithmetic price grid from decimal endpoints and step."""
+    """Arithmetic price grid from decimal endpoints and step, of at most
+    GRID_LEVEL_LIMIT levels."""
     lo, hi, step = parse_money(grid_min), parse_money(grid_max), parse_money(grid_step)
     if step <= 0:
         raise InvalidInstance("grid step must be positive")
     if hi < lo:
         raise InvalidInstance("grid endpoints must be ordered")
+    if (hi - lo) // step + 1 > GRID_LEVEL_LIMIT:
+        raise InvalidInstance(f"grid exceeds {GRID_LEVEL_LIMIT} price levels")
     return PriceGrid(tuple(range(lo, hi + 1, step)))
 
 

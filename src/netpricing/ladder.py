@@ -16,9 +16,9 @@ grid price m. The inner maximum is a prefix maximum carried incrementally,
 so one pass costs O(positions * |grid|) plus the revenue table lookups.
 One stage step, _advance, turns the prefix maxima after k-1 stages into
 those after k, starting from all zeros; pricing and the prefix searches
-below both run it. dp_prices keeps the chain of prefix maxima and walks
-back through it, taking at every stage the highest grid index that
-attains the maximum the next stage continues from.
+below both run it. Pricing keeps the chain of prefix maxima and walks
+back through it (_walk_back), taking at every stage the highest grid
+index that attains the maximum the next stage continues from.
 
 A finite spread cap pi restricts max(price) - min(price). The programme is
 then repeated once per candidate floor index, restricting the grid to the
@@ -37,13 +37,13 @@ prefix states: the nodes the prefix covers, as a bitmask over node ids,
 and, per window, the prefix maxima of its last stage. Pushing one outlet
 onto a state adds one stage, at a cost of one cell per grid index of every
 window; the state's value is the best revenue of any pricing of the
-prefix. The states form a trie that lasts one search (an insertion
-heuristic's whole run, say): a prefix pushed again is looked up, not
-recomputed, and fills no cells. A stage's row, the sum of the outlet's
-still-uncovered node rows, depends only on the outlet and those nodes, so
-it is kept in the stage memo of the instance's revenue table and summed
-once per instance. A search therefore gets exactly the numbers dp_prices gets,
-from the same stage step.
+prefix. The states form one trie per instance and cap, kept on the
+instance's revenue table: a prefix any run on it pushed before is looked
+up, not recomputed, and fills no cells. A stage's row, the sum of the
+outlet's still-uncovered node rows, depends only on the outlet and those
+nodes, so it is kept in the same table's stage memo. A run prices its
+final ladder by walking back through the ladder's trie states, so it gets
+exactly the numbers dp_prices gets, from the same stage step and walk.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class DpCallCounter:
     count is the number of dp_prices invocations; cells is the total
     number of (stage, grid index) table entries filled by them and by the
     prefix searches' stages, which is the unit the stated running-time
-    bounds are expressed in. A prefix the search's trie already holds
+    bounds are expressed in. A prefix the instance's trie already holds
     fills no cells.
     """
 
@@ -123,21 +123,28 @@ def dp_prices(
     chain = [[[0] * (hi - lo + 1) for lo, hi in windows]]
     for stage in stages:
         chain.append(_advance(windows, stage, chain[-1]))
-    # The first window attaining the best value wins; walking back, each
-    # stage takes the highest grid index attaining the maximum the stage
-    # after it continues from.
+    indices, raw = _walk_back(windows, stages, chain)
+    return tuple(grid[m] for m in indices), table.revenue(raw)
+
+
+def _walk_back(windows, stages, chain):
+    """Grid index per stage, and the best raw value, from the chain of
+    per-window prefix maxima (chain[k] after k stages). The first window
+    attaining the best value wins; walking back, each stage takes the
+    highest grid index attaining the maximum the next stage continues from.
+    """
     finals = [maxima[-1] for maxima in chain[-1]]
     w = finals.index(max(finals))
     lo, hi = windows[w]
     target, m = finals[w], hi - lo
-    indices = [0] * len(ladder)
-    for pos in range(len(ladder) - 1, -1, -1):
+    indices = [0] * len(stages)
+    for pos in range(len(stages) - 1, -1, -1):
         stage, before = stages[pos], chain[pos][w]
         while (stage[lo + m] if stage else 0) + before[m] != target:
             m -= 1
         indices[pos] = lo + m
         target = before[m]
-    return tuple(grid[m] for m in indices), table.revenue(finals[w])
+    return indices, finals[w]
 
 
 def _advance(windows, stage, before):
@@ -179,16 +186,16 @@ class _Prefixes:
     A state is (covered nodes as a bitmask, prefix maxima of the last
     stage per window, children by outlet); root is the empty prefix, whose
     maxima are all zero. push returns the stored child when the trie has
-    it, so one object serves one search, such as an insertion run, and
-    dies with it; it is never kept on the instance's revenue table. push
-    and value work on the table's integer image; revenue turns a raw
-    value into the public number type. Stage rows come from the revenue
-    table's memo (RevenueTable.stages), which every search on the
-    instance shares.
+    it. Root and windows live in the revenue table's tries, keyed by pi,
+    so every search on the instance and cap grows one trie, which lasts
+    as long as the table; racing threads may build a child twice, with
+    equal values. push, value and price work on the table's integer
+    image; revenue turns a raw value into the public number type. Stage
+    rows come from the table's memo (RevenueTable.stages).
     """
 
     __slots__ = (
-        "rows", "revenue", "n_f", "masks", "stages", "windows", "cells", "root"
+        "rows", "revenue", "n_f", "masks", "stages", "grid", "windows", "cells", "root"
     )
 
     def __init__(self, inst: Instance, pi: Optional[Money]):
@@ -198,9 +205,14 @@ class _Prefixes:
         self.masks = table.masks
         self.stages = table.stages
         self.n_f = adjacency(inst)[1]
-        self.windows = _windows(inst.grid.prices, pi)
+        self.grid = inst.grid.prices
+        trie = table.tries.get(pi)
+        if trie is None:
+            windows = _windows(self.grid, pi)
+            root = (0, [[0] * (hi - lo + 1) for lo, hi in windows], {})
+            trie = table.tries.setdefault(pi, (windows, root))
+        self.windows, self.root = trie
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
-        self.root = (0, [[0] * (hi - lo + 1) for lo, hi in self.windows], {})
 
     def stage(self, covered: int, f: int):
         """Outlet f's nodes outside covered, as a bitmask, and their summed row.
@@ -232,3 +244,16 @@ class _Prefixes:
     def value(self, state):
         """Best raw revenue of any pricing of the prefix."""
         return max(window[-1] for window in state[1])
+
+    def price(self, ladder: Sequence[int]):
+        """(prices by outlet id, revenue) of a whole ladder under first-fit
+        allocation, as dp_prices gives them; outlets off it get 0."""
+        states = [self.root]
+        for f in ladder:
+            states.append(self.push(states[-1], f))
+        stages = [self.stage(state[0], f)[1] for state, f in zip(states, ladder)]
+        indices, raw = _walk_back(self.windows, stages, [s[1] for s in states])
+        prices = [0] * len(self.n_f)
+        for f, m in zip(ladder, indices):
+            prices[f] = self.grid[m]
+        return tuple(prices), self.revenue(raw)

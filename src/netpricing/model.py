@@ -295,9 +295,10 @@ class RevenueTable:
     The table also keeps per-instance data the ladder searches read:
     masks[f] is outlet f's demand nodes as a bitmask over node ids, and
     stages memoises, under the key (f, new), the summed image row of
-    outlet f's nodes in new (a submask of masks[f]). It holds no search
-    states: those live in a prefix trie that lasts one search (see
-    ladder._Prefixes).
+    outlet f's nodes in new (a submask of masks[f]). tries holds, per
+    spread cap pi, the grid windows and the root of the prefix trie that
+    every ladder search on the instance and cap grows (see
+    ladder._Prefixes), so a prefix one run pushed is a hit for the next.
     """
 
     model: str
@@ -305,6 +306,7 @@ class RevenueTable:
     ints: dict
     masks: tuple
     stages: dict = field(default_factory=dict)
+    tries: dict = field(default_factory=dict)
 
     def revenue(self, raw: int):
         if self.model == MNPP:

@@ -42,6 +42,16 @@ class TestGenerate:
         code = run("generate", "--density", "2.0", "--out", tmp_path / "x.json")
         assert code == 3
 
+    def test_oversized_grid_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(
+            "generate", "--model", "mnpp", "--outlets", 2, "--demands", 3,
+            "--seed", 1, "--grid-max", "1e400", "--out", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: grid exceeds 100000 price levels\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def test_fi_on_golden_tiny(self, tmp_path, capsys):
@@ -259,6 +269,15 @@ class TestBenchAndReport:
         bad.write_text(json.dumps({"algorithms": ["sp"], "order_prefer_max": True}))
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         assert "order_prefer_max" in capsys.readouterr().err
+
+    def test_bench_oversized_grid_exits_3(self, tmp_path, capsys):
+        config = json.loads(self.write_config(tmp_path).read_text())
+        config["instances"]["generate"][0]["grid_max"] = "1e400"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
+        assert capsys.readouterr().err == "error: grid exceeds 100000 price levels\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "where, key, value",

@@ -242,6 +242,16 @@ class TestRunAlgorithm:
                 run_algorithm(inst, algorithm)
         assert revenue_table.cache_info().misses - before == len(instances)
 
+    def test_second_run_on_an_instance_fills_no_cells(self):
+        # The prefix trie lives on the instance's revenue table, so a
+        # repeated run finds every prefix, and its ladder's pricing, there.
+        inst = generate(small_grid_params("mnpp", 0, outlets=5, demands=8))
+        first = run_algorithm(inst, "fi")
+        DP_CALLS.reset()
+        again = run_algorithm(inst, "fi")
+        assert DP_CALLS.cells == 0
+        assert replace(again, wall_time=0) == replace(first, wall_time=0)
+
     def test_deadline_zero_raises(self):
         inst = generate(GenParams(n_outlets=6, n_demands=12, density=0.8, seed=3))
         with pytest.raises(HeuristicTimeout):
@@ -308,6 +318,28 @@ def test_ladder_heuristics_honour_the_instance_spread_cap():
         prices = run_algorithm(replace(inst, pi=1000), "fi").prices
         broken_without_cap += max(prices) - min(prices) > inst.pi
     assert broken_without_cap == 10
+
+
+@pytest.mark.parametrize("model", ["mnpp", BMNPP])
+@pytest.mark.parametrize("pi", [None, "2"])
+def test_run_order_on_one_instance_changes_no_result(model, pi):
+    # Every run grows the instance's one prefix trie; whichever runs
+    # first, each gets the same ladder, prices and revenue.
+    params = replace(small_grid_params(model, 3, outlets=5, demands=10), pi=pi)
+    names = ("sp", "greedy", "order", "fi", "greedyI", "orderI", "ladder_exact")
+
+    def results(order):
+        inst = generate(params)
+        out = {}
+        for name in order:
+            if name == "ladder_exact":
+                out[name] = ladder_exact(inst)
+            else:
+                result = run_algorithm(inst, name)
+                out[name] = (result.ladder, result.prices, result.revenue)
+        return out
+
+    assert results(names) == results(names[::-1])
 
 
 def test_algorithm_registry():

@@ -10,6 +10,7 @@ from netpricing import (
     BMNPP,
     GenParams,
     InstanceFormatError,
+    InvalidInstance,
     generate,
     instance_from_doc,
     instance_label,
@@ -18,7 +19,7 @@ from netpricing import (
     paper_grid,
     save_instance,
 )
-from netpricing.instgen import edge_count, make_grid, snap_to_grid
+from netpricing.instgen import GRID_LEVEL_LIMIT, edge_count, make_grid, snap_to_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +51,17 @@ class TestSnapToGrid:
         grid = make_grid("0", "10", "1")
         assert snap_to_grid(grid, 24.0) == 1000
         assert snap_to_grid(grid, -3.0) == 0
+
+
+class TestMakeGrid:
+    def test_level_limit(self):
+        # 0.00 .. 999.99 in cents is exactly the limit; one more level is not.
+        grid = make_grid("0", "999.99", "0.01")
+        assert len(grid) == GRID_LEVEL_LIMIT == 100_000
+        with pytest.raises(InvalidInstance, match="100000 price levels"):
+            make_grid("0", "1000", "0.01")
+        with pytest.raises(InvalidInstance):
+            make_grid("0", "1e400", "0.5")
 
 
 class TestGenerate:

@@ -10,10 +10,12 @@ The searches that share prefix states (best_insertion, greedy_select,
 ladder_exact) must give exactly what allocate + dp_prices from scratch on
 every trial ladder gives; ladder_exact's completion bound must equal the
 best completion of every prefix, under both models. The insertion runs
-(full_insertion, insertion_with_order) keep one prefix trie for all their
-best_insertion calls: they must place every outlet where a from-scratch
-scan does, and an fi run fills one stage per distinct prefix it pushes,
-a trie hit filling none. The stage memo the searches share on an
+(full_insertion, insertion_with_order) share the instance's prefix trie
+across all their best_insertion calls: they must place every outlet where
+a from-scratch scan does, and an fi run fills one stage per distinct
+prefix it pushes, a trie hit filling none. Every ladder run and
+ladder_exact prices its final ladder from that trie, exactly as dp_prices
+does from scratch. The stage memo the searches share on an
 instance's revenue table must not change any result: a search on a cold
 table and on one warmed by the other searches gives the same numbers, and
 a memoised stage row equals its from-scratch sum.
@@ -48,6 +50,7 @@ from netpricing import (
     insertion_with_order,
     ladder_exact,
     revenue_table,
+    run_algorithm,
     zero_revenue,
 )
 from netpricing import heuristics
@@ -366,6 +369,25 @@ def test_insertion_runs_equal_scratch_dp(model, cap):
     check()
 
 
+@MODELS
+@pytest.mark.parametrize("cap", [None, 150])
+def test_trie_pricing_equals_dp_prices(model, cap):
+    # The ladder runs and ladder_exact price their final ladder from the
+    # instance's one prefix trie, which the earlier runs grew; allocate +
+    # dp_prices from scratch is the reference.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4))
+    def check(inst):
+        inst = replace(inst, pi=cap)
+        for algorithm in ("greedy", "order", "fi", "greedyI", "orderI"):
+            got = run_algorithm(inst, algorithm)
+            assert (got.ladder, got.prices, got.revenue) == priced(inst, got.ladder, cap)
+        revenue, ladder, prices = ladder_exact(inst)
+        assert (ladder, prices, revenue) == priced(inst, ladder, cap)
+
+    check()
+
+
 def pushed_prefixes(ladder, f):
     """The outlet sequences best_insertion(ladder, f) pushes: the base
     prefixes, and each slot's new outlet followed by the rest."""
@@ -382,7 +404,7 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
     # Every best_insertion call of an fi run goes through the module
     # attribute heuristics.best_insertion, and a prefix the run pushed
     # before is a trie hit that fills no cells; so the run fills one
-    # stage per distinct prefix, plus the n stages of pricing its ladder.
+    # stage per distinct prefix, and pricing its ladder, all hits, none.
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(instances(model, max_outlets=5, max_demands=6))
     def check(inst):
@@ -399,14 +421,13 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
         n = inst.n_outlets
         assert len(calls) == n * (n + 1) // 2
         distinct = set().union(*(pushed_prefixes(ladder, f) for ladder, f in calls))
-        assert DP_CALLS.cells == (len(distinct) + n) * _Prefixes(inst, inst.pi).cells
+        assert DP_CALLS.cells == len(distinct) * _Prefixes(inst, inst.pi).cells
 
-        # A second identical call on the same trie is all hits.
-        prefixes = _Prefixes(inst, inst.pi)
+        # A second identical call on the instance's trie is all hits.
         ladder = tuple(range(n - 1))
-        first = best_insertion(inst, ladder, n - 1, pi=inst.pi, _prefixes=prefixes)
+        first = best_insertion(inst, ladder, n - 1, pi=inst.pi)
         DP_CALLS.reset()
-        again = best_insertion(inst, ladder, n - 1, pi=inst.pi, _prefixes=prefixes)
+        again = best_insertion(inst, ladder, n - 1, pi=inst.pi)
         assert again == first
         assert DP_CALLS.cells == 0
 
