@@ -34,10 +34,9 @@ never backtracks.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import add
 
-from .ladder import DP_CALLS, _Prefixes
+from .ladder import DP_CALLS, _pairwise_max, _Prefixes, _suffix_max
 from .model import Instance, evaluate_prices
 
 ENUMERATION_LIMIT = 5_000_000
@@ -153,22 +152,21 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
         for f in range(n):
             if subset >> f & 1:
                 continue
-            after = rest[subset | 1 << f]
+            # rest[subset | 1 << f] is shared: read, never written into.
+            options = rest[subset | 1 << f]
             stage = prefixes.stage(covered[subset], f)[1]
-            if stage is None:
-                options = after
-            else:
+            if stage is not None:
                 options = [
-                    list(map(add, stage[lo : hi + 1], tail))
-                    for (lo, hi), tail in zip(prefixes.windows, after)
+                    map(add, stage[lo : hi + 1], tail)
+                    for (lo, hi), tail in zip(prefixes.windows, options)
                 ]
             if best is None:
-                best = options
+                best = [list(w) for w in options]
             else:
-                best = [list(map(max, a, b)) for a, b in zip(best, options)]
+                best = [_pairwise_max(a, b) for a, b in zip(best, options)]
         # max does no arithmetic, so one suffix maximum per subset gives
         # the same numbers as one per (subset, f).
-        rest[subset] = [list(accumulate(reversed(w), max))[::-1] for w in best]
+        rest[subset] = [_suffix_max(w) for w in best]
     DP_CALLS.cells += n * (1 << (n - 1)) * prefixes.cells
     return rest
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
-from .ladder import _Prefixes, allocate  # noqa: F401  (perfbench traces it here)
+from .ladder import _pairwise_max, _Prefixes
+from .ladder import allocate  # noqa: F401  (perfbench traces it here)
 from .model import (
     MNPP,
     Instance,
@@ -70,8 +72,12 @@ class HeuristicResult:
     integer image and, under the logit model, rounded once; it equals
     evaluate_prices of prices whenever no demand node sees two of its
     outlets at the same price. For sp it is the undercut-only score the
-    heuristic optimises, which understates what the uniform vector earns
-    whenever the price lands exactly on some competitor price.
+    heuristic optimises, not what evaluate_prices gives for the uniform
+    vector. It understates that whenever the price lands exactly on some
+    competitor price, since it leaves out match revenue. Under BMNPP it
+    can also overstate it: the score takes each node's best outlet, while
+    evaluate_prices serves a tie, and a uniform price ties every outlet,
+    from the node's lowest outlet id.
     """
 
     algorithm: str
@@ -86,7 +92,10 @@ def single_price(inst: Instance):
 
     For each grid price, sums over nodes whose competitor can still be
     undercut at that price the best single-outlet revenue; the lowest
-    price attaining the best score wins. Returns (price, revenue).
+    price attaining the best score wins. Returns (price, score). The
+    score is not the revenue evaluate_prices gives the uniform vector
+    (see HeuristicResult): it omits match revenue, and under BMNPP a
+    node's best outlet need not be the lowest-id outlet that serves it.
 
     One pass over the nodes adds each node's best row to the score of
     every grid price it counts at. The scores are sums of the revenue
@@ -101,9 +110,11 @@ def single_price(inst: Instance):
         below = grid.below_index(node.c)
         if not outlets or below is None:
             continue
-        columns = zip(*(table.ints[(node.id, f)][: below + 1] for f in outlets))
-        for m, column in enumerate(columns):
-            score[m] += max(column)
+        row = table.ints[(node.id, outlets[0])][: below + 1]
+        for f in outlets[1:]:
+            row = _pairwise_max(row, table.ints[(node.id, f)][: below + 1])
+        # map stops at row's end, so only the first below + 1 scores move.
+        score[: below + 1] = map(add, score, row)
     best = max(range(len(grid)), key=score.__getitem__)
     return grid.prices[best], table.revenue(score[best])
 
@@ -164,40 +175,61 @@ def order_select(inst: Instance):
     leave the active set; nodes with no remaining outlet are dropped.
     Unused outlets are appended ascending.
     """
-    o_e, n_f, edge_of = adjacency(inst)
+    o_e, n_f, _ = adjacency(inst)
     pool = set(inst.outlets())
     active = set(range(inst.n_demands))
     ladder: list[int] = []
+    terms = _potential_terms(inst)
+    zero = 0 if inst.model == MNPP else 0.0
 
     def potential(f: int) -> object:
-        total = zero_revenue(inst.model)
-        for e in n_f[f]:
-            if e not in active:
-                continue
-            node = inst.demands[e]
-            if inst.model == MNPP:
-                total += money_unit(node.c) * node.d * node.gamma
-            else:
-                edge = edge_of[(e, f)]
-                share = logit_share(
-                    edge.a_hat - edge.b_hat * (node.c / MONEY_SCALE)
-                )
-                total += (node.c / MONEY_SCALE) * float(node.d) * share
+        total = zero
+        for e, term in terms[f]:
+            if e in active:
+                total += term
         return total
 
     while pool and active:
         head = min(active, key=lambda e: (inst.demands[e].c, e))
-        candidates = [f for f in sorted(pool) if f in set(o_e[head])]
+        candidates = [f for f in o_e[head] if f in pool]
         if not candidates:
             active.remove(head)
             continue
-        scores = {f: potential(f) for f in candidates}
-        chosen = min(candidates, key=lambda f: (scores[f], f))
+        chosen = min(candidates, key=lambda f: (potential(f), f))
         ladder.append(chosen)
         pool.remove(chosen)
         active -= set(n_f[chosen])
     ladder.extend(sorted(pool))
     return tuple(ladder)
+
+
+def _potential_terms(inst: Instance) -> list:
+    """Per outlet f, the (e, term) pairs of order_select's mu_f, in n_f[f]
+    order: term is c_e * volume captured on undercut at c_e.
+
+    Under MNPP a term is that Fraction times the revenue table's scale,
+    an exact int (the scale is a multiple of MONEY_SCALE and of every
+    node's d * gamma denominator), so sums compare as the Fraction sums
+    do. Under BMNPP it is the float of the logit formula, and potential
+    sums the terms in n_f[f] order, so every float sum is reproducible.
+    """
+    _, n_f, edge_of = adjacency(inst)
+    if inst.model == MNPP:
+        scale = revenue_table(inst, MNPP).scale
+        node_term = {}
+        for e in {e for es in n_f for e in es}:
+            node = inst.demands[e]
+            node_term[e] = int(money_unit(node.c) * node.d * node.gamma * scale)
+        return [[(e, node_term[e]) for e in es] for es in n_f]
+    out = []
+    for f, es in enumerate(n_f):
+        row = []
+        for e in es:
+            node, edge = inst.demands[e], edge_of[(e, f)]
+            share = logit_share(edge.a_hat - edge.b_hat * (node.c / MONEY_SCALE))
+            row.append((e, (node.c / MONEY_SCALE) * float(node.d) * share))
+        out.append(row)
+    return out
 
 
 def best_insertion(

@@ -44,11 +44,17 @@ outlet's still-uncovered node rows, depends only on the outlet and those
 nodes, so it is kept in the same table's stage memo. A run prices its
 final ladder by walking back through the ladder's trie states, so it gets
 exactly the numbers dp_prices gets, from the same stage step and walk.
+
+The per-cell kernels (_prefix_max, _suffix_max, _pairwise_max, and the
+row sums of _sum_rows) compare plain integers in for loops rather than
+calling the builtin max once per cell, which costs a function call per
+grid index. They write only into lists they create: the trie's stored
+maxima, the memoised stage rows and the table's own rows are shared by
+every search on the instance, so no kernel may write into its inputs.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from operator import add
 from typing import Optional, Sequence
 
@@ -116,10 +122,7 @@ def dp_prices(
     by_outlet = {f: [] for f in ladder}
     for e, f in assignment.items():
         by_outlet[f].append(table.ints[(e, f)])
-    stages = [
-        [sum(column) for column in zip(*by_outlet[f])] if by_outlet[f] else None
-        for f in ladder
-    ]
+    stages = [_sum_rows(by_outlet[f]) for f in ladder]
     chain = [[[0] * (hi - lo + 1) for lo, hi in windows]]
     for stage in stages:
         chain.append(_advance(windows, stage, chain[-1]))
@@ -157,9 +160,55 @@ def _advance(windows, stage, before):
     if stage is None:
         return before
     return [
-        list(accumulate(map(add, stage[lo : hi + 1], maxima), max))
+        _prefix_max(map(add, stage[lo : hi + 1], maxima))
         for (lo, hi), maxima in zip(windows, before)
     ]
+
+
+def _sum_rows(rows):
+    """Column sums of image rows, or None when there are no rows.
+
+    A single row is returned as it is: the table's rows are tuples, never
+    written into. Several are folded pairwise into a new tuple.
+    """
+    if not rows:
+        return None
+    total = rows[0]
+    for row in rows[1:]:
+        total = tuple(map(add, total, row))
+    return total
+
+
+def _prefix_max(values):
+    """The running maxima of a non-empty iterable of ints, as a new list."""
+    values = iter(values)
+    best = next(values)
+    out = [best]
+    for x in values:
+        if x > best:
+            best = x
+        out.append(best)
+    return out
+
+
+def _suffix_max(values):
+    """out[m] = max(values[m:]) of a non-empty sequence of ints, as a new list."""
+    best = values[-1]
+    out = []
+    for x in reversed(values):
+        if x > best:
+            best = x
+        out.append(best)
+    out.reverse()
+    return out
+
+
+def _pairwise_max(a, b):
+    """Elementwise maximum of two int iterables, as a new list.
+
+    Ties keep a's element, as max(a, b) does.
+    """
+    return [x if x >= y else y for x, y in zip(a, b)]
 
 
 def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
@@ -226,8 +275,7 @@ class _Prefixes:
         row = self.stages.get((f, new))
         if row is None:
             rows = [self.rows[(e, f)] for e in self.n_f[f] if new >> e & 1]
-            row = tuple(sum(column) for column in zip(*rows))
-            self.stages[(f, new)] = row
+            row = self.stages[(f, new)] = _sum_rows(rows)
         return new, row
 
     def push(self, state, f: int):

@@ -228,7 +228,11 @@ def adjacency(inst: Instance):
 
 def logit_share(exponent: float) -> float:
     """exp(x) / (1 + exp(x)) with the exponent clamped to +-500."""
-    x = max(-LOGIT_EXPONENT_CLAMP, min(LOGIT_EXPONENT_CLAMP, exponent))
+    # Equal to max(-C, min(C, exponent)) in every case, NaN (to +C) and
+    # signed zeros included, with plain comparisons in place of two calls.
+    x = exponent if exponent < LOGIT_EXPONENT_CLAMP else LOGIT_EXPONENT_CLAMP
+    if not x > -LOGIT_EXPONENT_CLAMP:
+        x = -LOGIT_EXPONENT_CLAMP
     return 1.0 / (1.0 + math.exp(-x))
 
 

@@ -19,11 +19,18 @@ does from scratch. The stage memo the searches share on an
 instance's revenue table must not change any result: a search on a cold
 table and on one warmed by the other searches gives the same numbers, and
 a memoised stage row equals its from-scratch sum.
+
+The per-cell kernels (prefix, suffix and pairwise maxima) must equal
+their builtin-max definitions on any int lists, and no kernel may write
+into the lists it reads: the trie's stored maxima and the subset table's
+rows are shared. single_price and order_select must give what a
+per-column max and per-round Fraction sums give.
 """
 
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from unittest.mock import patch
 
 import pytest
@@ -49,13 +56,23 @@ from netpricing import (
     greedy_select,
     insertion_with_order,
     ladder_exact,
+    logit_share,
+    order_select,
     revenue_table,
     run_algorithm,
+    single_price,
     zero_revenue,
 )
 from netpricing import heuristics
 from netpricing.exact import _bound, _completions
-from netpricing.ladder import _Prefixes
+from netpricing.ladder import (
+    _advance,
+    _pairwise_max,
+    _prefix_max,
+    _Prefixes,
+    _suffix_max,
+)
+from netpricing.money import MONEY_SCALE, money_unit
 from tests.test_ladder import enumerate_ladder_optimum
 
 
@@ -486,5 +503,153 @@ def test_warm_stage_memo_gives_cold_results(model, cap):
                 want = [sum(column) for column in zip(*rows)]
                 assert list(row) == want
                 assert list(map(type, row)) == list(map(type, want))
+
+    check()
+
+
+# Ints around 0 and past 2^400, with many repeats so ties are common.
+big_ints = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**400, 2**400 + 3),
+    st.integers(-(2**410), 2**410),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(big_ints, min_size=1, max_size=12))
+def test_prefix_and_suffix_max_equal_accumulate(values):
+    frozen = list(values)
+    assert _prefix_max(values) == list(accumulate(values, max))
+    assert _prefix_max(iter(values)) == list(accumulate(values, max))
+    assert _suffix_max(values) == list(accumulate(reversed(values), max))[::-1]
+    assert values == frozen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(big_ints, big_ints), min_size=1, max_size=12))
+def test_pairwise_max_equals_map_max(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    frozen = (list(a), list(b))
+    assert _pairwise_max(a, b) == list(map(max, a, b))
+    assert (a, b) == frozen
+
+
+@MODELS
+def test_kernels_never_write_into_shared_lists(model):
+    # A trie state's maxima are shared by every child pushed onto it, and
+    # _completions reads rest[S | f] for every S missing f; neither may
+    # change once made.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4))
+    def check(inst):
+        prefixes = _Prefixes(inst, inst.pi)
+        n = inst.n_outlets
+        state = prefixes.root
+        for f in range(n):
+            before = deepcopy(state[1])
+            stage = prefixes.stage(state[0], f)[1]
+            after = _advance(prefixes.windows, stage, state[1])
+            assert state[1] == before
+            if stage is not None:
+                assert all(a is not b for a, b in zip(after, state[1]))
+            state = prefixes.push(state, f)
+        first = _completions(prefixes, n)
+        frozen = deepcopy(first)
+        assert _completions(prefixes, n) == first == frozen
+
+    check()
+
+
+def scratch_single_price(inst):
+    """single_price as one builtin max call per (node, grid index)."""
+    o_e = adjacency(inst)[0]
+    table = revenue_table(inst, inst.model)
+    grid = inst.grid
+    score = [0] * len(grid)
+    for node in inst.demands:
+        outlets = o_e[node.id]
+        below = grid.below_index(node.c)
+        if not outlets or below is None:
+            continue
+        columns = zip(*(table.ints[(node.id, f)][: below + 1] for f in outlets))
+        for m, column in enumerate(columns):
+            score[m] += max(column)
+    best = max(range(len(grid)), key=score.__getitem__)
+    return grid.prices[best], table.revenue(score[best])
+
+
+def scratch_order_select(inst):
+    """order_select with its potentials summed afresh, as Fractions under
+    MNPP, for every candidate of every round."""
+    o_e, n_f, edge_of = adjacency(inst)
+    pool = set(inst.outlets())
+    active = set(range(inst.n_demands))
+    ladder = []
+
+    def potential(f):
+        total = zero_revenue(inst.model)
+        for e in n_f[f]:
+            if e not in active:
+                continue
+            node = inst.demands[e]
+            if inst.model == MNPP:
+                total += money_unit(node.c) * node.d * node.gamma
+            else:
+                edge = edge_of[(e, f)]
+                share = logit_share(edge.a_hat - edge.b_hat * (node.c / MONEY_SCALE))
+                total += (node.c / MONEY_SCALE) * float(node.d) * share
+        return total
+
+    while pool and active:
+        head = min(active, key=lambda e: (inst.demands[e].c, e))
+        candidates = [f for f in sorted(pool) if f in set(o_e[head])]
+        if not candidates:
+            active.remove(head)
+            continue
+        scores = {f: potential(f) for f in candidates}
+        chosen = min(candidates, key=lambda f: (scores[f], f))
+        ladder.append(chosen)
+        pool.remove(chosen)
+        active -= set(n_f[chosen])
+    ladder.extend(sorted(pool))
+    return tuple(ladder)
+
+
+@MODELS
+@pytest.mark.parametrize("cap", [None, 150])
+def test_single_price_equals_per_column_max(model, cap):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4, max_demands=6))
+    def check(inst):
+        inst = replace(inst, pi=cap)
+        got, want = single_price(inst), scratch_single_price(inst)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    check()
+
+
+@MODELS
+def test_order_select_equals_per_round_sums(model):
+    # Small grids and few distinct volumes, so potentials often tie.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=5, max_prices=3, max_demands=7))
+    def check(inst):
+        assert order_select(inst) == scratch_order_select(inst)
+        # Each outlet's terms are its potential with every node active:
+        # exact on the table's scale under MNPP, the same floats under BMNPP.
+        n_f, edge_of = adjacency(inst)[1:]
+        for f, terms in enumerate(heuristics._potential_terms(inst)):
+            assert [e for e, _ in terms] == list(n_f[f])
+            for e, term in terms:
+                node = inst.demands[e]
+                if model == MNPP:
+                    scale = revenue_table(inst, MNPP).scale
+                    assert term == money_unit(node.c) * node.d * node.gamma * scale
+                else:
+                    edge = edge_of[(e, f)]
+                    c = node.c / MONEY_SCALE
+                    share = logit_share(edge.a_hat - edge.b_hat * c)
+                    assert repr(term) == repr(c * float(node.d) * share)
 
     check()

@@ -1,10 +1,13 @@
 """Instance data model, demand functions, and the price-vector evaluator."""
 
 import copy
+import math
 import pickle
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 
@@ -29,7 +32,8 @@ from netpricing import (
     validate_prices,
     zero_revenue,
 )
-from netpricing.model import demand_bmnpp, demand_mnpp
+from netpricing import model
+from netpricing.model import LOGIT_EXPONENT_CLAMP, demand_bmnpp, demand_mnpp
 from netpricing.money import MONEY_SCALE, money_unit
 from tests.conftest import two_node_instance
 
@@ -164,6 +168,57 @@ class TestLogitShare:
         assert logit_share(1e9) == pytest.approx(1.0)
         assert logit_share(-1e9) == pytest.approx(0.0, abs=1e-100)
         assert 0.0 <= logit_share(-1e9) <= logit_share(1e9) <= 1.0
+
+    @staticmethod
+    def assert_clamps_like_min_max(exponent):
+        # logit_share passes math.exp the negated clamped exponent; it must
+        # be bit for bit what max(-C, min(C, exponent)) gives.
+        seen = []
+
+        def exp(arg):
+            seen.append(arg)
+            return 1.0
+
+        with patch.object(model, "math", SimpleNamespace(exp=exp)):
+            logit_share(exponent)
+        c = LOGIT_EXPONENT_CLAMP
+        got, want = -seen[0], max(-c, min(c, exponent))
+        assert repr(got) == repr(want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "exponent",
+        [
+            math.nan,
+            -math.nan,
+            math.inf,
+            -math.inf,
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            LOGIT_EXPONENT_CLAMP,
+            -LOGIT_EXPONENT_CLAMP,
+            math.nextafter(LOGIT_EXPONENT_CLAMP, math.inf),
+            math.nextafter(LOGIT_EXPONENT_CLAMP, -math.inf),
+            math.nextafter(-LOGIT_EXPONENT_CLAMP, math.inf),
+            math.nextafter(-LOGIT_EXPONENT_CLAMP, -math.inf),
+        ],
+    )
+    def test_clamp_equals_builtin_min_max(self, exponent):
+        self.assert_clamps_like_min_max(exponent)
+
+    def test_clamp_equals_builtin_min_max_on_any_float(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(st.floats(allow_nan=True))
+        def check(exponent):
+            self.assert_clamps_like_min_max(exponent)
+
+        check()
 
 
 class TestDemandMnpp:
