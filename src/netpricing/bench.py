@@ -1,7 +1,9 @@
 """Benchmark orchestration, gap metrics, and price-match accounting.
 
-run_suite executes a config-driven grid of (instance, algorithm) runs and
-writes three artifacts into an output directory:
+run_one runs one algorithm on one instance and returns the run's
+RunRecord; the CLI's result JSON and every artifact are rendered from
+that record. run_suite executes a config-driven grid of (instance,
+algorithm) runs and writes three artifacts into an output directory:
 
 * <suite>.runs.csv     one row per run, full metric set
 * <suite>.summary.txt  group means in the (nodes, outlets, density) grid
@@ -21,6 +23,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean
 from typing import Optional
@@ -173,6 +176,21 @@ class RunRecord:
     r_opt: object = None
     r_sp: object = None
     message: str = ""
+    ladder: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, instance_id: str, inst: Instance, algorithm: str, status: str, **fields):
+        """The record of algorithm on inst; fields are the run's outcome."""
+        return cls(
+            instance_id,
+            inst.model,
+            inst.n_outlets,
+            inst.n_demands,
+            inst.density,
+            algorithm,
+            status,
+            **fields,
+        )
 
     @property
     def opt_gap_pct(self) -> Optional[float]:
@@ -293,43 +311,40 @@ def run_one(
     algorithm: str,
     adapter: Optional[SolverAdapter],
     time_limit: Optional[float],
-) -> dict:
-    """One (instance, algorithm) execution, as plain fields.
+    instance_id: str = "",
+) -> RunRecord:
+    """One (instance, algorithm) execution, as its record.
 
     ip1 and ip2 go to the solver, every other name to run_algorithm. The
-    fields are status ("ok", "timeout" or "error"), revenue, prices,
-    ladder, wall_time and message. A solver status other than optimal or
-    feasible-timeout is an error run and a HeuristicTimeout a timeout run;
-    every other failure, SolverUnavailable included, is raised.
+    record's wall_time covers the whole run: selection and relaxation
+    solves included, the price-match accounting of its prices left out.
+    A solver status other than optimal or feasible-timeout is an error
+    run and a HeuristicTimeout a timeout run; every other failure,
+    SolverUnavailable included, is raised. The reference scores r_opt and
+    r_sp are left for the caller.
     """
+    rec = RunRecord.of(instance_id, inst, algorithm, STATUS_OK)
     t0 = time.perf_counter()
-    run = {"revenue": None, "prices": None, "ladder": None, "message": ""}
-    if algorithm in MIP_ALGORITHMS:
-        outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
-        run["wall_time"] = time.perf_counter() - t0
-        if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT):
-            run.update(status=STATUS_ERROR, message=f"{outcome.status}: {outcome.message}")
-            return run
-        status = STATUS_OK if outcome.status == OPTIMAL else STATUS_TIMEOUT
-        run.update(
-            status=status, revenue=outcome.objective, prices=prices, message=outcome.message
-        )
-        return run
     try:
-        result = run_algorithm(inst, algorithm, time_limit=time_limit, adapter=adapter)
+        if algorithm in MIP_ALGORITHMS:
+            outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
+            if outcome.status in (OPTIMAL, FEASIBLE_TIMEOUT):
+                rec.revenue, rec.prices = outcome.objective, prices
+                rec.message = outcome.message
+                if outcome.status == FEASIBLE_TIMEOUT:
+                    rec.status = STATUS_TIMEOUT
+            else:
+                rec.status = STATUS_ERROR
+                rec.message = f"{outcome.status}: {outcome.message}"
+        else:
+            result = run_algorithm(inst, algorithm, time_limit=time_limit, adapter=adapter)
+            rec.revenue, rec.prices, rec.ladder = result.revenue, result.prices, result.ladder
     except HeuristicTimeout as exc:
-        run.update(
-            status=STATUS_TIMEOUT, message=str(exc), wall_time=time.perf_counter() - t0
-        )
-        return run
-    run.update(
-        status=STATUS_OK,
-        revenue=result.revenue,
-        prices=result.prices,
-        ladder=result.ladder,
-        wall_time=result.wall_time,
-    )
-    return run
+        rec.status, rec.message = STATUS_TIMEOUT, str(exc)
+    rec.wall_time = time.perf_counter() - t0
+    if rec.prices is not None:
+        rec.pm = pm_accounting(inst, rec.prices)
+    return rec
 
 
 def _run_instance(
@@ -349,19 +364,18 @@ def _run_instance(
     raised. The sp reference is the sp run's revenue when that run
     succeeded.
     """
-    runs = []
+    records = []
     for alg in algorithms:
         try:
-            fields = run_one(inst, alg, adapter, time_limit)
+            rec = run_one(inst, alg, adapter, time_limit, iid)
         except SolverUnavailable as exc:
-            fields = {"status": STATUS_UNAVAILABLE, "message": str(exc)}
+            rec = RunRecord.of(iid, inst, alg, STATUS_UNAVAILABLE, message=str(exc))
         except Exception as exc:  # isolate per-run failures
-            fields = {"status": STATUS_ERROR, "message": f"{type(exc).__name__}: {exc}"}
-        runs.append((alg, fields))
+            message = f"{type(exc).__name__}: {exc}"
+            rec = RunRecord.of(iid, inst, alg, STATUS_ERROR, message=message)
+        records.append(rec)
     # A successful sp run has computed the sp reference already.
-    sp = [
-        fields["revenue"] for alg, fields in runs if alg == "sp" and fields["status"] == STATUS_OK
-    ]
+    sp = [r.revenue for r in records if r.algorithm == "sp" and r.status == STATUS_OK]
     r_sp = sp[0] if sp else single_price(inst)[1]
     r_opt = None
     skipped = ""
@@ -372,27 +386,9 @@ def _run_instance(
             r_opt, _ = exact_mod.brute_force(inst)
     except (exact_mod.TooManyOutlets, exact_mod.EnumerationTooLarge) as exc:
         skipped = f"reference skipped: {exc}"
-    records = []
-    for alg, fields in runs:
-        message = "; ".join(m for m in (fields.get("message", ""), skipped) if m)
-        rec = RunRecord(
-            instance_id=iid,
-            model=inst.model,
-            n_outlets=inst.n_outlets,
-            n_demands=inst.n_demands,
-            density=inst.density,
-            algorithm=alg,
-            status=fields["status"],
-            revenue=fields.get("revenue"),
-            prices=fields.get("prices"),
-            wall_time=fields.get("wall_time"),
-            message=message,
-            r_opt=r_opt,
-            r_sp=r_sp,
-        )
-        if rec.prices is not None:
-            rec.pm = pm_accounting(inst, rec.prices)
-        records.append(rec)
+    for rec in records:
+        rec.r_opt, rec.r_sp = r_opt, r_sp
+        rec.message = "; ".join(m for m in (rec.message, skipped) if m)
     return records
 
 
@@ -460,119 +456,79 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     return paths
 
 
-_RUNS_COLUMNS = (
-    "instance",
-    "model",
-    "n_outlets",
-    "n_demands",
-    "density",
-    "algorithm",
-    "status",
-    "revenue",
-    "r_opt",
-    "r_sp",
-    "opt_gap_pct",
-    "gain_over_sp_pct",
-    "pm_count",
-    "pw_count",
-    "d_pm",
-    "d_pw",
-    "d_pm_pct",
-    "r_pm",
-    "r_pw",
-    "r_pm_pct",
-    "prices",
-    "message",
-)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, float):
         return f"{value:.6f}"
     return number_str(value)
 
 
+def _pm(name):
+    return lambda rec: None if rec.pm is None else getattr(rec.pm, name)
+
+
+# (column, cell) of a run's identity, the first columns of both CSVs.
+_ID_COLUMNS = (
+    ("instance", attrgetter("instance_id")),
+    ("model", attrgetter("model")),
+    ("n_outlets", attrgetter("n_outlets")),
+    ("n_demands", attrgetter("n_demands")),
+    ("density", lambda rec: f"{rec.density:.4f}"),
+    ("algorithm", attrgetter("algorithm")),
+)
+
+# (column, cell) of a runs.csv row; each cell is rendered by _fmt.
+_RUNS_COLUMNS = (
+    *_ID_COLUMNS,
+    *(
+        (name, attrgetter(name))
+        for name in ("status", "revenue", "r_opt", "r_sp", "opt_gap_pct", "gain_over_sp_pct")
+    ),
+    *(
+        (name, _pm(name))
+        for name in ("pm_count", "pw_count", "d_pm", "d_pw", "d_pm_pct")
+        + ("r_pm", "r_pw", "r_pm_pct")
+    ),
+    ("prices", lambda rec: " ".join(map(money_str, rec.prices)) if rec.prices else None),
+    ("message", attrgetter("message")),
+)
+
+# (metric, value) of a long.csv row; summarise takes the mean of every
+# metric but revenue over a group's successful runs.
+_METRICS = (
+    ("revenue", attrgetter("revenue")),
+    ("opt_gap_pct", attrgetter("opt_gap_pct")),
+    ("gain_over_sp_pct", attrgetter("gain_over_sp_pct")),
+    ("pm_count", _pm("pm_count")),
+    ("d_pm_pct", _pm("d_pm_pct")),
+    ("r_pm_pct", _pm("r_pm_pct")),
+)
+
+
 def write_runs_csv(path, records, record_times: bool = False):
-    path = Path(path)
-    columns = _RUNS_COLUMNS + (("wall_time",) if record_times else ())
-    with open(path, "w", encoding="utf-8", newline="") as out:
+    columns = _RUNS_COLUMNS + ((("wall_time", attrgetter("wall_time")),) if record_times else ())
+    with open(Path(path), "w", encoding="utf-8", newline="") as out:
         out.write(f"# {RUNS_SCHEMA}\n")
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(name for name, _ in columns)
         for rec in records:
-            row = [
-                rec.instance_id,
-                rec.model,
-                rec.n_outlets,
-                rec.n_demands,
-                f"{rec.density:.4f}",
-                rec.algorithm,
-                rec.status,
-                _fmt(rec.revenue),
-                _fmt(rec.r_opt),
-                _fmt(rec.r_sp),
-                _fmt(rec.opt_gap_pct),
-                _fmt(rec.gain_over_sp_pct),
-                rec.pm.pm_count if rec.pm else "",
-                rec.pm.pw_count if rec.pm else "",
-                _fmt(rec.pm.d_pm) if rec.pm else "",
-                _fmt(rec.pm.d_pw) if rec.pm else "",
-                _fmt(rec.pm.d_pm_pct) if rec.pm else "",
-                _fmt(rec.pm.r_pm) if rec.pm else "",
-                _fmt(rec.pm.r_pw) if rec.pm else "",
-                _fmt(rec.pm.r_pm_pct) if rec.pm else "",
-                " ".join(money_str(p) for p in rec.prices) if rec.prices else "",
-                rec.message,
-            ]
-            if record_times:
-                row.append(_fmt(rec.wall_time))
-            writer.writerow(row)
+            writer.writerow(_fmt(cell(rec)) for _, cell in columns)
 
 
 def write_long_csv(path, records):
-    path = Path(path)
-    metrics = (
-        ("revenue", lambda r: r.revenue),
-        ("opt_gap_pct", lambda r: r.opt_gap_pct),
-        ("gain_over_sp_pct", lambda r: r.gain_over_sp_pct),
-        ("pm_count", lambda r: r.pm.pm_count if r.pm else None),
-        ("d_pm_pct", lambda r: r.pm.d_pm_pct if r.pm else None),
-        ("r_pm_pct", lambda r: r.pm.r_pm_pct if r.pm else None),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as out:
+    with open(Path(path), "w", encoding="utf-8", newline="") as out:
         out.write(f"# {LONG_SCHEMA}\n")
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            (
-                "instance",
-                "model",
-                "n_outlets",
-                "n_demands",
-                "density",
-                "algorithm",
-                "metric",
-                "value",
-            )
-        )
+        writer.writerow((*(name for name, _ in _ID_COLUMNS), "metric", "value"))
         for rec in records:
-            for name, getter in metrics:
-                value = getter(rec)
-                if value is None:
-                    continue
-                writer.writerow(
-                    (
-                        rec.instance_id,
-                        rec.model,
-                        rec.n_outlets,
-                        rec.n_demands,
-                        f"{rec.density:.4f}",
-                        rec.algorithm,
-                        name,
-                        _fmt(value),
-                    )
-                )
+            key = [_fmt(cell(rec)) for _, cell in _ID_COLUMNS]
+            for name, metric in _METRICS:
+                value = metric(rec)
+                if value is not None:
+                    writer.writerow((*key, name, _fmt(value)))
 
 
 def _mean(values) -> Optional[float]:
@@ -595,31 +551,20 @@ def summarise(records) -> list[dict]:
         for alg in sorted(by_alg):
             recs = by_alg[alg]
             done = [r for r in recs if r.status == STATUS_OK]
-            rows.append(
-                {
-                    "model": model,
-                    "n_demands": n_demands,
-                    "n_outlets": n_outlets,
-                    "density": density,
-                    "algorithm": alg,
-                    "runs": len(recs),
-                    "ok": len(done),
-                    "timeouts": sum(1 for r in recs if r.status == STATUS_TIMEOUT),
-                    "mean_opt_gap_pct": _mean(r.opt_gap_pct for r in done),
-                    "mean_gain_over_sp_pct": _mean(
-                        r.gain_over_sp_pct for r in done
-                    ),
-                    "mean_pm_count": _mean(
-                        r.pm.pm_count for r in done if r.pm is not None
-                    ),
-                    "mean_d_pm_pct": _mean(
-                        r.pm.d_pm_pct for r in done if r.pm is not None
-                    ),
-                    "mean_r_pm_pct": _mean(
-                        r.pm.r_pm_pct for r in done if r.pm is not None
-                    ),
-                }
-            )
+            row = {
+                "model": model,
+                "n_demands": n_demands,
+                "n_outlets": n_outlets,
+                "density": density,
+                "algorithm": alg,
+                "runs": len(recs),
+                "ok": len(done),
+                "timeouts": sum(1 for r in recs if r.status == STATUS_TIMEOUT),
+            }
+            for name, metric in _METRICS:
+                if name != "revenue":
+                    row[f"mean_{name}"] = _mean(map(metric, done))
+            rows.append(row)
     return rows
 
 

@@ -17,8 +17,10 @@ from pathlib import Path
 from .bench import (
     MIP_ALGORITHMS,
     STATUS_ERROR,
+    STATUS_OK,
     STATUS_TIMEOUT,
     ConfigError,
+    RunRecord,
     load_config,
     pm_accounting,
     records_from_csv,
@@ -60,26 +62,17 @@ def _write_result(path, payload: dict):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _result_payload(
-    instance_id: str,
-    algorithm: str,
-    status: str,
-    revenue=None,
-    prices=None,
-    ladder=None,
-    pm=None,
-    wall_time=None,
-    message: str = "",
-) -> dict:
+def _result_payload(rec: RunRecord, record_times: bool = False) -> dict:
     payload = {
         "schema": RESULT_SCHEMA,
-        "instance": instance_id,
-        "algorithm": algorithm,
-        "status": status,
-        "revenue": None if revenue is None else number_str(revenue),
-        "prices": None if prices is None else [money_str(p) for p in prices],
-        "ladder": None if ladder is None else list(ladder),
+        "instance": rec.instance_id,
+        "algorithm": rec.algorithm,
+        "status": rec.status,
+        "revenue": None if rec.revenue is None else number_str(rec.revenue),
+        "prices": None if rec.prices is None else [money_str(p) for p in rec.prices],
+        "ladder": None if rec.ladder is None else list(rec.ladder),
     }
+    pm = rec.pm
     if pm is not None:
         payload["pm"] = {
             "pm_count": pm.pm_count,
@@ -89,10 +82,10 @@ def _result_payload(
             "d_pm_pct": round(pm.d_pm_pct, 6),
             "r_pm_pct": round(pm.r_pm_pct, 6),
         }
-    if wall_time is not None:
-        payload["wall_time"] = wall_time
-    if message:
-        payload["message"] = message
+    if record_times:
+        payload["wall_time"] = rec.wall_time
+    if rec.message:
+        payload["message"] = rec.message
     return payload
 
 
@@ -132,50 +125,37 @@ def cmd_solve(args) -> int:
     if args.pi is not None:
         # One cap for every algorithm, MIP formulations and relaxations too.
         inst = replace(inst, pi=parse_money(args.pi))
-    run = run_one(inst, args.alg, resolve_adapter(args.solver_cmd), args.time_limit)
-    if run["status"] == STATUS_ERROR:
-        print(f"error: solver {run['message']}", file=sys.stderr)
+    rec = run_one(inst, args.alg, resolve_adapter(args.solver_cmd), args.time_limit, instance_id)
+    if rec.status == STATUS_ERROR:
+        print(f"error: solver {rec.message}", file=sys.stderr)
         return EXIT_SOLVER
-    prices = run["prices"]
-    payload = _result_payload(
-        instance_id,
-        args.alg,
-        run["status"],
-        revenue=run["revenue"],
-        prices=prices,
-        ladder=run["ladder"],
-        pm=None if prices is None else pm_accounting(inst, prices),
-        wall_time=run["wall_time"] if args.record_times else None,
-        message=run["message"],
-    )
     if args.out:
-        _write_result(args.out, payload)
-    revenue = "" if run["revenue"] is None else f" revenue {number_str(run['revenue'])}"
-    print(f"{instance_id} {args.alg}: {run['status']}{revenue}")
-    return EXIT_TIMEOUT if run["status"] == STATUS_TIMEOUT else EXIT_OK
+        _write_result(args.out, _result_payload(rec, args.record_times))
+    revenue = "" if rec.revenue is None else f" revenue {number_str(rec.revenue)}"
+    print(f"{instance_id} {args.alg}: {rec.status}{revenue}")
+    return EXIT_TIMEOUT if rec.status == STATUS_TIMEOUT else EXIT_OK
 
 
 def cmd_exact(args) -> int:
     inst = load_instance(args.input)
-    instance_id = Path(args.input).stem
     if args.method == "brute":
         revenue, prices = brute_force(inst, limit=args.limit)
         ladder = None
     else:
         revenue, ladder, prices = ladder_exact(inst)
-    pm = pm_accounting(inst, prices)
-    payload = _result_payload(
-        instance_id,
+    rec = RunRecord.of(
+        Path(args.input).stem,
+        inst,
         f"exact-{args.method}",
-        "ok",
+        STATUS_OK,
         revenue=revenue,
         prices=prices,
         ladder=ladder,
-        pm=pm,
+        pm=pm_accounting(inst, prices),
     )
     if args.out:
-        _write_result(args.out, payload)
-    print(f"{instance_id} exact-{args.method}: revenue {number_str(revenue)}")
+        _write_result(args.out, _result_payload(rec))
+    print(f"{rec.instance_id} {rec.algorithm}: revenue {number_str(revenue)}")
     return EXIT_OK
 
 

@@ -77,14 +77,15 @@ class HeuristicResult:
     competitor price, since it leaves out match revenue. Under BMNPP it
     can also overstate it: the score takes each node's best outlet, while
     evaluate_prices serves a tie, and a uniform price ties every outlet,
-    from the node's lowest outlet id.
+    from the node's lowest outlet id. A result is a plain value: two runs
+    that agree compare equal. Timing a run is the caller's business
+    (bench.run_one times the whole run).
     """
 
     algorithm: str
     ladder: Optional[tuple[int, ...]]
     prices: tuple[Money, ...]
     revenue: object
-    wall_time: float
 
 
 def single_price(inst: Instance):
@@ -275,7 +276,6 @@ def full_insertion(
     id, then the lower position. Every trial of the run shares the
     instance's prefix trie.
     """
-    t0 = time.perf_counter()
     remaining = sorted(inst.outlets())
     ladder: list[int] = []
     while remaining:
@@ -289,7 +289,7 @@ def full_insertion(
         _, f, pos = best
         ladder.insert(pos, f)
         remaining.remove(f)
-    return _finish(inst, "fi", tuple(ladder), pi, t0)
+    return _finish(inst, "fi", tuple(ladder), pi)
 
 
 def insertion_with_order(
@@ -303,7 +303,6 @@ def insertion_with_order(
 
     Every trial of the run shares the instance's prefix trie.
     """
-    t0 = time.perf_counter()
     if sorted(order) != list(inst.outlets()):
         raise ValueError("selection order must cover every outlet exactly once")
     ladder: list[int] = []
@@ -312,25 +311,15 @@ def insertion_with_order(
             deadline.check()
         pos, _ = best_insertion(inst, ladder, f, pi=pi)
         ladder.insert(pos, f)
-    return _finish(inst, algorithm, tuple(ladder), pi, t0)
+    return _finish(inst, algorithm, tuple(ladder), pi)
 
 
 def _finish(
-    inst: Instance,
-    algorithm: str,
-    ladder: tuple[int, ...],
-    pi: Optional[Money],
-    t0: float,
+    inst: Instance, algorithm: str, ladder: tuple[int, ...], pi: Optional[Money]
 ) -> HeuristicResult:
     """Price the final ladder from the prefix trie and assemble the result."""
     prices, revenue = _Prefixes(inst, pi).price(ladder)
-    return HeuristicResult(
-        algorithm=algorithm,
-        ladder=ladder,
-        prices=prices,
-        revenue=revenue,
-        wall_time=time.perf_counter() - t0,
-    )
+    return HeuristicResult(algorithm, ladder, prices, revenue)
 
 
 def run_algorithm(
@@ -350,22 +339,15 @@ def run_algorithm(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     pi = inst.pi
     deadline = Deadline(time_limit)
-    t0 = time.perf_counter()
     if algorithm == "sp":
         price, revenue = single_price(inst)
-        return HeuristicResult(
-            algorithm="sp",
-            ladder=None,
-            prices=tuple([price] * inst.n_outlets),
-            revenue=revenue,
-            wall_time=time.perf_counter() - t0,
-        )
+        return HeuristicResult("sp", None, (price,) * inst.n_outlets, revenue)
     if algorithm == "greedy":
         ladder, _ = greedy_select(inst, pi=pi, deadline=deadline)
-        return _finish(inst, "greedy", ladder, pi, t0)
+        return _finish(inst, "greedy", ladder, pi)
     if algorithm == "order":
         ladder = order_select(inst)
-        return _finish(inst, "order", ladder, pi, t0)
+        return _finish(inst, "order", ladder, pi)
     if algorithm == "fi":
         return full_insertion(inst, pi=pi, deadline=deadline)
     selector = _INSERTION_SELECTORS[algorithm]

@@ -246,7 +246,10 @@ class LinearModel:
         return tuple(zip(map(self.names.__getitem__, self.obj_cols), self.obj_coefs))
 
     def objective_value(self, values: dict[str, float]) -> float:
-        return sum(coef * values.get(name, 0.0) for name, coef in self.objective)
+        names = self.names
+        return sum(
+            coef * values.get(names[j], 0.0) for j, coef in zip(self.obj_cols, self.obj_coefs)
+        )
 
 
 def _finite(x, what: str) -> float:

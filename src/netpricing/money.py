@@ -17,7 +17,7 @@ Money = int
 
 
 class MoneyError(ValueError):
-    """Unparseable money literal, or one finer than the minor unit."""
+    """Unparseable or non-finite money literal, or one finer than the minor unit."""
 
 
 def parse_money(value) -> Money:
@@ -44,6 +44,8 @@ def parse_money(value) -> Money:
             dec = Decimal(str(value).strip())
         except InvalidOperation as exc:
             raise MoneyError(f"not a money literal: {value!r}") from exc
+        if not dec.is_finite():
+            raise MoneyError(f"{value!r} is not a finite money literal")
         scaled = dec.scaleb(2)
         if scaled != scaled.to_integral_value():
             raise MoneyError(f"{value!r} is finer than the minor unit")

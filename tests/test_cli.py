@@ -1,12 +1,13 @@
 """Command line surface: files in, files out, meaningful exit codes."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from netpricing import bench
+from netpricing import bench, heuristics, mip
 from netpricing.bench import MIP_ALGORITHMS, read_runs_csv, records_from_csv
 from netpricing.cli import main
 from netpricing.heuristics import ALGORITHMS
@@ -50,6 +51,14 @@ class TestGenerate:
         )
         assert code == 3
         assert capsys.readouterr().err == "error: grid exceeds 100000 price levels\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "sNaN"])
+    def test_non_finite_pi_exits_3(self, tmp_path, capsys, value):
+        out = tmp_path / "x.json"
+        assert run("generate", f"--pi={value}", "--out", out) == 3
+        assert "not a finite money literal" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -113,6 +122,18 @@ class TestSolve:
         bad.write_text('{"format": "wrong"}')
         assert run("solve", "--in", bad, "--alg", "fi") == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["grid", "pi"])
+    def test_non_finite_money_in_instance_exits_3(self, tmp_path, capsys, field):
+        doc = json.loads(TINY.read_text())
+        if field == "grid":
+            doc["meta"]["grid"][-1] = "-inf"
+        else:
+            doc["meta"]["pi"] = "-inf"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", "--in", bad, "--alg", "fi") == 3
+        assert "not a finite money literal" in capsys.readouterr().err
 
     def test_timeout_exits_5(self, tmp_path):
         inst = tmp_path / "big.json"
@@ -201,6 +222,50 @@ def test_solve_matches_the_bench_row(tmp_path, capsys, alg):
         assert float(row[key]) == pytest.approx(pm[key], abs=1e-6)
 
 
+class TestWholeRunWallTime:
+    """wall_time covers the whole run, selection and relaxation included."""
+
+    SLOW = 0.2
+
+    @pytest.fixture(params=["ip2I", "greedyI"])
+    def slow_selection(self, request, monkeypatch):
+        if request.param == "ip2I":
+
+            def relax_order(inst, which, adapter):
+                time.sleep(self.SLOW)
+                return tuple(inst.outlets())
+
+            monkeypatch.setattr(mip, "relax_order", relax_order)
+        else:
+            greedy_select = heuristics.greedy_select
+
+            def slow_greedy(*args, **kwargs):
+                time.sleep(self.SLOW)
+                return greedy_select(*args, **kwargs)
+
+            monkeypatch.setattr(heuristics, "greedy_select", slow_greedy)
+        return request.param
+
+    def test_solve_json(self, tmp_path, slow_selection):
+        out = tmp_path / "r.json"
+        code = run(
+            "solve", "--in", TINY, "--alg", slow_selection, "--out", out, "--record-times"
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["wall_time"] >= self.SLOW
+
+    def test_bench_row(self, tmp_path, slow_selection):
+        config = {
+            "algorithms": [slow_selection],
+            "instances": {"files": [str(TINY)]},
+            "record_times": True,
+        }
+        paths = bench.run_suite(config, tmp_path / "out")
+        (row,) = read_runs_csv(paths["runs"])
+        assert row["status"] == "ok"
+        assert float(row["wall_time"]) >= self.SLOW
+
+
 class TestExact:
     def test_brute_oracle(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -278,6 +343,16 @@ class TestBenchAndReport:
         assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
         assert capsys.readouterr().err == "error: grid exceeds 100000 price levels\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["config", "generate"])
+    def test_bench_non_finite_pi_exits_3(self, tmp_path, capsys, where):
+        config = json.loads(self.write_config(tmp_path).read_text())
+        target = config if where == "config" else config["instances"]["generate"][0]
+        target["pi"] = "inf"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run("bench", "--config", bad, "--out-dir", tmp_path / "out") == 3
+        assert "not a finite money literal" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "where, key, value",

@@ -12,8 +12,6 @@ To rewrite the golden files after an intended output change, run
 import sys
 from pathlib import Path
 
-import pytest
-
 from netpricing.bench import run_suite
 from netpricing.cli import main
 
@@ -69,35 +67,11 @@ def write_artifacts(out_dir: Path) -> list[str]:
     return names
 
 
-@pytest.fixture(scope="module")
-def regenerated(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("golden")
-    return out_dir, write_artifacts(out_dir)
-
-
-def test_artifact_set_is_complete(regenerated):
-    _, names = regenerated
+def test_artifacts_match_golden(tmp_path):
+    names = write_artifacts(tmp_path)
     assert len(names) == 8
     for name in names:
-        assert (GOLDEN / name).is_file(), name
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "golden.runs.csv",
-        "golden.summary.txt",
-        "golden.long.csv",
-        "golden_timeout.runs.csv",
-        "golden_timeout.summary.txt",
-        "golden_timeout.long.csv",
-        "solve_fi.json",
-        "exact_ladder.json",
-    ],
-)
-def test_artifact_matches_golden(regenerated, name):
-    out_dir, _ = regenerated
-    assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":

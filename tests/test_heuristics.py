@@ -215,7 +215,6 @@ class TestRunAlgorithm:
         result = run_algorithm(tiny_disjoint, algorithm)
         assert sorted(result.ladder) == [0, 1]
         assert len(result.prices) == 2
-        assert result.wall_time >= 0.0
 
     def test_order_and_insertions_reach_1600(self, tiny_disjoint):
         for algorithm in ("order", "fi", "orderI"):
@@ -250,7 +249,7 @@ class TestRunAlgorithm:
         DP_CALLS.reset()
         again = run_algorithm(inst, "fi")
         assert DP_CALLS.cells == 0
-        assert replace(again, wall_time=0) == replace(first, wall_time=0)
+        assert again == first
 
     def test_deadline_zero_raises(self):
         inst = generate(GenParams(n_outlets=6, n_demands=12, density=0.8, seed=3))

@@ -457,11 +457,9 @@ def searches(inst):
     order = tuple(reversed(range(inst.n_outlets)))
     return {
         "ladder_exact": lambda: repr(ladder_exact(inst)),
-        "fi": lambda: repr(replace(full_insertion(inst, pi=pi), wall_time=0)),
+        "fi": lambda: repr(full_insertion(inst, pi=pi)),
         "greedy": lambda: repr(greedy_select(inst, pi=pi)),
-        "insertion": lambda: repr(
-            replace(insertion_with_order(inst, order, pi=pi), wall_time=0)
-        ),
+        "insertion": lambda: repr(insertion_with_order(inst, order, pi=pi)),
     }
 
 

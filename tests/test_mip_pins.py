@@ -8,10 +8,12 @@ as it is, so that LP files, solutions and bench artifacts stay identical.
 """
 
 import hashlib
+import random
+from pathlib import Path
 
 import pytest
 
-from netpricing import GenParams, build_model, generate, lp_text, relax
+from netpricing import GenParams, build_ip2, build_model, generate, load_instance, lp_text, relax
 
 # (model, formulation, pi, c_hi): ip1 exists only for mnpp. c_hi = 1 puts
 # most competitor prices at the grid floor, where ip1 fixes z at zero.
@@ -151,3 +153,27 @@ def test_highs_input_pinned(model, which, pi, c_hi, seed, relaxed, request, monk
     m = make_model(model, which, pi, c_hi, seed, relaxed)
     key = request.node.callspec.id
     assert highs_input_hash(m, monkeypatch) == PINS[key][1]
+
+
+def view_objective_value(m, values):
+    """The objective at values, summed over the (name, coef) view."""
+    return sum(coef * values.get(name, 0.0) for name, coef in m.objective)
+
+
+def some_values(m):
+    """Seeded values for two columns in three; the rest default to 0."""
+    rng = random.Random(len(m.names))
+    return {name: rng.uniform(-3.0, 3.0) for i, name in enumerate(m.names) if i % 3}
+
+
+@pytest.mark.parametrize("model, which, pi, c_hi, seed, relaxed", battery())
+def test_objective_value_is_the_view_sum(model, which, pi, c_hi, seed, relaxed):
+    m = make_model(model, which, pi, c_hi, seed, relaxed)
+    values = some_values(m)
+    assert m.objective_value(values).hex() == view_objective_value(m, values).hex()
+
+
+def test_objective_value_is_the_view_sum_on_the_golden_model():
+    m = build_ip2(load_instance(Path(__file__).parent / "golden" / "tiny_disjoint.json"))
+    values = some_values(m)
+    assert m.objective_value(values).hex() == view_objective_value(m, values).hex()

@@ -60,6 +60,14 @@ def test_parse_money_rejects_garbage():
         parse_money("seven")
 
 
+@pytest.mark.parametrize(
+    "value", ["inf", "-inf", "Infinity", "nan", "NaN", "sNaN", Decimal("-Infinity")]
+)
+def test_parse_money_rejects_non_finite(value):
+    with pytest.raises(MoneyError, match="not a finite money literal"):
+        parse_money(value)
+
+
 def test_money_str_two_decimals():
     assert money_str(700) == "7.00"
     assert money_str(1250) == "12.50"
