@@ -8,6 +8,7 @@ first-fit pass over the ladder, so the table only has one row per
 position and one column per grid price.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 from netpricing import (
@@ -59,8 +60,9 @@ def main():
     show("best ladder", best[0], best[1], best[2])
 
     # A spread cap keeps all prices within a band; revenue can only drop.
+    # The cap is instance data, so price a copy of the instance that has it.
     capped_prices, capped_revenue = dp_prices(
-        inst, best[0], allocate(inst, best[0]), pi=parse_money("1")
+        replace(inst, pi=parse_money("1")), best[0], allocate(inst, best[0])
     )
     show("cap 1.00", best[0], capped_prices, capped_revenue)
 

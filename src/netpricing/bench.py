@@ -147,8 +147,8 @@ def cross_model_gap(
 
     inst must carry logit coefficients, and may be either twin: both the
     achieved revenue of prices (which come from solving the fixed-fraction
-    twin) and the default best_revenue, the ordering-enumeration optimum,
-    are scored under logit demand.
+    twin) and the default best_revenue, ladder_exact's best revenue over
+    all outlet orderings, are scored under logit demand.
     """
     logit = replace(inst, model=BMNPP)
     achieved, _, _ = evaluate_prices(logit, prices)
@@ -239,6 +239,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# A config generate block's keys, beside "seeds", and the GenParams field
+# each sets; a key left out keeps the field's default.
+_GENERATE_FIELDS = {
+    "model": "model",
+    "outlets": "n_outlets",
+    "demands": "n_demands",
+    "density": "density",
+    "grid_min": "grid_min",
+    "grid_max": "grid_max",
+    "grid_step": "grid_step",
+    "pi": "pi",
+    "beta": "beta",
+    "gamma": "gamma",
+}
+
+
 def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]]:
     spec = config.get("instances")
     if not isinstance(spec, dict):
@@ -261,21 +277,8 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
     for block in spec.get("generate", []):
         if not isinstance(block, dict):
             raise ConfigError("instances.generate entries must be objects")
-        allowed = {
-            "model",
-            "outlets",
-            "demands",
-            "density",
-            "seeds",
-            "grid_min",
-            "grid_max",
-            "grid_step",
-            "pi",
-            "beta",
-            "gamma",
-        }
         for key in block:
-            if key not in allowed:
+            if key != "seeds" and key not in _GENERATE_FIELDS:
                 raise ConfigError(f"instances.generate: unknown field {key!r}")
         seeds = block.get("seeds", [0])
         if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
@@ -285,21 +288,12 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
                 raise ConfigError(f"instances.generate: {key!r} must be an integer")
         if "density" in block and not _is_number(block["density"]):
             raise ConfigError("instances.generate: 'density' must be a number")
+        given = {_GENERATE_FIELDS[k]: v for k, v in block.items() if k != "seeds"}
+        for key in ("grid_min", "grid_max", "grid_step", "beta", "gamma"):
+            if key in given:
+                given[key] = str(given[key])
         for seed in seeds:
-            params = GenParams(
-                model=block.get("model", "mnpp"),
-                n_outlets=block.get("outlets", 5),
-                n_demands=block.get("demands", 15),
-                density=block.get("density", 0.5),
-                seed=seed,
-                grid_min=str(block.get("grid_min", "0")),
-                grid_max=str(block.get("grid_max", "25")),
-                grid_step=str(block.get("grid_step", "0.5")),
-                beta=str(block.get("beta", "0.5")),
-                gamma=str(block.get("gamma", "1")),
-                pi=block.get("pi"),
-            )
-            inst = generate(params)
+            inst = generate(GenParams(seed=seed, **given))
             out.append((instance_label(inst), inst))
     if not out:
         raise ConfigError("config selects no instances")

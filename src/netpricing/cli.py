@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -100,20 +100,8 @@ def cmd_generate(args) -> int:
             count += 1
         print(f"wrote {count} instances to {out_dir}")
         return EXIT_OK
-    params = GenParams(
-        model=args.model,
-        n_outlets=args.outlets,
-        n_demands=args.demands,
-        density=args.density,
-        seed=args.seed,
-        grid_min=args.grid_min,
-        grid_max=args.grid_max,
-        grid_step=args.grid_step,
-        beta=args.beta,
-        gamma=args.gamma,
-        pi=args.pi,
-    )
-    inst = generate(params)
+    names = {f.name for f in fields(GenParams)}
+    inst = generate(GenParams(**{k: v for k, v in vars(args).items() if k in names}))
     save_instance(inst, args.out)
     print(f"wrote {instance_label(inst)} to {args.out}")
     return EXIT_OK
@@ -206,17 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate an instance file")
-    gen.add_argument("--model", choices=MODELS, default="mnpp")
-    gen.add_argument("--outlets", type=int, default=5)
-    gen.add_argument("--demands", type=int, default=15)
-    gen.add_argument("--density", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--grid-min", default="0")
-    gen.add_argument("--grid-max", default="25")
-    gen.add_argument("--grid-step", default="0.5")
-    gen.add_argument("--beta", default="0.5")
-    gen.add_argument("--gamma", default="1")
-    gen.add_argument("--pi", default=None, help="price spread cap, e.g. 2.50")
+    gen.add_argument("--model", choices=MODELS, default=GenParams.model)
+    gen.add_argument("--outlets", dest="n_outlets", type=int, default=GenParams.n_outlets)
+    gen.add_argument("--demands", dest="n_demands", type=int, default=GenParams.n_demands)
+    gen.add_argument("--density", type=float, default=GenParams.density)
+    gen.add_argument("--seed", type=int, default=GenParams.seed)
+    gen.add_argument("--grid-min", default=GenParams.grid_min)
+    gen.add_argument("--grid-max", default=GenParams.grid_max)
+    gen.add_argument("--grid-step", default=GenParams.grid_step)
+    gen.add_argument("--beta", default=GenParams.beta)
+    gen.add_argument("--gamma", default=GenParams.gamma)
+    gen.add_argument("--pi", default=GenParams.pi, help="price spread cap, e.g. 2.50")
     gen.add_argument(
         "--paper-grid",
         action="store_true",

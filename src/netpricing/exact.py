@@ -116,7 +116,7 @@ def ladder_exact(inst: Instance):
             f"{n} outlets exceed the ordering search's limit of "
             f"{LADDER_OUTLET_LIMIT} ({2 ** n} outlet subsets)"
         )
-    prefixes = _Prefixes(inst, inst.pi)
+    prefixes = _Prefixes(inst)
     rest = _completions(prefixes, n)
     target = max(window[0] for window in rest[0])
     state, subset, ladder = prefixes.root, 0, []
@@ -146,7 +146,7 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
         low = subset & -subset
         covered[subset] = covered[subset ^ low] | prefixes.masks[low.bit_length() - 1]
     rest = [None] * (full + 1)
-    rest[full] = [[0] * (hi - lo + 1) for lo, hi in prefixes.windows]
+    rest[full] = prefixes.root[1]
     for subset in range(full - 1, -1, -1):
         best = None
         for f in range(n):

@@ -12,9 +12,8 @@ Three families:
   the greedy, order, and relaxation-guided variants are composed.
 
 All ties break toward the lower id or the earlier position, so every
-heuristic is deterministic. The functions below take the spread cap as an
-explicit pi, where None means no cap; run_algorithm passes the instance's
-own cap.
+heuristic is deterministic. Every ladder heuristic prices within the
+instance's own spread cap, inst.pi.
 """
 
 from __future__ import annotations
@@ -120,11 +119,7 @@ def single_price(inst: Instance):
     return grid.prices[best], table.revenue(score[best])
 
 
-def greedy_select(
-    inst: Instance,
-    pi: Optional[Money] = None,
-    deadline: Optional[Deadline] = None,
-):
+def greedy_select(inst: Instance, deadline: Optional[Deadline] = None):
     """Build a ladder by committing the outlet with the best marginal value.
 
     Each step appends, from the remaining outlets, the outlet whose tentative
@@ -138,7 +133,7 @@ def greedy_select(
     pool = list(inst.outlets())
     active = set(range(inst.n_demands))
     ladder: list[int] = []
-    prefixes = _Prefixes(inst, pi)
+    prefixes = _Prefixes(inst)
     state = prefixes.root
     revenue = zero_revenue(inst.model)
     while pool and active:
@@ -233,21 +228,16 @@ def _potential_terms(inst: Instance) -> list:
     return out
 
 
-def best_insertion(
-    inst: Instance,
-    ladder: Sequence[int],
-    f: int,
-    pi: Optional[Money] = None,
-):
+def best_insertion(inst: Instance, ladder: Sequence[int], f: int):
     """Best position for one new outlet. Returns (position, revenue).
 
     Tries every slot from the front to just past the end and keeps the
     lowest position attaining the best optimal ladder revenue. The prefix
     before each slot is grown once and shared by the slots after it, and
-    prefixes that earlier searches on inst and pi pushed are looked up in
-    the instance's prefix trie.
+    prefixes that earlier searches on inst pushed are looked up in the
+    instance's prefix trie.
     """
-    prefixes = _Prefixes(inst, pi)
+    prefixes = _Prefixes(inst)
     prefix = prefixes.root
     best_pos = None
     best_rev = None
@@ -265,9 +255,7 @@ def best_insertion(
 
 
 def full_insertion(
-    inst: Instance,
-    pi: Optional[Money] = None,
-    deadline: Optional[Deadline] = None,
+    inst: Instance, deadline: Optional[Deadline] = None
 ) -> HeuristicResult:
     """Insertion heuristic choosing outlet and position jointly.
 
@@ -283,19 +271,18 @@ def full_insertion(
             deadline.check()
         best = None  # (revenue, f, pos), strictly-better updates keep ties stable
         for f in remaining:
-            pos, rev = best_insertion(inst, ladder, f, pi=pi)
+            pos, rev = best_insertion(inst, ladder, f)
             if best is None or rev > best[0]:
                 best = (rev, f, pos)
         _, f, pos = best
         ladder.insert(pos, f)
         remaining.remove(f)
-    return _finish(inst, "fi", tuple(ladder), pi)
+    return _finish(inst, "fi", tuple(ladder))
 
 
 def insertion_with_order(
     inst: Instance,
     order: Sequence[int],
-    pi: Optional[Money] = None,
     deadline: Optional[Deadline] = None,
     algorithm: str = "insertion",
 ) -> HeuristicResult:
@@ -309,16 +296,14 @@ def insertion_with_order(
     for f in order:
         if deadline:
             deadline.check()
-        pos, _ = best_insertion(inst, ladder, f, pi=pi)
+        pos, _ = best_insertion(inst, ladder, f)
         ladder.insert(pos, f)
-    return _finish(inst, algorithm, tuple(ladder), pi)
+    return _finish(inst, algorithm, tuple(ladder))
 
 
-def _finish(
-    inst: Instance, algorithm: str, ladder: tuple[int, ...], pi: Optional[Money]
-) -> HeuristicResult:
+def _finish(inst: Instance, algorithm: str, ladder: tuple[int, ...]) -> HeuristicResult:
     """Price the final ladder from the prefix trie and assemble the result."""
-    prices, revenue = _Prefixes(inst, pi).price(ladder)
+    prices, revenue = _Prefixes(inst).price(ladder)
     return HeuristicResult(algorithm, ladder, prices, revenue)
 
 
@@ -337,28 +322,25 @@ def run_algorithm(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    pi = inst.pi
     deadline = Deadline(time_limit)
     if algorithm == "sp":
         price, revenue = single_price(inst)
         return HeuristicResult("sp", None, (price,) * inst.n_outlets, revenue)
     if algorithm == "greedy":
-        ladder, _ = greedy_select(inst, pi=pi, deadline=deadline)
-        return _finish(inst, "greedy", ladder, pi)
+        ladder, _ = greedy_select(inst, deadline=deadline)
+        return _finish(inst, "greedy", ladder)
     if algorithm == "order":
         ladder = order_select(inst)
-        return _finish(inst, "order", ladder, pi)
+        return _finish(inst, "order", ladder)
     if algorithm == "fi":
-        return full_insertion(inst, pi=pi, deadline=deadline)
+        return full_insertion(inst, deadline=deadline)
     selector = _INSERTION_SELECTORS[algorithm]
     if selector == "greedy":
-        order, _ = greedy_select(inst, pi=pi, deadline=deadline)
+        order, _ = greedy_select(inst, deadline=deadline)
     elif selector == "order":
         order = order_select(inst)
     else:
         from .mip import relax_order
 
         order = relax_order(inst, selector, adapter=adapter)
-    return insertion_with_order(
-        inst, order, pi=pi, deadline=deadline, algorithm=algorithm
-    )
+    return insertion_with_order(inst, order, deadline=deadline, algorithm=algorithm)

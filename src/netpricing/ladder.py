@@ -20,9 +20,12 @@ below both run it. Pricing keeps the chain of prefix maxima and walks
 back through it (_walk_back), taking at every stage the highest grid
 index that attains the maximum the next stage continues from.
 
-A finite spread cap pi restricts max(price) - min(price). The programme is
-then repeated once per candidate floor index, restricting the grid to the
-window [b(m0), b(m0) + pi], and the best window wins.
+The instance's spread cap inst.pi, when finite, restricts max(price) -
+min(price). The programme is then repeated once per candidate floor index,
+restricting the grid to the window [b(m0), b(m0) + pi], and the best
+window wins. The windows are built with the revenue table (model._windows),
+so every pricing path prices within the instance's own cap; to price under
+another cap, pass replace(inst, pi=...).
 
 The programme runs on the revenue table's integer image (every entry
 times one common scale, exactly) under both demand models, so its hot
@@ -37,11 +40,11 @@ prefix states: the nodes the prefix covers, as a bitmask over node ids,
 and, per window, the prefix maxima of its last stage. Pushing one outlet
 onto a state adds one stage, at a cost of one cell per grid index of every
 window; the state's value is the best revenue of any pricing of the
-prefix. The states form one trie per instance and cap, kept on the
-instance's revenue table: a prefix any run on it pushed before is looked
-up, not recomputed, and fills no cells. A stage's row, the sum of the
-outlet's still-uncovered node rows, depends only on the outlet and those
-nodes, so it is kept in the same table's stage memo. A run prices its
+prefix. The states form one trie per instance, rooted in the instance's
+revenue table: a prefix any run on it pushed before is looked up, not
+recomputed, and fills no cells. A stage's row, the sum of the outlet's
+still-uncovered node rows, depends only on the outlet and those nodes,
+so it is kept in the same table's stage memo. A run prices its
 final ladder by walking back through the ladder's trie states, so it gets
 exactly the numbers dp_prices gets, from the same stage step and walk.
 
@@ -56,10 +59,9 @@ every search on the instance, so no kernel may write into its inputs.
 from __future__ import annotations
 
 from operator import add
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import Instance, adjacency, revenue_table
-from .money import Money
 
 
 class DpCallCounter:
@@ -101,14 +103,9 @@ def allocate(inst: Instance, ladder: Sequence[int]) -> dict[int, int]:
     return assignment
 
 
-def dp_prices(
-    inst: Instance,
-    ladder: Sequence[int],
-    assignment: dict[int, int],
-    *,
-    pi: Optional[Money] = None,
-):
-    """Optimal non-decreasing prices for a ladder under a fixed allocation.
+def dp_prices(inst: Instance, ladder: Sequence[int], assignment: dict[int, int]):
+    """Optimal non-decreasing prices for a ladder under a fixed allocation,
+    within the instance's spread cap inst.pi.
 
     Returns (prices, revenue) with one price per ladder position. Ties are
     broken toward the highest price at every position, so an outlet that
@@ -117,13 +114,13 @@ def dp_prices(
     DP_CALLS.count += 1
     table = revenue_table(inst, inst.model)
     grid = inst.grid.prices
-    windows = _windows(grid, pi)
+    windows = table.windows
     DP_CALLS.cells += len(ladder) * sum(hi - lo + 1 for lo, hi in windows)
     by_outlet = {f: [] for f in ladder}
     for e, f in assignment.items():
         by_outlet[f].append(table.ints[(e, f)])
     stages = [_sum_rows(by_outlet[f]) for f in ladder]
-    chain = [[[0] * (hi - lo + 1) for lo, hi in windows]]
+    chain = [table.root[1]]
     for stage in stages:
         chain.append(_advance(windows, stage, chain[-1]))
     indices, raw = _walk_back(windows, stages, chain)
@@ -211,43 +208,26 @@ def _pairwise_max(a, b):
     return [x if x >= y else y for x, y in zip(a, b)]
 
 
-def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
-    """The (lo, hi) grid index windows the programme is run over.
-
-    Without a cap that is the whole grid; with a spread cap pi it is one
-    window [b(m0), b(m0) + pi] per floor index m0, in ascending order.
-    """
-    n_prices = len(grid)
-    if pi is None:
-        return [(0, n_prices - 1)]
-    windows = []
-    for lo in range(n_prices):
-        hi = lo
-        while hi + 1 < n_prices and grid[hi + 1] - grid[lo] <= pi:
-            hi += 1
-        windows.append((lo, hi))
-    return windows
-
-
 class _Prefixes:
-    """A trie of prefix states of the ladder programme on one instance and cap.
+    """The trie of prefix states of the ladder programme on one instance.
 
     A state is (covered nodes as a bitmask, prefix maxima of the last
     stage per window, children by outlet); root is the empty prefix, whose
     maxima are all zero. push returns the stored child when the trie has
-    it. Root and windows live in the revenue table's tries, keyed by pi,
-    so every search on the instance and cap grows one trie, which lasts
-    as long as the table; racing threads may build a child twice, with
-    equal values. push, value and price work on the table's integer
-    image; revenue turns a raw value into the public number type. Stage
-    rows come from the table's memo (RevenueTable.stages).
+    it. Root and windows come from the revenue table, built there from
+    inst.pi, so every search on the instance grows one trie, which lasts
+    as long as the table; racing threads share the table, and so the
+    root, and may build a child twice, with equal values. push, value and
+    price work on the table's integer image; revenue turns a raw value
+    into the public number type. Stage rows come from the table's memo
+    (RevenueTable.stages).
     """
 
     __slots__ = (
         "rows", "revenue", "n_f", "masks", "stages", "grid", "windows", "cells", "root"
     )
 
-    def __init__(self, inst: Instance, pi: Optional[Money]):
+    def __init__(self, inst: Instance):
         table = revenue_table(inst, inst.model)
         self.rows = table.ints
         self.revenue = table.revenue
@@ -255,12 +235,8 @@ class _Prefixes:
         self.stages = table.stages
         self.n_f = adjacency(inst)[1]
         self.grid = inst.grid.prices
-        trie = table.tries.get(pi)
-        if trie is None:
-            windows = _windows(self.grid, pi)
-            root = (0, [[0] * (hi - lo + 1) for lo, hi in windows], {})
-            trie = table.tries.setdefault(pi, (windows, root))
-        self.windows, self.root = trie
+        self.windows = table.windows
+        self.root = table.root
         self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
 
     def stage(self, covered: int, f: int):

@@ -568,7 +568,8 @@ def lp_text(model: LinearModel) -> str:
         if lb == -math.inf and ub == math.inf:
             lines.append(f" {name} free")
         elif lb == -math.inf:
-            lines.append(f" {name} <= {_num(ub)}")
+            # LP readers take a missing lower bound as 0, so -inf is written.
+            lines.append(f" -inf <= {name} <= {_num(ub)}")
         elif ub == math.inf:
             lines.append(f" {name} >= {_num(lb)}")
         elif lb == ub:

@@ -299,18 +299,20 @@ class RevenueTable:
     The table also keeps per-instance data the ladder searches read:
     masks[f] is outlet f's demand nodes as a bitmask over node ids, and
     stages memoises, under the key (f, new), the summed image row of
-    outlet f's nodes in new (a submask of masks[f]). tries holds, per
-    spread cap pi, the grid windows and the root of the prefix trie that
-    every ladder search on the instance and cap grows (see
-    ladder._Prefixes), so a prefix one run pushed is a hit for the next.
+    outlet f's nodes in new (a submask of masks[f]). windows are the grid
+    index windows of the instance's spread cap (see _windows), and root
+    is the empty prefix of the one prefix trie every ladder search on the
+    instance grows (see ladder._Prefixes), so a prefix one run pushed is
+    a hit for the next.
     """
 
     model: str
     scale: int
     ints: dict
     masks: tuple
+    windows: list
+    root: tuple
     stages: dict = field(default_factory=dict)
-    tries: dict = field(default_factory=dict)
 
     def revenue(self, raw: int):
         if self.model == MNPP:
@@ -350,6 +352,8 @@ def _build_table(inst: Instance, model: str) -> RevenueTable:
     is built from its own edge's coefficients and turned into its image."""
     grid = inst.grid
     masks = tuple(sum(1 << e for e in es) for es in adjacency(inst)[1])
+    windows = _windows(grid.prices, inst.pi)
+    root = (0, [[0] * (hi - lo + 1) for lo, hi in windows], {})
     if model != MNPP:
         # Each nonzero entry is num / 2^j; under 2^k, the largest j, it
         # is num << (k - j). Shifts stay exact however far apart the
@@ -366,14 +370,32 @@ def _build_table(inst: Instance, model: str) -> RevenueTable:
             key: tuple(num << (k - den.bit_length() + 1) for num, den in row)
             for key, row in ratios.items()
         }
-        return RevenueTable(model, 1 << k, ints, masks)
+        return RevenueTable(model, 1 << k, ints, masks, windows, root)
     nodes = {edge.e: inst.demands[edge.e] for edge in inst.edges}
     lcm = math.lcm(
         *(v.denominator for n in nodes.values() for v in (n.d * n.beta, n.d * n.gamma))
     )
     rows = {e: _mnpp_image(node, lcm, grid) for e, node in nodes.items()}
     ints = {(edge.e, edge.f): rows[edge.e] for edge in inst.edges}
-    return RevenueTable(model, MONEY_SCALE * lcm, ints, masks)
+    return RevenueTable(model, MONEY_SCALE * lcm, ints, masks, windows, root)
+
+
+def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:
+    """The (lo, hi) grid index windows the ladder programme is run over.
+
+    Without a cap that is the whole grid; with a spread cap pi it is one
+    window [b(m0), b(m0) + pi] per floor index m0, in ascending order.
+    """
+    n_prices = len(grid)
+    if pi is None:
+        return [(0, n_prices - 1)]
+    windows = []
+    for lo in range(n_prices):
+        hi = lo
+        while hi + 1 < n_prices and grid[hi + 1] - grid[lo] <= pi:
+            hi += 1
+        windows.append((lo, hi))
+    return windows
 
 
 def _mnpp_image(node: DemandNode, lcm: int, grid: PriceGrid) -> tuple:

@@ -10,6 +10,7 @@ import importlib.util
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from statistics import mean
 
@@ -104,7 +105,7 @@ def test_c2_dp_matches_exhaustive_enumeration():
             if edge.f in active and edge.e not in assignment and rng.random() < 0.8:
                 assignment[edge.e] = edge.f
         pi = None if i % 3 else 200
-        _, rev_dp = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
+        _, rev_dp = dp_prices(replace(inst, pi=pi), ladder[:n_active], assignment)
         rev_ref = enumerate_ladder_optimum(inst, ladder[:n_active], assignment, pi=pi)
         assert rev_dp == rev_ref, f"pair {i}: {rev_dp} != {rev_ref}"
 

@@ -1,5 +1,9 @@
 """The public surface: a name leaves it only through a change to this file."""
 
+import inspect
+
+import pytest
+
 import netpricing
 
 PUBLIC_NAMES = [
@@ -106,6 +110,21 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in netpricing.__all__:
         assert hasattr(netpricing, name), name
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "dp_prices",
+        "greedy_select",
+        "best_insertion",
+        "full_insertion",
+        "insertion_with_order",
+    ],
+)
+def test_pricing_functions_take_no_cap_of_their_own(name):
+    # The spread cap is instance data: each prices within inst.pi.
+    assert "pi" not in inspect.signature(getattr(netpricing, name)).parameters
 
 
 def test_revenue_table_reports_its_cache():

@@ -224,6 +224,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_empty_generate_block_gives_the_default_params(self, tmp_path):
+        # A key a generate block leaves out keeps GenParams' own default.
+        out = bench._config_instances({"instances": {"generate": [{}]}}, tmp_path)
+        assert [inst for _, inst in out] == [generate(GenParams())]
+
+    def test_generate_block_keys_set_their_fields(self, tmp_path):
+        block = {"outlets": 3, "demands": 4, "density": 0.75, "seeds": [2, 5],
+                 "grid_max": 9, "grid_step": 0.25, "beta": "0.25", "pi": "1.50"}
+        out = bench._config_instances({"instances": {"generate": [block]}}, tmp_path)
+        want = GenParams(n_outlets=3, n_demands=4, density=0.75, grid_max="9",
+                         grid_step="0.25", beta="0.25", pi="1.50")
+        assert [inst for _, inst in out] == [
+            generate(GenParams(**{**vars(want), "seed": seed})) for seed in (2, 5)
+        ]
+
 
 class TestRunSuite:
     def test_serial_suite_frees_each_finished_instance(self, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netpricing import bench, heuristics, mip
+from netpricing import GenParams, bench, generate, heuristics, mip, save_instance
 from netpricing.bench import MIP_ALGORITHMS, read_runs_csv, records_from_csv
 from netpricing.cli import main
 from netpricing.heuristics import ALGORITHMS
@@ -32,6 +32,28 @@ class TestGenerate:
         assert run("generate", "--seed", 9, "--out", a) == 0
         assert run("generate", "--seed", 9, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_flags_give_the_default_params(self, tmp_path):
+        out, want = tmp_path / "cli.json", tmp_path / "want.json"
+        assert run("generate", "--out", out) == 0
+        save_instance(generate(GenParams()), want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_flags_set_their_fields(self, tmp_path):
+        out, want = tmp_path / "cli.json", tmp_path / "want.json"
+        assert run(
+            "generate", "--model", "bmnpp", "--outlets", 3, "--demands", 4,
+            "--density", "0.75", "--seed", 6, "--grid-min", "1", "--grid-max", "9",
+            "--grid-step", "0.25", "--beta", "0.25", "--gamma", "0.75",
+            "--pi", "1.50", "--out", out,
+        ) == 0
+        params = GenParams(
+            model="bmnpp", n_outlets=3, n_demands=4, density=0.75, seed=6,
+            grid_min="1", grid_max="9", grid_step="0.25", beta="0.25",
+            gamma="0.75", pi="1.50",
+        )
+        save_instance(generate(params), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_paper_grid_writes_collection(self, tmp_path):
         out = tmp_path / "grid"

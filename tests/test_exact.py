@@ -138,4 +138,4 @@ class TestLadderExact:
         DP_CALLS.reset()
         _, ladder, _ = ladder_exact(inst)
         assert DP_CALLS.cells == cells
-        assert cells == self.search_rows(inst, ladder) * _Prefixes(inst, inst.pi).cells
+        assert cells == self.search_rows(inst, ladder) * _Prefixes(inst).cells

@@ -84,11 +84,11 @@ class TestDpPrices:
     @pytest.mark.parametrize("model", [MNPP, BMNPP])
     def test_empty_ladder(self, tiny_disjoint, model, pi):
         inst = replace(tiny_disjoint, model=model, pi=pi)
-        prices, revenue = dp_prices(inst, (), {}, pi=pi)
+        prices, revenue = dp_prices(inst, (), {})
         assert prices == ()
         assert revenue == 0
         assert type(revenue) is type(zero_revenue(model))
-        prefixes = _Prefixes(inst, pi)
+        prefixes = _Prefixes(inst)
         assert prefixes.value(prefixes.root) == 0
 
     def test_prices_non_decreasing(self, tiny_connected):
@@ -108,7 +108,7 @@ class TestDpPrices:
     def test_spread_cap_restricts_window(self, tiny_disjoint):
         ladder = (1, 0)
         assignment = allocate(tiny_disjoint, ladder)
-        prices, revenue = dp_prices(tiny_disjoint, ladder, assignment, pi=100)
+        prices, revenue = dp_prices(replace(tiny_disjoint, pi=100), ladder, assignment)
         assert prices[1] - prices[0] <= 100
         assert revenue < Fraction(1600)
         uncapped = enumerate_ladder_optimum(tiny_disjoint, ladder, assignment, pi=100)
@@ -117,7 +117,7 @@ class TestDpPrices:
     def test_zero_spread_forces_uniform(self, tiny_disjoint):
         ladder = (1, 0)
         assignment = allocate(tiny_disjoint, ladder)
-        prices, revenue = dp_prices(tiny_disjoint, ladder, assignment, pi=0)
+        prices, revenue = dp_prices(replace(tiny_disjoint, pi=0), ladder, assignment)
         assert prices[0] == prices[1]
         assert revenue == Fraction(1400)
 
@@ -145,7 +145,7 @@ def test_dp_equals_enumeration_random(seed):
     ladder = tuple(inst.outlets())
     assignment = allocate(inst, ladder)
     pi = None if seed % 3 else 200
-    _, got = dp_prices(inst, ladder, assignment, pi=pi)
+    _, got = dp_prices(replace(inst, pi=pi), ladder, assignment)
     want = enumerate_ladder_optimum(inst, ladder, assignment, pi=pi)
     assert got == want
 
@@ -157,7 +157,7 @@ def test_threads_share_the_stage_memo(model):
     inst = generate(GenParams(model=model, n_outlets=6, seed=5, pi="10"))
 
     def both(inst):
-        fi = full_insertion(inst, pi=inst.pi)
+        fi = full_insertion(inst)
         return repr((fi, ladder_exact(inst)))
 
     # Each copy of the instance starts with no table: the threads share

@@ -25,6 +25,9 @@ their builtin-max definitions on any int lists, and no kernel may write
 into the lists it reads: the trie's stored maxima and the subset table's
 rows are shared. single_price and order_select must give what a
 per-column max and per-round Fraction sums give.
+
+The spread cap is instance data: dp_prices, the insertion runs, every
+algorithm of run_algorithm and ladder_exact must price within inst.pi.
 """
 
 from copy import deepcopy
@@ -41,6 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netpricing import (
+    ALGORITHMS,
     BMNPP,
     DP_CALLS,
     MNPP,
@@ -51,6 +55,7 @@ from netpricing import (
     adjacency,
     allocate,
     best_insertion,
+    builtin_adapter,
     dp_prices,
     full_insertion,
     greedy_select,
@@ -191,7 +196,7 @@ def cases(draw, model):
 @given(cases(MNPP))
 def test_integer_dp_is_exact_on_mnpp(case):
     inst, ladder, assignment, n_active, pi = case
-    prices, revenue = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
+    prices, revenue = dp_prices(inst, ladder[:n_active], assignment)
     assert isinstance(revenue, Fraction)
     assert revenue == enumerate_ladder_optimum(
         inst, ladder[:n_active], assignment, pi=pi
@@ -203,7 +208,7 @@ def test_integer_dp_is_exact_on_mnpp(case):
 @given(cases(BMNPP))
 def test_dp_on_bmnpp_matches_the_float_table(case):
     inst, ladder, assignment, n_active, pi = case
-    prices, revenue = dp_prices(inst, ladder[:n_active], assignment, pi=pi)
+    prices, revenue = dp_prices(inst, ladder[:n_active], assignment)
     want_prices, want_revenue = table_dp(inst, ladder, assignment, n_active, pi)
     assert isinstance(revenue, float)
     assert revenue == want_revenue
@@ -211,7 +216,7 @@ def test_dp_on_bmnpp_matches_the_float_table(case):
 
 
 def scratch_revenue(inst, ladder, pi):
-    return dp_prices(inst, ladder, allocate(inst, ladder), pi=pi)[1]
+    return dp_prices(replace(inst, pi=pi), ladder, allocate(inst, ladder))[1]
 
 
 def scratch_insertion(inst, ladder, f, pi):
@@ -244,7 +249,7 @@ def scratch_greedy(inst, pi):
 def scratch_exact(inst):
     best = None
     for ladder in permutations(range(inst.n_outlets)):
-        prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=inst.pi)
+        prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder))
         if best is None or revenue > best[0]:
             by_outlet = [0] * inst.n_outlets
             for pos, f in enumerate(ladder):
@@ -269,7 +274,7 @@ def test_best_insertion_equals_scratch_dp(model):
     @given(insertions(model))
     def check(case):
         inst, ladder, f = case
-        got = best_insertion(inst, ladder, f, pi=inst.pi)
+        got = best_insertion(inst, ladder, f)
         assert got == scratch_insertion(inst, ladder, f, inst.pi)
         assert type(got[1]) is type(zero_revenue(model))
 
@@ -281,7 +286,7 @@ def test_greedy_select_equals_scratch_dp(model):
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(instances(model, max_outlets=4))
     def check(inst):
-        assert greedy_select(inst, pi=inst.pi) == scratch_greedy(inst, inst.pi)
+        assert greedy_select(inst) == scratch_greedy(inst, inst.pi)
 
     check()
 
@@ -317,7 +322,7 @@ def test_completion_bound_is_the_best_completion(model):
     @given(instances(model, max_outlets=4))
     def check(inst):
         n = inst.n_outlets
-        prefixes = _Prefixes(inst, inst.pi)
+        prefixes = _Prefixes(inst)
         rest = _completions(prefixes, n)
 
         def walk(state, subset, prefix):
@@ -358,7 +363,7 @@ def scratch_insertion_with_order(inst, order, pi):
 
 
 def priced(inst, ladder, pi):
-    prices, revenue = dp_prices(inst, ladder, allocate(inst, ladder), pi=pi)
+    prices, revenue = dp_prices(replace(inst, pi=pi), ladder, allocate(inst, ladder))
     by_outlet = [0] * inst.n_outlets
     for pos, f in enumerate(ladder):
         by_outlet[f] = prices[pos]
@@ -376,10 +381,10 @@ def test_insertion_runs_equal_scratch_dp(model, cap):
         inst, rest, first = case
         inst = replace(inst, pi=cap)
         order = (first,) + rest
-        got = full_insertion(inst, pi=cap)
+        got = full_insertion(inst)
         want = priced(inst, scratch_full_insertion(inst, cap), cap)
         assert (got.ladder, got.prices, got.revenue) == want
-        got = insertion_with_order(inst, order, pi=cap)
+        got = insertion_with_order(inst, order)
         want = priced(inst, scratch_insertion_with_order(inst, order, cap), cap)
         assert (got.ladder, got.prices, got.revenue) == want
 
@@ -401,6 +406,35 @@ def test_trie_pricing_equals_dp_prices(model, cap):
             assert (got.ladder, got.prices, got.revenue) == priced(inst, got.ladder, cap)
         revenue, ladder, prices = ladder_exact(inst)
         assert (ladder, prices, revenue) == priced(inst, ladder, cap)
+
+    check()
+
+
+@MODELS
+def test_every_pricing_path_keeps_the_instance_cap(model):
+    # No pricing function takes a cap of its own: each prices within the
+    # instance's inst.pi, the relaxation-guided insertions included (ip1
+    # has no logit formulation).
+    adapter = builtin_adapter()
+    algorithms = [alg for alg in ALGORITHMS if model == MNPP or alg != "ip1I"]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(insertions(model), st.integers(0, 150))
+    def check(case, cap):
+        inst, rest, first = case
+        inst = replace(inst, pi=cap)
+        order = (first,) + rest
+        results = [
+            dp_prices(inst, order, allocate(inst, order))[0],
+            full_insertion(inst).prices,
+            insertion_with_order(inst, order).prices,
+            ladder_exact(inst)[2],
+        ]
+        results += [
+            run_algorithm(inst, alg, adapter=adapter).prices for alg in algorithms
+        ]
+        for prices in results:
+            assert max(prices) - min(prices) <= cap
 
     check()
 
@@ -434,17 +468,17 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
 
         DP_CALLS.reset()
         with patch.object(heuristics, "best_insertion", recording):
-            full_insertion(inst, pi=inst.pi)
+            full_insertion(inst)
         n = inst.n_outlets
         assert len(calls) == n * (n + 1) // 2
         distinct = set().union(*(pushed_prefixes(ladder, f) for ladder, f in calls))
-        assert DP_CALLS.cells == len(distinct) * _Prefixes(inst, inst.pi).cells
+        assert DP_CALLS.cells == len(distinct) * _Prefixes(inst).cells
 
         # A second identical call on the instance's trie is all hits.
         ladder = tuple(range(n - 1))
-        first = best_insertion(inst, ladder, n - 1, pi=inst.pi)
+        first = best_insertion(inst, ladder, n - 1)
         DP_CALLS.reset()
-        again = best_insertion(inst, ladder, n - 1, pi=inst.pi)
+        again = best_insertion(inst, ladder, n - 1)
         assert again == first
         assert DP_CALLS.cells == 0
 
@@ -453,13 +487,12 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
 
 def searches(inst):
     """The prefix searches on inst, each giving a repr of its result."""
-    pi = inst.pi
     order = tuple(reversed(range(inst.n_outlets)))
     return {
         "ladder_exact": lambda: repr(ladder_exact(inst)),
-        "fi": lambda: repr(full_insertion(inst, pi=pi)),
-        "greedy": lambda: repr(greedy_select(inst, pi=pi)),
-        "insertion": lambda: repr(insertion_with_order(inst, order, pi=pi)),
+        "fi": lambda: repr(full_insertion(inst)),
+        "greedy": lambda: repr(greedy_select(inst)),
+        "insertion": lambda: repr(insertion_with_order(inst, order)),
     }
 
 
@@ -487,7 +520,7 @@ def test_warm_stage_memo_gives_cold_results(model, cap):
 
         # Every stage, memoised or not, is the from-scratch column sum of
         # the uncovered nodes' rows in n_f[f] order.
-        prefixes = _Prefixes(inst, inst.pi)
+        prefixes = _Prefixes(inst)
         n_f = adjacency(inst)[1]
         for covered in range(1 << inst.n_demands):
             for f in range(inst.n_outlets):
@@ -540,7 +573,7 @@ def test_kernels_never_write_into_shared_lists(model):
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(instances(model, max_outlets=4))
     def check(inst):
-        prefixes = _Prefixes(inst, inst.pi)
+        prefixes = _Prefixes(inst)
         n = inst.n_outlets
         state = prefixes.root
         for f in range(n):

@@ -254,7 +254,7 @@ class TestLpText:
             " fix: 1 u = 1.5\n"
             "Bounds\n"
             " x >= -5\n"
-            " y <= 3\n"
+            " -inf <= y <= 3\n"
             " z free\n"
             " w = 2\n"
             " 0.5 <= u <= 4\n"
@@ -263,6 +263,14 @@ class TestLpText:
             " b\n"
             "End\n"
         )
+
+    def test_column_unbounded_below_writes_its_lower_bound(self):
+        # LP readers take a missing lower bound as 0, not -inf.
+        m = LinearModel()
+        m.add_var("x", None, 5.0)
+        m.set_objective([("x", 1.0)])
+        lines = lp_text(m).splitlines()
+        assert lines[lines.index("Bounds") + 1 : lines.index("End")] == [" -inf <= x <= 5"]
 
     @pytest.mark.parametrize("which", ["ip1", "ip2"])
     def test_one_line_per_row_and_variable_in_model_order(self, which):
