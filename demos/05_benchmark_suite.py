@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from netpricing import load_config, records_from_csv, run_suite
+from netpricing import load_config, run_suite
 
 CONFIG = {
     "suite_id": "demo",
@@ -48,8 +48,7 @@ def main():
     config_path = workdir / "suite.json"
     config_path.write_text(json.dumps(CONFIG, indent=2))
 
-    paths = run_suite(load_config(config_path), workdir / "out", jobs=1)
-    records = records_from_csv(paths["runs"])
+    paths, records = run_suite(load_config(config_path), workdir / "out", jobs=1)
     print(f"{len(records)} runs -> {paths['runs'].parent}")
     print()
     print(Path(paths["summary"]).read_text())

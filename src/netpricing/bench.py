@@ -386,8 +386,11 @@ def _run_instance(
     return records
 
 
-def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
-    """Execute a benchmark config; returns paths of the written artifacts."""
+def run_suite(
+    config: dict, out_dir, jobs: int = 1, base_dir=None
+) -> tuple[dict, list[RunRecord]]:
+    """Execute a benchmark config; returns (paths of the written artifacts,
+    the run records they were written from)."""
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     suite_id = config.get("suite_id", "suite")
     if not isinstance(suite_id, str) or suite_id in ("", ".", "..") or (
@@ -447,7 +450,7 @@ def run_suite(config: dict, out_dir, jobs: int = 1, base_dir=None) -> dict:
     write_runs_csv(paths["runs"], records, record_times=record_times)
     write_summary(paths["summary"], f"suite {suite_id}", records)
     write_long_csv(paths["long"], records)
-    return paths
+    return paths, records
 
 
 def _fmt(value) -> str:

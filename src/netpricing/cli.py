@@ -149,13 +149,12 @@ def cmd_exact(args) -> int:
 
 def cmd_bench(args) -> int:
     config = load_config(args.config)
-    paths = run_suite(
+    paths, records = run_suite(
         config,
         args.out_dir,
         jobs=args.jobs,
         base_dir=Path(args.config).resolve().parent,
     )
-    records = records_from_csv(paths["runs"])
     print(f"wrote {paths['runs']}")
     print(f"wrote {paths['summary']}")
     print(f"wrote {paths['long']}")

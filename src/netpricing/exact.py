@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from operator import add
 
-from .ladder import DP_CALLS, _pairwise_max, _Prefixes, _suffix_max
-from .model import Instance, evaluate_prices
+from .ladder import DP_CALLS, _pairwise_max, _price, _push, _stage, _suffix_max
+from .model import Instance, RevenueTable, evaluate_prices, revenue_table
 
 ENUMERATION_LIMIT = 5_000_000
 # The subset table holds 2^n rows of one entry per window cell, so its
@@ -116,37 +116,38 @@ def ladder_exact(inst: Instance):
             f"{n} outlets exceed the ordering search's limit of "
             f"{LADDER_OUTLET_LIMIT} ({2 ** n} outlet subsets)"
         )
-    prefixes = _Prefixes(inst)
-    rest = _completions(prefixes, n)
+    table = revenue_table(inst, inst.model)
+    rest = _completions(table, n)
     target = max(window[0] for window in rest[0])
-    state, subset, ladder = prefixes.root, 0, []
+    state, subset, ladder = table.root, 0, []
     for _ in range(n):
         for f in range(n):
             if subset >> f & 1:
                 continue
-            child = prefixes.push(state, f)
+            child = _push(table, state, f)
             if _bound(child[1], rest[subset | 1 << f]) == target:
                 break
         state, subset = child, subset | 1 << f
         ladder.append(f)
-    prices, revenue = prefixes.price(ladder)
+    prices, revenue = _price(inst, table, ladder)
     return revenue, tuple(ladder), prices
 
 
-def _completions(prefixes: _Prefixes, n: int) -> list:
+def _completions(table: RevenueTable, n: int) -> list:
     """rest[S][w][m] of the module docstring, for every outlet set S.
 
-    S is a bitmask over outlet ids and m an index into window w. Entries
-    are sums of the table's integer image, and each (S, f) stage counts as
-    one push in DP_CALLS.cells.
+    table is the instance's revenue table, S a bitmask over outlet ids
+    and m an index into window w. Entries are sums of the table's integer
+    image, its stage rows come from the table's stage memo, and each
+    (S, f) stage counts as one push in DP_CALLS.cells.
     """
     full = (1 << n) - 1
     covered = [0] * (full + 1)
     for subset in range(1, full + 1):
         low = subset & -subset
-        covered[subset] = covered[subset ^ low] | prefixes.masks[low.bit_length() - 1]
+        covered[subset] = covered[subset ^ low] | table.masks[low.bit_length() - 1]
     rest = [None] * (full + 1)
-    rest[full] = prefixes.root[1]
+    rest[full] = table.root[1]
     for subset in range(full - 1, -1, -1):
         best = None
         for f in range(n):
@@ -154,11 +155,11 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
                 continue
             # rest[subset | 1 << f] is shared: read, never written into.
             options = rest[subset | 1 << f]
-            stage = prefixes.stage(covered[subset], f)[1]
+            stage = _stage(table, covered[subset], f)[1]
             if stage is not None:
                 options = [
                     map(add, stage[lo : hi + 1], tail)
-                    for (lo, hi), tail in zip(prefixes.windows, options)
+                    for (lo, hi), tail in zip(table.windows, options)
                 ]
             if best is None:
                 best = [list(w) for w in options]
@@ -167,7 +168,7 @@ def _completions(prefixes: _Prefixes, n: int) -> list:
         # max does no arithmetic, so one suffix maximum per subset gives
         # the same numbers as one per (subset, f).
         rest[subset] = [_suffix_max(w) for w in best]
-    DP_CALLS.cells += n * (1 << (n - 1)) * prefixes.cells
+    DP_CALLS.cells += n * (1 << (n - 1)) * table.cells
     return rest
 
 

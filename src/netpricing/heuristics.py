@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .ladder import _pairwise_max, _Prefixes
+from .ladder import _pairwise_max, _price, _push, _value
 from .ladder import allocate  # noqa: F401  (perfbench traces it here)
 from .model import (
     MNPP,
@@ -31,18 +31,10 @@ from .model import (
     adjacency,
     logit_share,
     revenue_table,
-    zero_revenue,
 )
 from .money import MONEY_SCALE, Money, money_unit
 
 ALGORITHMS = ("sp", "greedy", "order", "fi", "greedyI", "orderI", "ip1I", "ip2I")
-
-_INSERTION_SELECTORS = {
-    "greedyI": "greedy",
-    "orderI": "order",
-    "ip1I": "ip1",
-    "ip2I": "ip2",
-}
 
 
 class HeuristicTimeout(RuntimeError):
@@ -129,32 +121,29 @@ def greedy_select(inst: Instance, deadline: Optional[Deadline] = None):
     Unused outlets are appended in ascending id order. Returns
     (ladder, revenue of the committed prefix).
     """
-    _, n_f, _ = adjacency(inst)
     pool = list(inst.outlets())
     active = set(range(inst.n_demands))
     ladder: list[int] = []
-    prefixes = _Prefixes(inst)
-    state = prefixes.root
-    revenue = zero_revenue(inst.model)
+    table = revenue_table(inst, inst.model)
+    state = table.root
     while pool and active:
         if deadline:
             deadline.check()
         best_f = None
         best_rev = None
         for f in pool:
-            trial = prefixes.push(state, f)
-            rev = prefixes.value(trial)
+            trial = _push(table, state, f)
+            rev = _value(trial)
             if best_rev is None or rev > best_rev:
                 best_rev = rev
                 best_f = f
                 best_state = trial
         ladder.append(best_f)
         pool.remove(best_f)
-        active -= set(n_f[best_f])
+        active -= set(table.n_f[best_f])
         state = best_state
-        revenue = prefixes.revenue(best_rev)
     ladder.extend(pool)
-    return tuple(ladder), revenue
+    return tuple(ladder), table.revenue(_value(state))
 
 
 def order_select(inst: Instance):
@@ -237,21 +226,21 @@ def best_insertion(inst: Instance, ladder: Sequence[int], f: int):
     prefixes that earlier searches on inst pushed are looked up in the
     instance's prefix trie.
     """
-    prefixes = _Prefixes(inst)
-    prefix = prefixes.root
+    table = revenue_table(inst, inst.model)
+    prefix = table.root
     best_pos = None
     best_rev = None
     for j in range(len(ladder) + 1):
-        trial = prefixes.push(prefix, f)
+        trial = _push(table, prefix, f)
         for g in ladder[j:]:
-            trial = prefixes.push(trial, g)
-        rev = prefixes.value(trial)
+            trial = _push(table, trial, g)
+        rev = _value(trial)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best_pos = j
         if j < len(ladder):
-            prefix = prefixes.push(prefix, ladder[j])
-    return best_pos, prefixes.revenue(best_rev)
+            prefix = _push(table, prefix, ladder[j])
+    return best_pos, table.revenue(best_rev)
 
 
 def full_insertion(
@@ -303,7 +292,7 @@ def insertion_with_order(
 
 def _finish(inst: Instance, algorithm: str, ladder: tuple[int, ...]) -> HeuristicResult:
     """Price the final ladder from the prefix trie and assemble the result."""
-    prices, revenue = _Prefixes(inst).price(ladder)
+    prices, revenue = _price(inst, revenue_table(inst, inst.model), ladder)
     return HeuristicResult(algorithm, ladder, prices, revenue)
 
 
@@ -326,21 +315,18 @@ def run_algorithm(
     if algorithm == "sp":
         price, revenue = single_price(inst)
         return HeuristicResult("sp", None, (price,) * inst.n_outlets, revenue)
-    if algorithm == "greedy":
-        ladder, _ = greedy_select(inst, deadline=deadline)
-        return _finish(inst, "greedy", ladder)
-    if algorithm == "order":
-        ladder = order_select(inst)
-        return _finish(inst, "order", ladder)
     if algorithm == "fi":
         return full_insertion(inst, deadline=deadline)
-    selector = _INSERTION_SELECTORS[algorithm]
-    if selector == "greedy":
+    # An insertion variant is named after its selection rule plus "I".
+    rule = algorithm.removesuffix("I")
+    if rule == "greedy":
         order, _ = greedy_select(inst, deadline=deadline)
-    elif selector == "order":
+    elif rule == "order":
         order = order_select(inst)
     else:
         from .mip import relax_order
 
-        order = relax_order(inst, selector, adapter=adapter)
+        order = relax_order(inst, rule, adapter=adapter)
+    if rule == algorithm:
+        return _finish(inst, algorithm, order)
     return insertion_with_order(inst, order, deadline=deadline, algorithm=algorithm)

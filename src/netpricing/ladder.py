@@ -39,14 +39,16 @@ prefix (insertion, greedy selection, the ordering search) therefore keep
 prefix states: the nodes the prefix covers, as a bitmask over node ids,
 and, per window, the prefix maxima of its last stage. Pushing one outlet
 onto a state adds one stage, at a cost of one cell per grid index of every
-window; the state's value is the best revenue of any pricing of the
-prefix. The states form one trie per instance, rooted in the instance's
-revenue table: a prefix any run on it pushed before is looked up, not
-recomputed, and fills no cells. A stage's row, the sum of the outlet's
-still-uncovered node rows, depends only on the outlet and those nodes,
-so it is kept in the same table's stage memo. A run prices its
-final ladder by walking back through the ladder's trie states, so it gets
-exactly the numbers dp_prices gets, from the same stage step and walk.
+window (_push); the state's value is the best revenue of any pricing of
+the prefix (_value). The states form one trie per instance, rooted in the
+instance's revenue table: a prefix any run on it pushed before is looked
+up, not recomputed, and fills no cells. A stage's row, the sum of the
+outlet's still-uncovered node rows, depends only on the outlet and those
+nodes, so it is kept in the same table's stage memo (_stage). The
+revenue table is the only per-instance object these functions read. A
+run prices its final ladder by walking back through the ladder's trie
+states (_price), so it gets exactly the numbers dp_prices gets, from the
+same stage step and walk.
 
 The per-cell kernels (_prefix_max, _suffix_max, _pairwise_max, and the
 row sums of _sum_rows) compare plain integers in for loops rather than
@@ -61,7 +63,7 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
-from .model import Instance, adjacency, revenue_table
+from .model import Instance, RevenueTable, adjacency, revenue_table
 
 
 class DpCallCounter:
@@ -115,7 +117,7 @@ def dp_prices(inst: Instance, ladder: Sequence[int], assignment: dict[int, int])
     table = revenue_table(inst, inst.model)
     grid = inst.grid.prices
     windows = table.windows
-    DP_CALLS.cells += len(ladder) * sum(hi - lo + 1 for lo, hi in windows)
+    DP_CALLS.cells += len(ladder) * table.cells
     by_outlet = {f: [] for f in ladder}
     for e, f in assignment.items():
         by_outlet[f].append(table.ints[(e, f)])
@@ -208,76 +210,59 @@ def _pairwise_max(a, b):
     return [x if x >= y else y for x, y in zip(a, b)]
 
 
-class _Prefixes:
-    """The trie of prefix states of the ladder programme on one instance.
+def _stage(table: RevenueTable, covered: int, f: int):
+    """Outlet f's nodes outside covered, as a bitmask, and their summed row.
+
+    The row is None when there are no such nodes. Rows are kept in the
+    table's stage memo, which threads may share without a lock: a race
+    only sums a row twice.
+    """
+    new = table.masks[f] & ~covered
+    if not new:
+        return 0, None
+    row = table.stages.get((f, new))
+    if row is None:
+        rows = [table.ints[(e, f)] for e in table.n_f[f] if new >> e & 1]
+        row = table.stages[(f, new)] = _sum_rows(rows)
+    return new, row
+
+
+def _push(table: RevenueTable, state, f: int):
+    """The trie state of the prefix followed by outlet f.
 
     A state is (covered nodes as a bitmask, prefix maxima of the last
-    stage per window, children by outlet); root is the empty prefix, whose
-    maxima are all zero. push returns the stored child when the trie has
-    it. Root and windows come from the revenue table, built there from
-    inst.pi, so every search on the instance grows one trie, which lasts
-    as long as the table; racing threads share the table, and so the
-    root, and may build a child twice, with equal values. push, value and
-    price work on the table's integer image; revenue turns a raw value
-    into the public number type. Stage rows come from the table's memo
-    (RevenueTable.stages).
+    stage per window, children by outlet), and table.root is the empty
+    prefix, whose maxima are all zero. The stored child is returned when
+    the trie has it; a new one fills table.cells cells. Racing threads
+    share the table, and so its trie, and may build a child twice, with
+    equal values.
     """
-
-    __slots__ = (
-        "rows", "revenue", "n_f", "masks", "stages", "grid", "windows", "cells", "root"
-    )
-
-    def __init__(self, inst: Instance):
-        table = revenue_table(inst, inst.model)
-        self.rows = table.ints
-        self.revenue = table.revenue
-        self.masks = table.masks
-        self.stages = table.stages
-        self.n_f = adjacency(inst)[1]
-        self.grid = inst.grid.prices
-        self.windows = table.windows
-        self.root = table.root
-        self.cells = sum(hi - lo + 1 for lo, hi in self.windows)
-
-    def stage(self, covered: int, f: int):
-        """Outlet f's nodes outside covered, as a bitmask, and their summed row.
-
-        The row is None when there are no such nodes. Threads may share
-        the memo without a lock: a race only sums a row twice.
-        """
-        new = self.masks[f] & ~covered
-        if not new:
-            return 0, None
-        row = self.stages.get((f, new))
-        if row is None:
-            rows = [self.rows[(e, f)] for e in self.n_f[f] if new >> e & 1]
-            row = self.stages[(f, new)] = _sum_rows(rows)
-        return new, row
-
-    def push(self, state, f: int):
-        """The state of the prefix followed by outlet f."""
-        covered, maxima, children = state
-        child = children.get(f)
-        if child is not None:
-            return child
-        DP_CALLS.cells += self.cells
-        new, stage = self.stage(covered, f)
-        child = children[f] = (covered | new, _advance(self.windows, stage, maxima), {})
+    covered, maxima, children = state
+    child = children.get(f)
+    if child is not None:
         return child
+    DP_CALLS.cells += table.cells
+    new, stage = _stage(table, covered, f)
+    child = children[f] = (covered | new, _advance(table.windows, stage, maxima), {})
+    return child
 
-    def value(self, state):
-        """Best raw revenue of any pricing of the prefix."""
-        return max(window[-1] for window in state[1])
 
-    def price(self, ladder: Sequence[int]):
-        """(prices by outlet id, revenue) of a whole ladder under first-fit
-        allocation, as dp_prices gives them; outlets off it get 0."""
-        states = [self.root]
-        for f in ladder:
-            states.append(self.push(states[-1], f))
-        stages = [self.stage(state[0], f)[1] for state, f in zip(states, ladder)]
-        indices, raw = _walk_back(self.windows, stages, [s[1] for s in states])
-        prices = [0] * len(self.n_f)
-        for f, m in zip(ladder, indices):
-            prices[f] = self.grid[m]
-        return tuple(prices), self.revenue(raw)
+def _value(state):
+    """Best raw revenue of any pricing of a prefix state."""
+    return max(window[-1] for window in state[1])
+
+
+def _price(inst: Instance, table: RevenueTable, ladder: Sequence[int]):
+    """(prices by outlet id, revenue) of a whole ladder under first-fit
+    allocation, as dp_prices gives them; outlets off it get 0. table is
+    inst's revenue table."""
+    states = [table.root]
+    for f in ladder:
+        states.append(_push(table, states[-1], f))
+    stages = [_stage(table, state[0], f)[1] for state, f in zip(states, ladder)]
+    indices, raw = _walk_back(table.windows, stages, [s[1] for s in states])
+    grid = inst.grid.prices
+    prices = [0] * inst.n_outlets
+    for f, m in zip(ladder, indices):
+        prices[f] = grid[m]
+    return tuple(prices), table.revenue(raw)

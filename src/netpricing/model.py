@@ -296,21 +296,25 @@ class RevenueTable:
     Fraction under MNPP, the correctly rounded float under BMNPP. One
     entry's public value is revenue(ints[(e, f)][m]).
 
-    The table also keeps per-instance data the ladder searches read:
-    masks[f] is outlet f's demand nodes as a bitmask over node ids, and
-    stages memoises, under the key (f, new), the summed image row of
-    outlet f's nodes in new (a submask of masks[f]). windows are the grid
-    index windows of the instance's spread cap (see _windows), and root
-    is the empty prefix of the one prefix trie every ladder search on the
-    instance grows (see ladder._Prefixes), so a prefix one run pushed is
-    a hit for the next.
+    The table is also the one per-instance view every ladder search
+    reads. n_f[f] is outlet f's demand nodes in ascending id order, and
+    masks[f] the same nodes as a bitmask over node ids. stages memoises,
+    under the key (f, new), the summed image row of outlet f's nodes in
+    new (a submask of masks[f]). windows are the grid index windows of
+    the instance's spread cap (see _windows), and cells is their total
+    width, the grid cells one ladder stage fills. root is the empty
+    prefix of the one prefix trie every ladder search on the instance
+    grows (see ladder._push), so a prefix one run pushed is a hit for
+    the next.
     """
 
     model: str
     scale: int
     ints: dict
+    n_f: tuple
     masks: tuple
     windows: list
+    cells: int
     root: tuple
     stages: dict = field(default_factory=dict)
 
@@ -351,8 +355,10 @@ def _build_table(inst: Instance, model: str) -> RevenueTable:
     once, from integers alone, and shared by the node's edges. A BMNPP row
     is built from its own edge's coefficients and turned into its image."""
     grid = inst.grid
-    masks = tuple(sum(1 << e for e in es) for es in adjacency(inst)[1])
+    n_f = adjacency(inst)[1]
+    masks = tuple(sum(1 << e for e in es) for es in n_f)
     windows = _windows(grid.prices, inst.pi)
+    cells = sum(hi - lo + 1 for lo, hi in windows)
     root = (0, [[0] * (hi - lo + 1) for lo, hi in windows], {})
     if model != MNPP:
         # Each nonzero entry is num / 2^j; under 2^k, the largest j, it
@@ -370,14 +376,15 @@ def _build_table(inst: Instance, model: str) -> RevenueTable:
             key: tuple(num << (k - den.bit_length() + 1) for num, den in row)
             for key, row in ratios.items()
         }
-        return RevenueTable(model, 1 << k, ints, masks, windows, root)
+        return RevenueTable(model, 1 << k, ints, n_f, masks, windows, cells, root)
     nodes = {edge.e: inst.demands[edge.e] for edge in inst.edges}
     lcm = math.lcm(
         *(v.denominator for n in nodes.values() for v in (n.d * n.beta, n.d * n.gamma))
     )
     rows = {e: _mnpp_image(node, lcm, grid) for e, node in nodes.items()}
     ints = {(edge.e, edge.f): rows[edge.e] for edge in inst.edges}
-    return RevenueTable(model, MONEY_SCALE * lcm, ints, masks, windows, root)
+    scale = MONEY_SCALE * lcm
+    return RevenueTable(model, scale, ints, n_f, masks, windows, cells, root)
 
 
 def _windows(grid: Sequence[Money], pi: Optional[Money]) -> list[tuple[int, int]]:

@@ -255,19 +255,19 @@ class TestRunSuite:
         monkeypatch.setattr(bench, "_run_instance", spy)
         config = suite_config()
         config["instances"]["generate"][0]["seeds"] = list(range(5))
-        paths = run_suite(config, tmp_path / "out")
+        paths, _ = run_suite(config, tmp_path / "out")
         assert len(records_from_csv(paths["runs"])) == 15
         assert len(seen) == 5
 
     def test_artifacts_and_statuses(self, tmp_path):
-        paths = run_suite(suite_config(), tmp_path / "out")
+        paths, _ = run_suite(suite_config(), tmp_path / "out")
         records = records_from_csv(paths["runs"])
         assert len(records) == 6
         assert all(r.status == "ok" for r in records)
         assert Path(paths["summary"]).read_text().startswith("suite t:")
 
     def test_gap_invariants(self, tmp_path):
-        paths = run_suite(suite_config(), tmp_path / "out")
+        paths, _ = run_suite(suite_config(), tmp_path / "out")
         for rec in records_from_csv(paths["runs"]):
             assert rec.opt_gap_pct is None or rec.opt_gap_pct >= -1e-9
             if rec.pm is not None and (float(rec.pm.r_pm) + float(rec.pm.r_pw)) > 0:
@@ -275,28 +275,28 @@ class TestRunSuite:
                 assert rec.pm.r_pm_pct == pytest.approx(100.0 * share)
 
     def test_deterministic_artifacts(self, tmp_path):
-        p1 = run_suite(suite_config(), tmp_path / "a")
-        p2 = run_suite(suite_config(), tmp_path / "b")
+        p1, _ = run_suite(suite_config(), tmp_path / "a")
+        p2, _ = run_suite(suite_config(), tmp_path / "b")
         for key in ("runs", "summary", "long"):
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        p1 = run_suite(suite_config(), tmp_path / "a", jobs=1)
-        p2 = run_suite(suite_config(), tmp_path / "b", jobs=2)
+        p1, _ = run_suite(suite_config(), tmp_path / "a", jobs=1)
+        p2, _ = run_suite(suite_config(), tmp_path / "b", jobs=2)
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
 
     def test_parallel_mip_matches_serial(self, tmp_path):
         # run_suite resolves the adapter once; each pool task carries it.
         config = suite_config(algorithms=["ip2", "fi"], solver_cmd="builtin")
-        p1 = run_suite(config, tmp_path / "a", jobs=1)
-        p2 = run_suite(config, tmp_path / "b", jobs=2)
+        p1, _ = run_suite(config, tmp_path / "a", jobs=1)
+        p2, _ = run_suite(config, tmp_path / "b", jobs=2)
         assert [r.status for r in records_from_csv(p1["runs"])] == ["ok"] * 4
         for key in ("runs", "summary", "long"):
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
     def test_mip_timeout_row_carries_the_solver_message(self, tmp_path):
         config = suite_config(algorithms=["ip2"], solver_cmd="builtin", time_limit=0)
-        records = records_from_csv(run_suite(config, tmp_path / "out")["runs"])
+        records = records_from_csv(run_suite(config, tmp_path / "out")[0]["runs"])
         assert [(r.status, r.message) for r in records] == [("timeout", "time limit")] * 2
 
     def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
@@ -315,7 +315,7 @@ class TestRunSuite:
             instances={"generate": [block]},
         )
         before = revenue_table.cache_info().misses
-        paths = run_suite(config, tmp_path / "out")
+        paths, _ = run_suite(config, tmp_path / "out")
         assert len(records_from_csv(paths["runs"])) == 210
         assert revenue_table.cache_info().misses - before == 70
 
@@ -338,15 +338,15 @@ class TestRunSuite:
             pi="10",
             instances={"generate": [block]},
         )
-        paths = run_suite(config, tmp_path / "out")
+        paths, _ = run_suite(config, tmp_path / "out")
         records = records_from_csv(paths["runs"])
         assert len(records) == 90
         assert all(r.status == "ok" for r in records)
         assert min(r.opt_gap_pct for r in records) >= 0
 
     def test_wall_time_column_is_opt_in(self, tmp_path):
-        cold = run_suite(suite_config(), tmp_path / "a")
-        hot = run_suite(suite_config(record_times=True), tmp_path / "b")
+        cold, _ = run_suite(suite_config(), tmp_path / "a")
+        hot, _ = run_suite(suite_config(record_times=True), tmp_path / "b")
         cold_header = Path(cold["runs"]).read_text().splitlines()[1]
         hot_header = Path(hot["runs"]).read_text().splitlines()[1]
         assert "wall_time" not in cold_header
@@ -368,7 +368,7 @@ class TestRunSuite:
         inst_path = tmp_path / "tiny.json"
         save_instance(tiny_disjoint, inst_path)
         config = suite_config(instances={"files": ["tiny.json"]})
-        paths = run_suite(config, tmp_path / "out", base_dir=tmp_path)
+        paths, _ = run_suite(config, tmp_path / "out", base_dir=tmp_path)
         records = records_from_csv(paths["runs"])
         assert {r.instance_id for r in records} == {"tiny"}
         fi = next(r for r in records if r.algorithm == "fi")
@@ -377,21 +377,21 @@ class TestRunSuite:
     def test_mip_without_solver_marked_unavailable(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)
         config = suite_config(algorithms=["ip2"])
-        paths = run_suite(config, tmp_path / "out")
+        paths, _ = run_suite(config, tmp_path / "out")
         records = records_from_csv(paths["runs"])
         assert all(r.status == "unavailable" for r in records)
 
 
 class TestCsvRoundTrip:
     def test_records_survive_the_csv(self, tmp_path):
-        paths = run_suite(suite_config(), tmp_path / "out")
+        paths, _ = run_suite(suite_config(), tmp_path / "out")
         records = records_from_csv(paths["runs"])
         rows = read_runs_csv(paths["runs"])
         assert len(rows) == len(records)
         assert summarise(records)  # grouping works on rebuilt records
 
     def test_summary_means_recomputable(self, tmp_path):
-        paths = run_suite(suite_config(), tmp_path / "out")
+        paths, _ = run_suite(suite_config(), tmp_path / "out")
         records = records_from_csv(paths["runs"])
         rows = summarise(records)
         assert rows

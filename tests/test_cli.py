@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netpricing import GenParams, bench, generate, heuristics, mip, save_instance
+from netpricing import GenParams, bench, cli, generate, heuristics, mip, save_instance
 from netpricing.bench import MIP_ALGORITHMS, read_runs_csv, records_from_csv
 from netpricing.cli import main
 from netpricing.heuristics import ALGORITHMS
@@ -282,7 +282,7 @@ class TestWholeRunWallTime:
             "instances": {"files": [str(TINY)]},
             "record_times": True,
         }
-        paths = bench.run_suite(config, tmp_path / "out")
+        paths, _ = bench.run_suite(config, tmp_path / "out")
         (row,) = read_runs_csv(paths["runs"])
         assert row["status"] == "ok"
         assert float(row["wall_time"]) >= self.SLOW
@@ -337,6 +337,23 @@ class TestBenchAndReport:
         assert (out_dir / "clismoke.runs.csv").exists()
         assert (out_dir / "clismoke.summary.txt").exists()
         assert (out_dir / "clismoke.long.csv").exists()
+
+    @pytest.mark.parametrize("algorithms, code", [(["fi"], 5), (["sp", "fi"], 0)])
+    def test_bench_exits_5_only_when_every_run_times_out(
+        self, tmp_path, monkeypatch, capsys, algorithms, code
+    ):
+        # The exit code comes from the records in memory, not from
+        # reading back the runs.csv just written.
+        def no_read_back(path):
+            raise AssertionError(f"bench read back {path}")
+
+        monkeypatch.setattr(cli, "records_from_csv", no_read_back)
+        config = json.loads(self.write_config(tmp_path).read_text())
+        config.update(algorithms=algorithms, time_limit=0)
+        path = tmp_path / "timeout.json"
+        path.write_text(json.dumps(config))
+        assert run("bench", "--config", path, "--out-dir", tmp_path / "out") == code
+        assert ("every run timed out" in capsys.readouterr().err) == (code == 5)
 
     def test_bench_deterministic(self, tmp_path):
         config = self.write_config(tmp_path)

@@ -14,8 +14,8 @@ from netpricing import (
     evaluate_prices,
     generate,
     ladder_exact,
+    revenue_table,
 )
-from netpricing.ladder import _Prefixes
 from tests.conftest import two_node_instance
 
 
@@ -138,4 +138,4 @@ class TestLadderExact:
         DP_CALLS.reset()
         _, ladder, _ = ladder_exact(inst)
         assert DP_CALLS.cells == cells
-        assert cells == self.search_rows(inst, ladder) * _Prefixes(inst).cells
+        assert cells == self.search_rows(inst, ladder) * revenue_table(inst, BMNPP).cells

@@ -56,7 +56,7 @@ def write_artifacts(out_dir: Path) -> list[str]:
         suite_config("golden"),
         suite_config("golden_timeout", time_limit=0),
     ):
-        paths = run_suite(config, out_dir, base_dir=GOLDEN)
+        paths, _ = run_suite(config, out_dir, base_dir=GOLDEN)
         names += [Path(paths[kind]).name for kind in ("runs", "summary", "long")]
     for name, argv in (
         ("solve_fi.json", ["solve", "--alg", "fi"]),

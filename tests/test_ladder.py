@@ -28,7 +28,7 @@ from netpricing import (
     revenue_table,
     zero_revenue,
 )
-from netpricing.ladder import _Prefixes
+from netpricing.ladder import _value
 
 
 def enumerate_ladder_optimum(inst, ladder, assignment, pi=None, model=None):
@@ -88,8 +88,7 @@ class TestDpPrices:
         assert prices == ()
         assert revenue == 0
         assert type(revenue) is type(zero_revenue(model))
-        prefixes = _Prefixes(inst)
-        assert prefixes.value(prefixes.root) == 0
+        assert _value(revenue_table(inst, model).root) == 0
 
     def test_prices_non_decreasing(self, tiny_connected):
         ladder = (0, 1)

@@ -74,7 +74,8 @@ from netpricing.ladder import (
     _advance,
     _pairwise_max,
     _prefix_max,
-    _Prefixes,
+    _push,
+    _stage,
     _suffix_max,
 )
 from netpricing.money import MONEY_SCALE, money_unit
@@ -322,8 +323,8 @@ def test_completion_bound_is_the_best_completion(model):
     @given(instances(model, max_outlets=4))
     def check(inst):
         n = inst.n_outlets
-        prefixes = _Prefixes(inst)
-        rest = _completions(prefixes, n)
+        table = revenue_table(inst, model)
+        rest = _completions(table, n)
 
         def walk(state, subset, prefix):
             remaining = [f for f in range(n) if f not in prefix]
@@ -331,11 +332,11 @@ def test_completion_bound_is_the_best_completion(model):
                 scratch_revenue(inst, prefix + tail, inst.pi)
                 for tail in permutations(remaining)
             )
-            assert prefixes.revenue(_bound(state[1], rest[subset])) == best
+            assert table.revenue(_bound(state[1], rest[subset])) == best
             for f in remaining:
-                walk(prefixes.push(state, f), subset | 1 << f, prefix + (f,))
+                walk(_push(table, state, f), subset | 1 << f, prefix + (f,))
 
-        walk(prefixes.root, 0, ())
+        walk(table.root, 0, ())
 
     check()
 
@@ -472,7 +473,7 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
         n = inst.n_outlets
         assert len(calls) == n * (n + 1) // 2
         distinct = set().union(*(pushed_prefixes(ladder, f) for ladder, f in calls))
-        assert DP_CALLS.cells == len(distinct) * _Prefixes(inst).cells
+        assert DP_CALLS.cells == len(distinct) * revenue_table(inst, model).cells
 
         # A second identical call on the instance's trie is all hits.
         ladder = tuple(range(n - 1))
@@ -520,17 +521,17 @@ def test_warm_stage_memo_gives_cold_results(model, cap):
 
         # Every stage, memoised or not, is the from-scratch column sum of
         # the uncovered nodes' rows in n_f[f] order.
-        prefixes = _Prefixes(inst)
+        table = revenue_table(inst, model)
         n_f = adjacency(inst)[1]
         for covered in range(1 << inst.n_demands):
             for f in range(inst.n_outlets):
                 nodes = [e for e in n_f[f] if not covered >> e & 1]
-                new, row = prefixes.stage(covered, f)
+                new, row = _stage(table, covered, f)
                 assert new == sum(1 << e for e in nodes)
                 if not nodes:
                     assert row is None
                     continue
-                rows = [prefixes.rows[(e, f)] for e in nodes]
+                rows = [table.ints[(e, f)] for e in nodes]
                 want = [sum(column) for column in zip(*rows)]
                 assert list(row) == want
                 assert list(map(type, row)) == list(map(type, want))
@@ -573,20 +574,20 @@ def test_kernels_never_write_into_shared_lists(model):
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(instances(model, max_outlets=4))
     def check(inst):
-        prefixes = _Prefixes(inst)
+        table = revenue_table(inst, model)
         n = inst.n_outlets
-        state = prefixes.root
+        state = table.root
         for f in range(n):
             before = deepcopy(state[1])
-            stage = prefixes.stage(state[0], f)[1]
-            after = _advance(prefixes.windows, stage, state[1])
+            stage = _stage(table, state[0], f)[1]
+            after = _advance(table.windows, stage, state[1])
             assert state[1] == before
             if stage is not None:
                 assert all(a is not b for a, b in zip(after, state[1]))
-            state = prefixes.push(state, f)
-        first = _completions(prefixes, n)
+            state = _push(table, state, f)
+        first = _completions(table, n)
         frozen = deepcopy(first)
-        assert _completions(prefixes, n) == first == frozen
+        assert _completions(table, n) == first == frozen
 
     check()
 
