@@ -257,10 +257,8 @@ def main(argv=None) -> int:
         EnumerationTooLarge,
         TooManyOutlets,
         ModelError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverUnavailable as exc:

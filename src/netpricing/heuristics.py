@@ -116,17 +116,17 @@ def greedy_select(inst: Instance, deadline: Optional[Deadline] = None):
 
     Each step appends, from the remaining outlets, the outlet whose tentative
     ladder (current ladder plus that outlet) has the best optimal revenue;
-    ties keep the lowest id. Demand nodes covered by the committed outlet
-    leave the active set, and the loop ends when either side is exhausted.
+    ties keep the lowest id. The loop ends when no outlet remains or the
+    ladder covers every demand node.
     Unused outlets are appended in ascending id order. Returns
     (ladder, revenue of the committed prefix).
     """
     pool = list(inst.outlets())
-    active = set(range(inst.n_demands))
+    all_nodes = (1 << inst.n_demands) - 1
     ladder: list[int] = []
     table = revenue_table(inst, inst.model)
     state = table.root
-    while pool and active:
+    while pool and state[0] != all_nodes:
         if deadline:
             deadline.check()
         best_f = None
@@ -140,7 +140,6 @@ def greedy_select(inst: Instance, deadline: Optional[Deadline] = None):
                 best_state = trial
         ladder.append(best_f)
         pool.remove(best_f)
-        active -= set(table.n_f[best_f])
         state = best_state
     ladder.extend(pool)
     return tuple(ladder), table.revenue(_value(state))

@@ -106,16 +106,16 @@ class LinearModel:
     coefficient) arrays; the rows are compressed sparse rows: row i's
     terms are cols/coefs[row_start[i]:row_start[i + 1]], in the order they
     were added, with names, senses and rhs per row. Read the arrays, do
-    not write them: add_var, set_bounds, add_row, add_constr and
-    set_objective keep them consistent.
+    not write them: add_var, add_row, add_constr and set_objective keep
+    them consistent, and columns and rows are only ever appended, each
+    with its final bounds or terms.
 
     add_row is the index-based primitive that builders call; it checks
     the row (name, sense, rhs) but not its terms, which must be valid
     column indices with finite, nonzero coefficients. add_constr and
     set_objective resolve names, drop zero coefficients and check every
     term. lp_text and the builtin solver call check_finite once per model.
-    variables, constraints, objective and variable(name) are views built
-    on each access.
+    variables, constraints and objective are views built on each access.
     """
 
     def __init__(self):
@@ -155,11 +155,6 @@ class LinearModel:
         self.binary.append(kind == BINARY)
         return name
 
-    def set_bounds(self, name: str, lb: Optional[float], ub: Optional[float]):
-        """Replace a column's bounds; None means unbounded on that side."""
-        j = self._column(name, "set_bounds")
-        self.lb[j], self.ub[j] = _bounds(name, lb, ub)
-
     def add_row(self, name: str, cols, coefs, sense: str, rhs: float):
         """Append a row over column indices; see the class docstring."""
         if not _NAME_RE.match(name):
@@ -176,16 +171,12 @@ class LinearModel:
         self.coefs.extend(coefs)
         self.row_start.append(len(self.cols))
 
-    def _column(self, name: str, where: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ModelError(f"{where} references unknown {name!r}") from None
-
     def _resolve(self, terms: Sequence[tuple[str, float]], where: str):
         cols, coefs = [], []
         for var, coef in terms:
-            j = self._column(var, where)
+            if var not in self._index:
+                raise ModelError(f"{where} references unknown {var!r}")
+            j = self._index[var]
             coef = _finite(coef, f"coefficient of {var!r} in {where}")
             if coef != 0.0:
                 cols.append(j)
@@ -216,18 +207,14 @@ class LinearModel:
 
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(map(self._variable_view, range(len(self.names))))
-
-    def variable(self, name: str) -> Variable:
-        return self._variable_view(self._index[name])
-
-    def _variable_view(self, j: int) -> Variable:
-        lb, ub = self.lb[j], self.ub[j]
-        return Variable(
-            self.names[j],
-            None if lb == -math.inf else lb,
-            None if ub == math.inf else ub,
-            BINARY if self.binary[j] else CONTINUOUS,
+        return tuple(
+            Variable(
+                name,
+                None if lb == -math.inf else lb,
+                None if ub == math.inf else ub,
+                BINARY if flag else CONTINUOUS,
+            )
+            for name, lb, ub, flag in zip(self.names, self.lb, self.ub, self.binary)
         )
 
     @property
@@ -288,6 +275,7 @@ def build_ip1(inst: Instance) -> LinearModel:
     big = _big_m(inst)
     pi_c = None if inst.pi is None else money_float(inst.pi)
     link = big if pi_c is None else pi_c
+    below = [price_below(inst.grid, node.c) for node in inst.demands]
 
     for f in inst.outlets():
         m.add_var(f"x_f{f}", 0.0, big)
@@ -297,7 +285,8 @@ def build_ip1(inst: Instance) -> LinearModel:
         for f in o_e[e]:
             m.add_var(f"mu_{e}_{f}", kind=BINARY)
         m.add_var(f"y_{e}", 0.0, None)
-        m.add_var(f"z_{e}", 0.0, None)
+        # With no grid price below c_e there is no undercut revenue.
+        m.add_var(f"z_{e}", 0.0, 0.0 if below[e] is None else None)
         for k in range(1, 6):
             m.add_var(f"w{k}_{e}", kind=BINARY)
 
@@ -397,14 +386,11 @@ def build_ip1(inst: Instance) -> LinearModel:
             1.0,
         )
 
-        below = price_below(inst.grid, node.c)
-        if below is None:
-            # No grid price undercuts this competitor; undercut revenue
-            # stays at zero and the w4/w5 pair is forced to the idle side.
-            m.set_bounds(f"z_{e}", 0.0, 0.0)
+        if below[e] is None:
+            # z_e is fixed at zero and the w4/w5 pair to the idle side.
             m.add_constr(f"war_off_{e}", [(f"w5_{e}", 1.0)], "<=", 0.0)
         else:
-            below_c = money_float(below)
+            below_c = money_float(below[e])
             m.add_constr(
                 f"w4def_{e}",
                 [(f"x_e{e}", 1.0), (f"w4_{e}", -big)],
@@ -446,6 +432,11 @@ def build_ip2(inst: Instance) -> LinearModel:
     positive. A purchase requires the chosen level and forbids any other
     connected outlet from sitting strictly cheaper. The objective weighs
     captured volume by the price actually paid.
+
+    One pass builds it: each outlet's level columns and its one_level
+    row, then node by node the purchase columns and that node's one_buy,
+    cheapest and uses_level rows, then the spread rows of a capped
+    instance.
     """
     o_e, _, _ = adjacency(inst)
     m = LinearModel()
@@ -457,11 +448,15 @@ def build_ip2(inst: Instance) -> LinearModel:
     for f in inst.outlets():
         for level in range(n_prices):
             m.add_var(f"v_{f}_{level}", kind=BINARY)
+        start = f * n_prices
+        m.add_row(f"one_level_{f}", range(start, start + n_prices), _ONE * n_prices, "=", 1.0)
+
     obj = []
-    # Per node: (outlet, level, column of y_{e}_{f}_{level}) of each purchase.
-    purchases: dict[int, list[tuple[int, int, int]]] = {node.id: [] for node in inst.demands}
     for node in inst.demands:
         e = node.id
+        k = len(o_e[e])
+        # (outlet, level, column of y_{e}_{f}_{level}) of each purchase.
+        buys = []
         bought = None
         for f in o_e[e]:
             if bought is None or inst.model != MNPP:
@@ -475,20 +470,10 @@ def build_ip2(inst: Instance) -> LinearModel:
             for level, coef in bought:
                 name = m.add_var(f"y_{e}_{f}_{level}", kind=BINARY)
                 obj.append((name, coef))
-                purchases[e].append((f, level, len(m.names) - 1))
-    m.set_objective(obj)
-
-    for f in inst.outlets():
-        start = f * n_prices
-        m.add_row(f"one_level_{f}", range(start, start + n_prices), _ONE * n_prices, "=", 1.0)
-
-    for node in inst.demands:
-        e = node.id
-        buys = purchases[e]
+                buys.append((f, level, len(m.names) - 1))
         if not buys:
             continue
         m.add_row(f"one_buy_{e}", [y for _, _, y in buys], _ONE * len(buys), "<=", 1.0)
-        k = len(o_e[e])
         for f, level, y in buys:
             # Buying forces the level on and no rival strictly cheaper. The
             # grid ascends strictly, so a rival's cheaper levels are the
@@ -505,6 +490,7 @@ def build_ip2(inst: Instance) -> LinearModel:
                 coefs.append(float(k - 1))
             m.add_row(f"cheapest_{e}_{f}_{level}", array("i", cols), coefs, "<=", float(k))
             m.add_row(f"uses_level_{e}_{f}_{level}", (y, v), (1.0, -1.0), "<=", 0.0)
+    m.set_objective(obj)
 
     if pi is not None:
         for f in inst.outlets():
@@ -760,29 +746,22 @@ def decode_prices_ip2(inst: Instance, values: dict[str, float]) -> tuple[Money, 
 def decode_prices_ip1(inst: Instance, values: dict[str, float]) -> tuple[Money, ...]:
     """Posted prices from the continuous solution, snapped to the grid.
 
-    Outlets that serve nobody take the top grid price: their continuous
-    value is arbitrary and must not undercut the real assignments.
+    Outlets that serve nobody take the top grid price the cap allows: the
+    highest at most the lowest assigned price plus inst.pi, or the grid's
+    top without a cap. Their continuous value is arbitrary and must
+    neither undercut the real assignments nor break the spread cap.
     """
-    o_e, n_f, _ = adjacency(inst)
-    prices = []
+    _, n_f, _ = adjacency(inst)
+    grid = inst.grid.prices
+    assigned = {}
     for f in inst.outlets():
-        assigned = any(
-            values.get(f"mu_{e}_{f}", 0.0) > 0.5 for e in n_f[f]
-        )
-        if not assigned:
-            prices.append(inst.grid.max)
-            continue
-        x = values.get(f"x_f{f}", 0.0) * MONEY_SCALE
-        nearest = min(
-            inst.grid.prices, key=lambda p: (abs(p - x), p)
-        )
-        prices.append(nearest)
-    return tuple(prices)
-
-
-def order_by_fractional_price(prices: dict[int, float]) -> tuple[int, ...]:
-    """Outlets sorted by fractional price, ascending, ties by id."""
-    return tuple(sorted(prices, key=lambda f: (prices[f], f)))
+        if any(values.get(f"mu_{e}_{f}", 0.0) > 0.5 for e in n_f[f]):
+            x = values.get(f"x_f{f}", 0.0) * MONEY_SCALE
+            assigned[f] = min(grid, key=lambda p: (abs(p - x), p))
+    top = inst.grid.max
+    if inst.pi is not None and assigned:
+        top = max(p for p in grid if p <= min(assigned.values()) + inst.pi)
+    return tuple(assigned.get(f, top) for f in inst.outlets())
 
 
 def relax_order(
@@ -793,8 +772,8 @@ def relax_order(
     """Selection order from a relaxation's fractional prices.
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
-    price, i.e. the level-weighted sum). Requires a solver adapter. The
-    relaxation is solved without a time limit.
+    price, i.e. the level-weighted sum), ascending, ties by id. Requires
+    a solver adapter. The relaxation is solved without a time limit.
     """
     model = relax(build_model(inst, which))
     outcome = solve_external(model, adapter)
@@ -813,7 +792,7 @@ def relax_order(
                 money_float(grid[level]) * outcome.values.get(f"v_{f}_{level}", 0.0)
                 for level in range(len(grid))
             )
-    return order_by_fractional_price(fractional)
+    return tuple(sorted(fractional, key=lambda f: (fractional[f], f)))
 
 
 def build_model(inst: Instance, which: str) -> LinearModel:

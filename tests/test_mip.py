@@ -25,6 +25,7 @@ from netpricing import (
     build_ip2,
     build_model,
     builtin_adapter,
+    evaluate_prices,
     generate,
     lp_text,
     relax,
@@ -109,7 +110,7 @@ class TestLinearModel:
         m.set_objective([("x", 0.0), ("y", -1.0)])
         assert m.constraints == (Row("c", (("y", 2.0),), ">=", 1.0),)
         assert m.objective == (("y", -1.0),)
-        assert m.variable("y") == Variable("y", None, None, CONTINUOUS)
+        assert m.variables[1] == Variable("y", None, None, CONTINUOUS)
         with pytest.raises(ModelError):
             m.add_constr("d", [("nope", 1.0)], "<=", 1.0)
         with pytest.raises(ModelError):
@@ -128,11 +129,8 @@ class TestLinearModel:
         with pytest.raises(ModelError):
             m.add_var("x", float("nan"), 1)
         assert m.variables == ()
-        m.add_var("x", 0, None)
-        with pytest.raises(ModelError):
-            m.set_bounds("x", float("-inf"), 1)
-        m.set_bounds("x", None, 2)
-        assert m.variable("x") == Variable("x", None, 2.0, CONTINUOUS)
+        m.add_var("x", None, 2)
+        assert m.variables == (Variable("x", None, 2.0, CONTINUOUS),)
 
     def test_non_finite_numbers_rejected(self):
         m = LinearModel()
@@ -164,7 +162,6 @@ class TestLinearModel:
         relaxed = relax(model)
         relaxed.add_var("extra", 0, 1)
         relaxed.add_constr("extra_row", [("extra", 1.0), ("v_0_0", 1.0)], "<=", 1.0)
-        relaxed.set_bounds("v_0_0", 0, 0)
         assert lp_text(model) == text
 
 
@@ -526,6 +523,22 @@ class TestSolveIp:
         assert outcome.status == OPTIMAL, outcome.message
         assert outcome.objective == pytest.approx(1600.0)
         assert prices == (900, 700)
+
+    def test_capped_ip1_prices_keep_the_cap(self, solver):
+        # An outlet serving nobody must not sit at the grid's top when the
+        # cap puts that above the lowest assigned price plus pi.
+        for seed in range(10):
+            inst = generate(
+                GenParams(
+                    n_outlets=3, n_demands=4, density=0.5, seed=seed,
+                    grid_min="0", grid_max="10", grid_step="1", pi="2",
+                )
+            )
+            outcome, prices = solve_ip(inst, "ip1", solver)
+            assert outcome.status == OPTIMAL, outcome.message
+            assert max(prices) - min(prices) <= inst.pi, seed
+            revenue = evaluate_prices(inst, prices)[0]
+            assert float(revenue) == pytest.approx(outcome.objective, abs=1e-6), seed
 
     def test_ip2_matches_oracle(self, tiny_disjoint, solver):
         outcome, prices = solve_ip(tiny_disjoint, "ip2", solver)
