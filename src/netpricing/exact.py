@@ -20,8 +20,23 @@ cover yet, taken from the revenue table's stage memo. One backward pass
 over the 2^n outlet sets (Held and Karp's subset programme, J. SIAM
 10(1), 1962) fills the table at a cost of n * 2^(n-1) stages, with one
 suffix maximum per set: the maximum over m' >= m commutes with the
-maximum over f. A prefix whose last stage has prefix maxima
-maxima[w][m] then completes to at best
+maximum over f.
+
+An unplaced outlet d is dead for S when S already covers all its nodes,
+and then rest[S] == rest[S | d] exactly. d's own option is stage(S, d) =
+0 plus rest[S | d], which is already a suffix maximum. Every other
+option f has stage(S, f) == stage(S | d, f), since d adds no covered
+node, and rest[S | f] == rest[S | f | d] by the same argument on the
+larger set, which the backward pass has settled first. So the options
+of S are those of S | d plus rest[S | d] itself. The pass therefore
+shares rest[S | d]'s row object for S and works out no (S, f) stage at
+all; the rows are read, never written into. On the paper grid's
+5-outlet shapes this skips about 38% of the pairs. DP_CALLS.cells still
+counts the programme's nominal n * 2^(n-1) stages, so the stated bound
+reads the same whatever the pass skips.
+
+A prefix whose last stage has prefix maxima maxima[w][m] then completes
+to at best
 
     max over w, m of maxima[w][m] + rest[S][w][m].
 
@@ -139,37 +154,51 @@ def _completions(table: RevenueTable, n: int) -> list:
     table is the instance's revenue table, S a bitmask over outlet ids
     and m an index into window w. Entries are sums of the table's integer
     image, its stage rows come from the table's stage memo, and each
-    (S, f) stage counts as one push in DP_CALLS.cells.
+    (S, f) stage counts as one push in DP_CALLS.cells, also where S has a
+    dead outlet and shares its row (see the module docstring).
     """
     full = (1 << n) - 1
+    masks = table.masks
     covered = [0] * (full + 1)
     for subset in range(1, full + 1):
         low = subset & -subset
-        covered[subset] = covered[subset ^ low] | table.masks[low.bit_length() - 1]
+        covered[subset] = covered[subset ^ low] | masks[low.bit_length() - 1]
     rest = [None] * (full + 1)
     rest[full] = table.root[1]
     for subset in range(full - 1, -1, -1):
-        best = None
-        for f in range(n):
-            if subset >> f & 1:
-                continue
-            # rest[subset | 1 << f] is shared: read, never written into.
-            options = rest[subset | 1 << f]
-            stage = _stage(table, covered[subset], f)[1]
-            if stage is not None:
-                options = [
-                    map(add, stage[lo : hi + 1], tail)
-                    for (lo, hi), tail in zip(table.windows, options)
-                ]
-            if best is None:
-                best = [list(w) for w in options]
-            else:
-                best = [_pairwise_max(a, b) for a, b in zip(best, options)]
-        # max does no arithmetic, so one suffix maximum per subset gives
-        # the same numbers as one per (subset, f).
-        rest[subset] = [_suffix_max(w) for w in best]
+        uncovered = ~covered[subset]
+        for d in range(n):
+            if not (subset >> d & 1 or masks[d] & uncovered):
+                # d is dead: S and S | d have the same rest (see the
+                # module docstring), so the row is shared.
+                rest[subset] = rest[subset | 1 << d]
+                break
+        else:
+            rest[subset] = _live_row(table, n, subset, covered[subset], rest)
     DP_CALLS.cells += n * (1 << (n - 1)) * table.cells
     return rest
+
+
+def _live_row(table: RevenueTable, n: int, subset: int, covered: int, rest: list):
+    """rest[subset] from the rows of its supersets, when no unplaced
+    outlet is dead, so that each one's stage row is a row, not None."""
+    best = None
+    for f in range(n):
+        if subset >> f & 1:
+            continue
+        # rest[subset | 1 << f] is shared: read, never written into.
+        stage = _stage(table, covered, f)[1]
+        options = [
+            map(add, stage[lo : hi + 1], tail)
+            for (lo, hi), tail in zip(table.windows, rest[subset | 1 << f])
+        ]
+        if best is None:
+            best = [list(w) for w in options]
+        else:
+            best = [_pairwise_max(a, b) for a, b in zip(best, options)]
+    # max does no arithmetic, so one suffix maximum per subset gives
+    # the same numbers as one per (subset, f).
+    return [_suffix_max(w) for w in best]
 
 
 def _bound(maxima, rest_of_subset):

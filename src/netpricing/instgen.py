@@ -273,6 +273,13 @@ def _expect_keys(obj: dict, required: tuple, where: str, optional: tuple = ()):
             raise InstanceFormatError(f"{where}: missing field {key!r}")
 
 
+def _list_field(obj, key, where) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where}: field {key!r} must be a list")
+    return value
+
+
 def _int_field(obj, key, where) -> int:
     value = obj[key]
     if not isinstance(value, int) or isinstance(value, bool):
@@ -284,7 +291,58 @@ def _float_field(obj, key, where) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{where}: field {key!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InstanceFormatError(f"{where}: field {key!r} is out of range") from exc
+
+
+_DEMAND_FIELDS = ("id", "c", "c_bar", "d", "beta", "gamma")
+_EDGE_FIELDS = ("e", "f", "a_hat", "b_hat", "a_bar", "b_bar")
+_DEMAND_KEYS = frozenset(_DEMAND_FIELDS)
+_EDGE_KEYS = frozenset(_EDGE_FIELDS)
+
+
+def _demand_from_entry(entry, where: str) -> DemandNode:
+    # A canonical entry (a plain dict of the six keys, an int id) skips
+    # the checks that name what is wrong.
+    if type(entry) is not dict or entry.keys() != _DEMAND_KEYS:
+        _expect_keys(entry, _DEMAND_FIELDS, where)
+    node_id = entry["id"]
+    if type(node_id) is not int:
+        node_id = _int_field(entry, "id", where)
+    try:
+        return DemandNode(
+            node_id,
+            parse_money(entry["c"]),
+            parse_money(entry["c_bar"]),
+            parse_fraction(entry["d"]),
+            parse_fraction(entry["beta"]),
+            parse_fraction(entry["gamma"]),
+        )
+    except MoneyError as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from exc
+
+
+def _edge_from_entry(entry, where: str) -> Edge:
+    # What json.loads gives for a canonical file (plain ints and floats)
+    # is used as it is; anything else goes through the checked fields.
+    if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
+        _expect_keys(entry, _EDGE_FIELDS, where)
+    e, f, a_hat, b_hat, a_bar, b_bar = map(entry.__getitem__, _EDGE_FIELDS)
+    if not (
+        type(e) is int
+        and type(f) is int
+        and type(a_hat) is float
+        and type(b_hat) is float
+        and type(a_bar) is float
+        and type(b_bar) is float
+    ):
+        e, f = (_int_field(entry, key, where) for key in _EDGE_FIELDS[:2])
+        a_hat, b_hat, a_bar, b_bar = (
+            _float_field(entry, key, where) for key in _EDGE_FIELDS[2:]
+        )
+    return Edge(e, f, a_hat, b_hat, a_bar, b_bar)
 
 
 def instance_from_doc(doc: dict) -> Instance:
@@ -300,9 +358,10 @@ def instance_from_doc(doc: dict) -> Instance:
         not isinstance(meta["seed"], int) or isinstance(meta["seed"], bool)
     ):
         raise InstanceFormatError("meta: field 'seed' must be an integer or null")
+    prices = _list_field(meta, "grid", "meta")
     try:
         pi = None if meta["pi"] == "inf" else parse_money(meta["pi"])
-        grid = PriceGrid(tuple(parse_money(p) for p in meta["grid"]))
+        grid = PriceGrid(tuple(map(parse_money, prices)))
     except (MoneyError, TypeError) as exc:
         raise InstanceFormatError(f"meta: {exc}") from exc
 
@@ -310,38 +369,14 @@ def instance_from_doc(doc: dict) -> Instance:
     if not isinstance(outlets, list) or outlets != list(range(len(outlets))):
         raise InstanceFormatError("outlets: expected the list 0..n-1")
 
-    nodes = []
-    for i, entry in enumerate(doc["demands"]):
-        where = f"demands[{i}]"
-        _expect_keys(entry, ("id", "c", "c_bar", "d", "beta", "gamma"), where)
-        try:
-            nodes.append(
-                DemandNode(
-                    id=_int_field(entry, "id", where),
-                    c=parse_money(entry["c"]),
-                    c_bar=parse_money(entry["c_bar"]),
-                    d=parse_fraction(entry["d"]),
-                    beta=parse_fraction(entry["beta"]),
-                    gamma=parse_fraction(entry["gamma"]),
-                )
-            )
-        except MoneyError as exc:
-            raise InstanceFormatError(f"{where}: {exc}") from exc
-
-    edges = []
-    for i, entry in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        _expect_keys(entry, ("e", "f", "a_hat", "b_hat", "a_bar", "b_bar"), where)
-        edges.append(
-            Edge(
-                e=_int_field(entry, "e", where),
-                f=_int_field(entry, "f", where),
-                a_hat=_float_field(entry, "a_hat", where),
-                b_hat=_float_field(entry, "b_hat", where),
-                a_bar=_float_field(entry, "a_bar", where),
-                b_bar=_float_field(entry, "b_bar", where),
-            )
-        )
+    nodes = [
+        _demand_from_entry(entry, f"demands[{i}]")
+        for i, entry in enumerate(_list_field(doc, "demands", "document"))
+    ]
+    edges = [
+        _edge_from_entry(entry, f"edges[{i}]")
+        for i, entry in enumerate(_list_field(doc, "edges", "document"))
+    ]
     return Instance(
         n_outlets=len(outlets),
         demands=tuple(nodes),

@@ -27,6 +27,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .money import MONEY_SCALE, Money, money_str
@@ -114,6 +115,23 @@ class DemandNode:
     gamma: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # The invariants below, on integer numerators and (positive)
+        # denominators; any failure, or a field that is not rational,
+        # falls through to the checks that name the broken invariant.
+        try:
+            beta, gamma = self.beta, self.gamma
+            bn, bd = beta.numerator, beta.denominator
+            gn, gd = gamma.numerator, gamma.denominator
+            if (
+                self.d.numerator > 0
+                and 0 < bn < bd
+                and bn * gd < gn * bd
+                and gn <= gd
+                and self.c_bar <= self.c
+            ):
+                return
+        except AttributeError:
+            pass
         if self.d <= 0:
             raise InvalidInstance(f"demand node {self.id}: volume must be positive")
         if not (0 < self.beta < 1):
@@ -144,6 +162,15 @@ class Edge:
     b_bar: float = 0.0
 
     def __post_init__(self):
+        if not (
+            math.isfinite(self.a_hat)
+            and math.isfinite(self.b_hat)
+            and math.isfinite(self.a_bar)
+            and math.isfinite(self.b_bar)
+        ):
+            raise InvalidInstance(
+                f"edge ({self.e}, {self.f}): logit coefficients must be finite"
+            )
         if self.b_hat < 0 or self.b_bar < 0:
             raise InvalidInstance(
                 f"edge ({self.e}, {self.f}): price slopes must be nonnegative"
@@ -291,10 +318,11 @@ class RevenueTable:
     the least common multiple of the denominators of the nodes' captured
     volumes d * beta and d * gamma, so every entry is a price times a
     volume numerator times an integer factor; under BMNPP it is the power
-    of two 2^k that makes every float entry an integer. revenue(raw)
-    turns a sum of entries back into the public number type: the exact
-    Fraction under MNPP, the correctly rounded float under BMNPP. One
-    entry's public value is revenue(ints[(e, f)][m]).
+    of two 2^k that makes every float entry an integer; only the cells
+    where a node's logit demand can sell are evaluated (see _build_table).
+    revenue(raw) turns a sum of entries back into the public number type:
+    the exact Fraction under MNPP, the correctly rounded float under
+    BMNPP. One entry's public value is revenue(ints[(e, f)][m]).
 
     The table is also the one per-instance view every ladder search
     reads. n_f[f] is outlet f's demand nodes in ascending id order, and
@@ -353,7 +381,14 @@ revenue_table.cache_info = lambda: CacheInfo(*_table_counts)
 def _build_table(inst: Instance, model: str) -> RevenueTable:
     """An MNPP row depends on its node only, so each node's image is built
     once, from integers alone, and shared by the node's edges. A BMNPP row
-    is built from its own edge's coefficients and turned into its image."""
+    is built from its own edge's coefficients and turned into its image.
+
+    demand_bmnpp is 0 outside the node's support (_bmnpp_support): the
+    undercut prices in [c_bar, c) and the match cell at c. So a BMNPP row
+    evaluates the logit share only there, about half the paper grid's
+    cells, and every other entry is 0, as the float 0.0 times the scale
+    is. k is the largest denominator exponent over the support's entries,
+    which is the largest over the whole row, since 0.0 has exponent 0."""
     grid = inst.grid
     n_f = adjacency(inst)[1]
     masks = tuple(sum(1 << e for e in es) for es in n_f)
@@ -361,20 +396,23 @@ def _build_table(inst: Instance, model: str) -> RevenueTable:
     cells = sum(hi - lo + 1 for lo, hi in windows)
     root = (0, [[0] * (hi - lo + 1) for lo, hi in windows], {})
     if model != MNPP:
-        # Each nonzero entry is num / 2^j; under 2^k, the largest j, it
-        # is num << (k - j). Shifts stay exact however far apart the
-        # entries' exponents lie.
-        ratios = {
-            (edge.e, edge.f): _bmnpp_ratios(inst.demands[edge.e], edge, grid)
-            for edge in inst.edges
-        }
-        k = max(
-            (den.bit_length() - 1 for row in ratios.values() for _, den in row),
-            default=0,
-        )
+        # Each nonzero entry is num / 2^j; under 2^k, the largest j (the
+        # largest den is 2^k), it is num << (k - j). Shifts stay exact
+        # however far apart the entries' exponents lie.
+        units = [price / MONEY_SCALE for price in grid.prices]
+        rows = {}
+        for edge in inst.edges:
+            node = inst.demands[edge.e]
+            support = _bmnpp_support(node, grid)
+            rows[(edge.e, edge.f)] = support, _bmnpp_ratios(node, edge, units, support)
+        dens = (max(map(itemgetter(1), row)) for _, row in rows.values() if row)
+        k = max(dens, default=1).bit_length() - 1
+        n_prices = len(grid)
         ints = {
-            key: tuple(num << (k - den.bit_length() + 1) for num, den in row)
-            for key, row in ratios.items()
+            key: (0,) * start
+            + tuple([num << (k + 1 - den.bit_length()) for num, den in row])
+            + (0,) * (n_prices - stop)
+            for key, ((start, stop, _), row) in rows.items()
         }
         return RevenueTable(model, 1 << k, ints, n_f, masks, windows, cells, root)
     nodes = {edge.e: inst.demands[edge.e] for edge in inst.edges}
@@ -421,22 +459,37 @@ def _mnpp_image(node: DemandNode, lcm: int, grid: PriceGrid) -> tuple:
     return tuple(row)
 
 
-def _bmnpp_ratios(node: DemandNode, edge: Edge, grid: PriceGrid) -> list:
-    """price * demand_bmnpp at every grid price, as float.as_integer_ratio()
-    pairs, with the per-edge terms (volume, undercut ceiling, match share)
-    worked out once."""
+def _bmnpp_support(node: DemandNode, grid: PriceGrid) -> tuple[int, int, bool]:
+    """(start, stop, match): the grid index range [start, stop) outside
+    which demand_bmnpp is 0, and whether its last index is the match.
+
+    The range holds the undercut prices, from the first at or above the
+    war floor c_bar up to the last below c, and then c itself when c is
+    on the grid.
+    """
+    prices = grid.prices
+    stop = bisect_left(prices, node.c)
+    start = bisect_left(prices, node.c_bar)
+    match = stop < len(prices) and prices[stop] == node.c
+    return start, stop + match, match
+
+
+def _bmnpp_ratios(node: DemandNode, edge: Edge, units: list, support) -> list:
+    """price * demand_bmnpp over the support's grid indices (see
+    _bmnpp_support), as float.as_integer_ratio() pairs. units[m] is grid
+    price m in currency units; each entry is the same float expression
+    demand_bmnpp and the price product give, with the volume worked out
+    once per edge."""
+    start, stop, match = support
     d = float(node.d)
-    below = price_below(grid, node.c)
-    match = d * logit_share(edge.a_bar - edge.b_bar * (node.c / MONEY_SCALE))
-    row = []
-    for price in grid.prices:
-        if price == node.c:
-            volume = match
-        elif below is not None and node.c_bar <= price <= below:
-            volume = d * logit_share(edge.a_hat - edge.b_hat * (price / MONEY_SCALE))
-        else:
-            volume = 0.0
-        row.append(((price / MONEY_SCALE) * volume).as_integer_ratio())
+    a_hat, b_hat = edge.a_hat, edge.b_hat
+    row = [
+        (unit * (d * logit_share(a_hat - b_hat * unit))).as_integer_ratio()
+        for unit in units[start : stop - match]
+    ]
+    if match:
+        share = logit_share(edge.a_bar - edge.b_bar * (node.c / MONEY_SCALE))
+        row.append((units[stop - 1] * (d * share)).as_integer_ratio())
     return row
 
 

@@ -8,6 +8,7 @@ never through binary floats.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -20,6 +21,12 @@ class MoneyError(ValueError):
     """Unparseable or non-finite money literal, or one finer than the minor unit."""
 
 
+# The literals money_str and fraction_str write for nonnegative values,
+# in ASCII digits only: these are parsed without Decimal.
+_CANONICAL_MONEY = re.compile(r"[0-9]+\.[0-9][0-9]")
+_CANONICAL_NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+
+
 def parse_money(value) -> Money:
     """Parse a money literal into minor units.
 
@@ -27,7 +34,14 @@ def parse_money(value) -> Money:
     Decimal, and Fraction with a denominator dividing the money scale.
     Binary floats are rejected; callers that start from floats must decide
     how to round before money enters the system.
+
+    A str of ASCII digits, a point and two more digits (what money_str
+    writes for a nonnegative amount) is read as an integer directly;
+    every other string goes through Decimal, so the value and any
+    MoneyError are the same either way.
     """
+    if type(value) is str and _CANONICAL_MONEY.fullmatch(value):
+        return int(value.replace(".", ""))
     if isinstance(value, bool):
         raise MoneyError(f"not a money literal: {value!r}")
     if isinstance(value, int):
@@ -99,7 +113,21 @@ def fraction_str(value: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse the output of fraction_str (decimal or "p/q")."""
+    """Parse the output of fraction_str (decimal or "p/q").
+
+    A str of ASCII digits with an optional point and more digits (what
+    fraction_str writes for a nonnegative terminating value) becomes
+    digits / 10^places directly; every other string goes through
+    Decimal, or int for "p/q", so the value and any MoneyError are the
+    same either way.
+    """
+    if type(text) is str:
+        match = _CANONICAL_NUMBER.fullmatch(text)
+        if match:
+            whole, places = match.groups()
+            if places is None:
+                return Fraction(int(whole))
+            return Fraction(int(whole + places), 10 ** len(places))
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, Fraction):

@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from netpricing import GenParams, bench, cli, generate, heuristics, mip, save_instance
+from netpricing import (
+    BMNPP,
+    GenParams,
+    bench,
+    cli,
+    generate,
+    heuristics,
+    instance_to_doc,
+    mip,
+    paper_grid,
+    save_instance,
+)
 from netpricing.bench import MIP_ALGORITHMS, read_runs_csv, records_from_csv
 from netpricing.cli import main
 from netpricing.heuristics import ALGORITHMS
@@ -156,6 +167,30 @@ class TestSolve:
         bad.write_text(json.dumps(doc))
         assert run("solve", "--in", bad, "--alg", "fi") == 3
         assert "not a finite money literal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["a_hat", "b_hat", "a_bar", "b_bar"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_logit_coefficient_exits_3(self, tmp_path, capsys, field, value):
+        # json reads NaN and Infinity; they must not reach the logit clamp.
+        inst = next(paper_grid(BMNPP, 1, draws=1))[3]
+        doc = instance_to_doc(inst)
+        doc["edges"][3][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+        assert run("solve", "--in", bad, "--alg", "fi") == 3
+        edge = inst.edges[3]
+        assert capsys.readouterr().err == (
+            f"error: edge ({edge.e}, {edge.f}): logit coefficients must be finite\n"
+        )
+
+    def test_string_grid_exits_3(self, tmp_path, capsys):
+        doc = json.loads(TINY.read_text())
+        doc["meta"]["grid"] = "0123456789"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", "--in", bad, "--alg", "fi") == 3
+        assert capsys.readouterr().err.endswith("meta: field 'grid' must be a list\n")
 
     def test_timeout_exits_5(self, tmp_path):
         inst = tmp_path / "big.json"

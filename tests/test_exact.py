@@ -1,5 +1,6 @@
 """Exact solvers: full enumeration and ordering enumeration."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from netpricing import (
     ladder_exact,
     revenue_table,
 )
+from netpricing.exact import _completions
 from tests.conftest import two_node_instance
 
 
@@ -139,3 +141,65 @@ class TestLadderExact:
         _, ladder, _ = ladder_exact(inst)
         assert DP_CALLS.cells == cells
         assert cells == self.search_rows(inst, ladder) * revenue_table(inst, BMNPP).cells
+
+
+def _reference_rest(table, n, width):
+    """rest[S][w][m] by the subset recursion, from the table's image rows
+    (width grid cells each) alone: no stage memo and no shared rows."""
+    full = (1 << n) - 1
+    rest = {full: [[0] * (hi - lo + 1) for lo, hi in table.windows]}
+    for subset in range(full - 1, -1, -1):
+        covered = 0
+        for g in range(n):
+            if subset >> g & 1:
+                covered |= table.masks[g]
+        rows = []
+        for w, (lo, hi) in enumerate(table.windows):
+            row = []
+            for m in range(hi - lo + 1):
+                best = None
+                for f in range(n):
+                    if subset >> f & 1:
+                        continue
+                    stage = [0] * width
+                    for e in table.n_f[f]:
+                        if not covered >> e & 1:
+                            stage = [a + b for a, b in zip(stage, table.ints[(e, f)])]
+                    tail = rest[subset | 1 << f][w]
+                    for m2 in range(m, hi - lo + 1):
+                        value = stage[lo + m2] + tail[m2]
+                        if best is None or value > best:
+                            best = value
+                row.append(best)
+            rows.append(row)
+        rest[subset] = rows
+    return rest
+
+
+@pytest.mark.parametrize("model", ["mnpp", BMNPP])
+@pytest.mark.parametrize("pi", [None, 0, 300])
+def test_subset_rows_of_dead_outlets_are_shared(model, pi):
+    # An unplaced outlet whose nodes S already covers is dead: S and S | d
+    # complete alike, so the pass shares the row object. Every row,
+    # shared or not, equals the plain recursion.
+    dead_pairs = 0
+    for seed in range(6):
+        params = replace(tiny_params(model, seed, outlets=5, demands=5), density=0.4)
+        inst = replace(generate(params), pi=pi)
+        table = revenue_table(inst, model)
+        n = inst.n_outlets
+        DP_CALLS.reset()
+        rest = _completions(table, n)
+        assert DP_CALLS.cells == n * 2 ** (n - 1) * table.cells
+        reference = _reference_rest(table, n, len(inst.grid))
+        assert rest == [reference[s] for s in range(1 << n)]
+        for subset in range(1 << n):
+            covered = 0
+            for g in range(n):
+                if subset >> g & 1:
+                    covered |= table.masks[g]
+            for d in range(n):
+                if not subset >> d & 1 and not table.masks[d] & ~covered:
+                    assert rest[subset] is rest[subset | 1 << d]
+                    dead_pairs += 1
+    assert dead_pairs > 20

@@ -170,6 +170,48 @@ class TestFileFormat:
             instance_from_doc(doc)
         assert "model" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            ("meta", "grid", "0123456789"),
+            ("meta", "grid", {"0.00": 1}),
+            ("meta", "grid", 5),
+            ("document", "demands", "abc"),
+            ("document", "edges", 7),
+        ],
+    )
+    def test_lists_must_be_json_lists(self, tiny_disjoint, where, key, value):
+        doc = instance_to_doc(tiny_disjoint)
+        (doc["meta"] if where == "meta" else doc)[key] = value
+        with pytest.raises(InstanceFormatError, match=f"^{where}: field '{key}' must be a list$"):
+            instance_from_doc(doc)
+
+    def test_coefficient_beyond_float_range_rejected(self, tiny_disjoint):
+        doc = instance_to_doc(tiny_disjoint)
+        doc["edges"][1]["a_bar"] = 10**400
+        with pytest.raises(InstanceFormatError, match=r"^edges\[1\]: field 'a_bar' is out of range$"):
+            instance_from_doc(doc)
+
+    def test_non_canonical_entries_take_the_checked_path(self, tiny_disjoint):
+        # Integer coefficients and reordered keys load to the same instance;
+        # a float id or a string coefficient is named.
+        doc = instance_to_doc(tiny_disjoint)
+        doc["edges"] = [dict(reversed(list(entry.items()))) for entry in doc["edges"]]
+        doc["edges"][0]["a_hat"] = 0
+        doc["demands"][1] = dict(reversed(list(doc["demands"][1].items())))
+        loaded = instance_from_doc(doc)
+        assert loaded == tiny_disjoint
+        assert type(loaded.edges[0].a_hat) is float
+        doc["edges"][1]["b_hat"] = "1.5"
+        with pytest.raises(InstanceFormatError, match=r"^edges\[1\]: field 'b_hat' must be a number$"):
+            instance_from_doc(doc)
+        doc["demands"][0]["id"] = 0.0
+        with pytest.raises(InstanceFormatError, match=r"^demands\[0\]: field 'id' must be an integer$"):
+            instance_from_doc(doc)
+        doc["demands"][0] = ["id", 0]
+        with pytest.raises(InstanceFormatError, match=r"^demands\[0\]: expected an object$"):
+            instance_from_doc(doc)
+
     def test_wrong_marker_rejected(self, tiny_disjoint):
         doc = instance_to_doc(tiny_disjoint)
         doc["format"] = "something-else"

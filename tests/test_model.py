@@ -98,6 +98,62 @@ class TestNodeAndEdgeInvariants:
         with pytest.raises(InvalidInstance):
             Edge(0, 0, b_bar=-0.5)
 
+    @pytest.mark.parametrize("field", ["a_hat", "b_hat", "a_bar", "b_bar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_logit_coefficients_finite(self, field, value):
+        with pytest.raises(InvalidInstance, match=r"edge \(2, 1\): .* must be finite"):
+            Edge(2, 1, **{field: value})
+
+    # Each broken invariant, with Fraction and with int fields (and a float,
+    # which has no numerator), and the message that names it; the first
+    # broken one in this order is named.
+    VOLUME = "volume must be positive"
+    BETA = "beta must lie in \\(0, 1\\)"
+    GAMMA = "gamma must lie in \\(beta, 1\\]"
+    FLOOR = "war floor exceeds competitor price"
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(d=Fraction(0)), VOLUME),
+            (dict(d=0), VOLUME),
+            (dict(d=Fraction(-1, 3)), VOLUME),
+            (dict(d=-5, beta=0), VOLUME),
+            (dict(beta=Fraction(0)), BETA),
+            (dict(beta=0), BETA),
+            (dict(beta=Fraction(1)), BETA),
+            (dict(beta=1), BETA),
+            (dict(beta=Fraction(-1, 2)), BETA),
+            (dict(beta=Fraction(3, 2), gamma=2), BETA),
+            (dict(beta=1.5), BETA),
+            (dict(beta=Fraction(1, 2), gamma=Fraction(1, 2)), GAMMA),
+            (dict(beta=Fraction(2, 3), gamma=Fraction(3, 5)), GAMMA),
+            (dict(gamma=Fraction(3, 2)), GAMMA),
+            (dict(gamma=2), GAMMA),
+            (dict(gamma=0), GAMMA),
+            (dict(c_bar=1100), FLOOR),
+            (dict(c=900, c_bar=901, d=7), FLOOR),
+        ],
+    )
+    def test_demand_node_names_the_broken_invariant(self, fields, message):
+        values = dict(id=3, c=1000, c_bar=0, d=Fraction(100)) | fields
+        with pytest.raises(InvalidInstance, match=f"^demand node 3: {message}$"):
+            DemandNode(**values)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(d=1, beta=Fraction(1, 2), gamma=1),
+            dict(d=Fraction(1, 10**310), beta=Fraction(1, 10**9), gamma=Fraction(2, 10**9)),
+            dict(d=100, beta=Fraction(999, 1000), gamma=Fraction(1)),
+            dict(c=1000, c_bar=1000),
+        ],
+    )
+    def test_demand_node_accepts_valid_fields(self, fields):
+        values = dict(id=0, c=1000, c_bar=0, d=Fraction(100)) | fields
+        node = DemandNode(**values)
+        assert [getattr(node, k) for k in values] == list(values.values())
+
 
 class TestInstanceValidation:
     def test_demand_ids_must_be_dense(self, int_grid):
@@ -392,19 +448,63 @@ def test_mnpp_revenue_table_is_price_times_demand():
     check()
 
 
+def _logit_edge_cases():
+    """A bmnpp instance whose nodes put the undercut window and the match
+    cell at every edge the support-only rows must handle: prices 0..10."""
+    grid = PriceGrid(tuple(range(0, 1001, 100)))
+    demands = (
+        DemandNode(0, c=550, c_bar=0, d=Fraction(100)),  # c off the grid
+        DemandNode(1, c=0, c_bar=0, d=Fraction(75)),  # c on the floor: a price-0 cell
+        DemandNode(2, c=700, c_bar=650, d=Fraction(120)),  # c_bar above every price below c
+        DemandNode(3, c=800, c_bar=300, d=Fraction(1, 10**310)),  # subnormal volume
+        DemandNode(4, c=1000, c_bar=200, d=Fraction(8753, 100)),  # c on the ceiling
+        DemandNode(5, c=1100, c_bar=100, d=Fraction(60)),  # c above the grid
+        DemandNode(6, c=400, c_bar=400, d=Fraction(90)),  # c_bar == c
+    )
+    coefficients = [(300.0, 10.0, 250.0, 7.5), (0.0, 0.0, 0.0, 0.0), (-2.0, 0.3, 1.0, 19.0)]
+    edges = tuple(
+        Edge(e, f, *coefficients[(e + f) % 3]) for e in range(len(demands)) for f in (0, 1)
+    )
+    return Instance(2, demands, edges, grid, model=BMNPP)
+
+
 def test_bmnpp_revenue_table_is_price_times_demand():
-    # The table builds each logit row with its per-edge terms hoisted; its
-    # image must give the same floats as demand_bmnpp price by price.
-    for seed in range(5):
-        inst = generate(GenParams(model=BMNPP, n_outlets=3, n_demands=8, seed=seed))
+    # The table evaluates each logit row only over its support, with the
+    # per-edge terms hoisted; every entry, inside and outside the support,
+    # must give the same float as demand_bmnpp price by price, and the
+    # scale must be the smallest power of two that makes them integers.
+    instances = [
+        generate(GenParams(model=BMNPP, n_outlets=3, n_demands=8, seed=seed))
+        for seed in range(5)
+    ]
+    for inst in instances + [_logit_edge_cases()]:
         edge_of = adjacency(inst)[2]
         table = revenue_table(inst, BMNPP)
+        assert set(table.ints) == set(edge_of)
         for (e, f), image in table.ints.items():
             node = inst.demands[e]
+            assert all(type(v) is int for v in image)
             assert tuple(map(table.revenue, image)) == tuple(
                 (price / MONEY_SCALE) * demand_bmnpp(node, edge_of[(e, f)], price, inst.grid)
                 for price in inst.grid.prices
             )
+        assert table.scale & (table.scale - 1) == 0
+        assert table.scale == 1 or any(v % 2 for image in table.ints.values() for v in image)
+
+
+def test_logit_edge_cases_cover_every_support_shape():
+    inst = _logit_edge_cases()
+    table = revenue_table(inst, BMNPP)
+    rows = {e: [table.revenue(v) for v in table.ints[(e, 0)]] for e in range(7)}
+    nonzero = {e: [m for m, v in enumerate(row) if v] for e, row in rows.items()}
+    assert nonzero[0] == [1, 2, 3, 4, 5]  # the undercut at price 0 earns 0; no match
+    assert nonzero[1] == []  # only the price-0 match cell
+    assert nonzero[2] == [7]  # no undercut, the match
+    assert nonzero[3] == [3, 4, 5, 6, 7, 8]
+    assert 0 < min(v for v in rows[3] if v) < sys.float_info.min
+    assert nonzero[4] == list(range(2, 11))
+    assert nonzero[5] == list(range(1, 11))
+    assert nonzero[6] == [4]
 
 
 def test_kept_tables_are_never_pickled():

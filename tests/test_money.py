@@ -1,6 +1,6 @@
 """Fixed-point money parsing and rendering."""
 
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
@@ -105,3 +105,80 @@ def test_number_str_dispatch():
     assert number_str(Fraction(5, 2)) == "2.5"
     assert number_str(3) == "3"
     assert float(number_str(1.25)) == 1.25
+
+
+def _outcome(parse, text):
+    try:
+        return ("value", parse(text))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("error", type(exc), str(exc))
+
+
+def _decimal_money(value):
+    """parse_money of a string, all through Decimal, as it was before the
+    canonical fast path."""
+    try:
+        dec = Decimal(str(value).strip())
+    except InvalidOperation as exc:
+        raise MoneyError(f"not a money literal: {value!r}") from exc
+    if not dec.is_finite():
+        raise MoneyError(f"{value!r} is not a finite money literal")
+    scaled = dec.scaleb(2)
+    if scaled != scaled.to_integral_value():
+        raise MoneyError(f"{value!r} is finer than the minor unit")
+    return int(scaled)
+
+
+def _decimal_fraction(text):
+    """parse_fraction of a string, all through Decimal (or int for "p/q"),
+    as it was before the canonical fast path."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(Decimal(text))
+    except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
+        raise MoneyError(f"not a number literal: {text!r}") from exc
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["7.50", "0.00", "007.25", "1.", ".5", "1.5", "1.005", " 2.50", "2.50 ",
+     "+2.50", "-2.50", "2.5e1", "1E2", "2_0.00", "٣.00", "３.５０",
+     "1/2", "3/0", "", ".", "1.2.3"],
+)
+def test_canonical_fast_paths_agree_with_decimal(text):
+    assert _outcome(parse_money, text) == _outcome(_decimal_money, text)
+    assert _outcome(parse_fraction, text) == _outcome(_decimal_fraction, text)
+
+
+def test_parsers_agree_with_decimal_on_any_literal():
+    # Spaces, signs, exponents, any number of decimals, a bare point and
+    # non-ASCII digits (which Decimal reads and the fast paths must not).
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    digits = st.text(st.sampled_from("0123456789٣５๒_"), max_size=4)
+
+    @st.composite
+    def literals(draw):
+        parts = [
+            draw(st.sampled_from(["", " ", "\t"])),
+            draw(st.sampled_from(["", "-", "+"])),
+            draw(digits),
+            draw(st.sampled_from(["", "."])),
+            draw(digits),
+            draw(st.sampled_from(["", "e2", "E-3", "e+0", "/3", "/0"])),
+            draw(st.sampled_from(["", " ", "\n"])),
+        ]
+        return "".join(parts)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(literals() | st.text(max_size=6))
+    def check(text):
+        assert _outcome(parse_money, text) == _outcome(_decimal_money, text)
+        assert _outcome(parse_fraction, text) == _outcome(_decimal_fraction, text)
+
+    check()
