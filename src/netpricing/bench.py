@@ -23,6 +23,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
 from statistics import fmean
@@ -41,14 +42,22 @@ from .mip import (
 )
 from .model import (
     BMNPP,
-    PM,
+    MNPP,
     Instance,
-    demand_at,
+    _served,
+    adjacency,
+    demand_bmnpp,
     evaluate_prices,
-    revenue_table,
-    zero_revenue,
 )
-from .money import Money, MoneyError, money_str, number_str, parse_fraction, parse_money
+from .money import (
+    MONEY_SCALE,
+    Money,
+    MoneyError,
+    money_str,
+    number_str,
+    parse_fraction,
+    parse_money,
+)
 
 RUNS_SCHEMA = "netpricing-runs-v1"
 LONG_SCHEMA = "netpricing-long-v1"
@@ -110,29 +119,39 @@ class PmStats:
 def pm_accounting(inst: Instance, prices) -> PmStats:
     """Classify each served demand node as a price match or a price war.
 
-    A node's money is the revenue-table image entry evaluate_prices adds
-    up for it. Each part is summed on the image and converted once, so
-    under MNPP r_pm + r_pw is exactly the evaluated revenue of prices, and
-    under BMNPP each part is its exact sum rounded once.
+    The served nodes are evaluate_prices's, and a node's money is the
+    revenue-table image entry evaluate_prices adds up for it. Each part
+    is summed on the image and converted once, so under MNPP r_pm + r_pw
+    is exactly the evaluated revenue of prices, and under BMNPP each part
+    is its exact sum rounded once. An MNPP volume times the table's lcm
+    (scale / MONEY_SCALE) is the entry over its price, an exact int, so
+    the volumes are summed as ints and each made a Fraction once. A BMNPP
+    volume is demand_bmnpp's float, summed in node order.
     """
-    _, assignment, labels = evaluate_prices(inst, prices)
-    table = revenue_table(inst, inst.model)
-    zero = zero_revenue(inst.model)
-    d_pm = d_pw = zero
-    raw_pm = raw_pw = 0
+    table, served = _served(inst, prices)
+    grid, demands = inst.grid.prices, inst.demands
+    mnpp = inst.model == MNPP
+    edge_of = adjacency(inst)[2]
     pm_count = pw_count = 0
-    for e, f in assignment.items():
-        price = prices[f]
-        volume = demand_at(inst, e, f, price)
-        money = table.ints[(e, f)][inst.grid.index_of(price)]
-        if labels[e] == PM:
+    raw_pm = raw_pw = 0
+    d_pm = d_pw = 0 if mnpp else 0.0
+    for e, f, m, entry in served:
+        node, price = demands[e], grid[m]
+        if mnpp:
+            volume = entry // price
+        else:
+            volume = demand_bmnpp(node, edge_of[(e, f)], price, inst.grid)
+        if price == node.c:
             pm_count += 1
             d_pm += volume
-            raw_pm += money
+            raw_pm += entry
         else:
             pw_count += 1
             d_pw += volume
-            raw_pw += money
+            raw_pw += entry
+    if mnpp:
+        lcm = table.scale // MONEY_SCALE
+        d_pm, d_pw = Fraction(d_pm, lcm), Fraction(d_pw, lcm)
     return PmStats(
         pm_count, pw_count, d_pm, d_pw, table.revenue(raw_pm), table.revenue(raw_pw)
     )

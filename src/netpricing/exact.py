@@ -123,6 +123,9 @@ def ladder_exact(inst: Instance):
     grew, the search fills (n * 2^(n-1) + sum(rank_i + 1)) rows of the
     grid: the subset pass and the pushes of the descent, where rank_i
     counts the unplaced outlets with an id below the i-th chosen one.
+    rank_i + 1 counts live pushes only, each trie state once: a dead
+    outlet fills nothing, and choosing one leaves the state as it was,
+    so the next step's pushes of the outlets tried before are hits.
     Returns (revenue, ladder, prices) with prices indexed by outlet id.
     """
     n = inst.n_outlets

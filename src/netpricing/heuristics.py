@@ -32,7 +32,7 @@ from .model import (
     logit_share,
     revenue_table,
 )
-from .money import MONEY_SCALE, Money, money_unit
+from .money import MONEY_SCALE, Money
 
 ALGORITHMS = ("sp", "greedy", "order", "fi", "greedyI", "orderI", "ip1I", "ip2I")
 
@@ -102,9 +102,12 @@ def single_price(inst: Instance):
         below = grid.below_index(node.c)
         if not outlets or below is None:
             continue
-        row = table.ints[(node.id, outlets[0])][: below + 1]
+        first = table.ints[(node.id, outlets[0])]
+        row = first[: below + 1]
         for f in outlets[1:]:
-            row = _pairwise_max(row, table.ints[(node.id, f)][: below + 1])
+            other = table.ints[(node.id, f)]
+            if other is not first:  # an MNPP node's edges share one row
+                row = _pairwise_max(row, other[: below + 1])
         # map stops at row's end, so only the first below + 1 scores move.
         score[: below + 1] = map(add, score, row)
     best = max(range(len(grid)), key=score.__getitem__)
@@ -192,18 +195,26 @@ def _potential_terms(inst: Instance) -> list:
     order: term is c_e * volume captured on undercut at c_e.
 
     Under MNPP a term is that Fraction times the revenue table's scale,
-    an exact int (the scale is a multiple of MONEY_SCALE and of every
-    node's d * gamma denominator), so sums compare as the Fraction sums
-    do. Under BMNPP it is the float of the logit formula, and potential
-    sums the terms in n_f[f] order, so every float sum is reproducible.
+    an exact int (the scale is MONEY_SCALE times a multiple of every
+    node's d * gamma denominator) worked out in integers alone, so sums
+    compare as the Fraction sums do. Under BMNPP it is the float of the
+    logit formula, and potential sums the terms in n_f[f] order, so every
+    float sum is reproducible.
     """
     _, n_f, edge_of = adjacency(inst)
     if inst.model == MNPP:
-        scale = revenue_table(inst, MNPP).scale
+        lcm = revenue_table(inst, MNPP).scale // MONEY_SCALE
         node_term = {}
         for e in {e for es in n_f for e in es}:
             node = inst.demands[e]
-            node_term[e] = int(money_unit(node.c) * node.d * node.gamma * scale)
+            d, gamma = node.d, node.gamma
+            # c * lcm * d * gamma, that is c * num * (lcm // den) for the
+            # captured volume num / den, whose den divides lcm: the floor
+            # division of the unreduced product is exact.
+            node_term[e] = (
+                node.c * d.numerator * gamma.numerator * lcm
+                // (d.denominator * gamma.denominator)
+            )
         return [[(e, node_term[e]) for e in es] for es in n_f]
     out = []
     for f, es in enumerate(n_f):
@@ -219,11 +230,15 @@ def _potential_terms(inst: Instance) -> list:
 def best_insertion(inst: Instance, ladder: Sequence[int], f: int):
     """Best position for one new outlet. Returns (position, revenue).
 
-    Tries every slot from the front to just past the end and keeps the
-    lowest position attaining the best optimal ladder revenue. The prefix
-    before each slot is grown once and shared by the slots after it, and
-    prefixes that earlier searches on inst pushed are looked up in the
-    instance's prefix trie.
+    Tries slots from the front and keeps the lowest position attaining
+    the best optimal ladder revenue. The prefix before each slot is grown
+    once and shared by the slots after it, and prefixes that earlier
+    searches on inst pushed are looked up in the instance's prefix trie.
+    The search stops at the first slot j where f is dead for the prefix
+    P_j, its nodes all covered: f then earns nothing there, so slot j
+    scores the ladder's own value, and so does every later slot, whose
+    prefix covers at least P_j's nodes. The lowest best position is
+    therefore among the slots tried.
     """
     table = revenue_table(inst, inst.model)
     prefix = table.root
@@ -231,12 +246,15 @@ def best_insertion(inst: Instance, ladder: Sequence[int], f: int):
     best_rev = None
     for j in range(len(ladder) + 1):
         trial = _push(table, prefix, f)
+        dead = trial is prefix
         for g in ladder[j:]:
             trial = _push(table, trial, g)
         rev = _value(trial)
         if best_rev is None or rev > best_rev:
             best_rev = rev
             best_pos = j
+        if dead:
+            break
         if j < len(ladder):
             prefix = _push(table, prefix, ladder[j])
     return best_pos, table.revenue(best_rev)

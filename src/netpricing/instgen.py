@@ -345,6 +345,28 @@ def _edge_from_entry(entry, where: str) -> Edge:
     return Edge(e, f, a_hat, b_hat, a_bar, b_bar)
 
 
+# The literals of the last string-only grid loaded, and its PriceGrid.
+_last_grid: tuple[Optional[list], Optional[PriceGrid]] = (None, None)
+
+
+def _grid_of(literals: list) -> PriceGrid:
+    """The PriceGrid of a document's grid literals.
+
+    A file set shares one grid, so the last grid whose literals are all
+    strings is kept and reused for an equal list: no JSON value other
+    than a str equals a str, so an equal list holds the same strings.
+    A grid that fails to parse is never kept.
+    """
+    global _last_grid
+    kept, grid = _last_grid
+    if literals == kept:
+        return grid
+    grid = PriceGrid(tuple(map(parse_money, literals)))
+    if all(type(text) is str for text in literals):
+        _last_grid = (list(literals), grid)
+    return grid
+
+
 def instance_from_doc(doc: dict) -> Instance:
     _expect_keys(doc, ("format", "meta", "outlets", "demands", "edges"), "document")
     if doc["format"] != FORMAT_MARKER:
@@ -361,7 +383,7 @@ def instance_from_doc(doc: dict) -> Instance:
     prices = _list_field(meta, "grid", "meta")
     try:
         pi = None if meta["pi"] == "inf" else parse_money(meta["pi"])
-        grid = PriceGrid(tuple(map(parse_money, prices)))
+        grid = _grid_of(prices)
     except (MoneyError, TypeError) as exc:
         raise InstanceFormatError(f"meta: {exc}") from exc
 

@@ -42,13 +42,16 @@ onto a state adds one stage, at a cost of one cell per grid index of every
 window (_push); the state's value is the best revenue of any pricing of
 the prefix (_value). The states form one trie per instance, rooted in the
 instance's revenue table: a prefix any run on it pushed before is looked
-up, not recomputed, and fills no cells. A stage's row, the sum of the
-outlet's still-uncovered node rows, depends only on the outlet and those
-nodes, so it is kept in the same table's stage memo (_stage). The
-revenue table is the only per-instance object these functions read. A
-run prices its final ladder by walking back through the ladder's trie
-states (_price), so it gets exactly the numbers dp_prices gets, from the
-same stage step and walk.
+up, not recomputed, and fills no cells. An outlet whose nodes the prefix
+already covers is dead for it: pushing it gives back the prefix's own
+state, so a trie state stands for its prefix with the dead outlets
+dropped, and a dead push stores nothing and fills no cells. A stage's
+row, the sum of the outlet's still-uncovered node rows, depends only on
+the outlet and those nodes, so it is kept in the same table's stage memo
+(_stage). The revenue table is the only per-instance object these
+functions read. A run prices its final ladder by walking back through
+the ladder's trie states (_price), so it gets exactly the numbers
+dp_prices gets, from the same stage step and walk.
 
 The per-cell kernels (_prefix_max, _suffix_max, _pairwise_max, and the
 row sums of _sum_rows) compare plain integers in for loops rather than
@@ -73,7 +76,8 @@ class DpCallCounter:
     number of (stage, grid index) table entries filled by them and by the
     prefix searches' stages, which is the unit the stated running-time
     bounds are expressed in. A prefix the instance's trie already holds
-    fills no cells.
+    fills no cells, and neither does pushing a dead outlet, one whose
+    nodes the prefix already covers (see _push).
     """
 
     __slots__ = ("count", "cells")
@@ -183,10 +187,11 @@ def _prefix_max(values):
     values = iter(values)
     best = next(values)
     out = [best]
+    append = out.append  # bound once: the loop runs once per grid cell
     for x in values:
         if x > best:
             best = x
-        out.append(best)
+        append(best)
     return out
 
 
@@ -194,10 +199,11 @@ def _suffix_max(values):
     """out[m] = max(values[m:]) of a non-empty sequence of ints, as a new list."""
     best = values[-1]
     out = []
+    append = out.append
     for x in reversed(values):
         if x > best:
             best = x
-        out.append(best)
+        append(best)
     out.reverse()
     return out
 
@@ -233,17 +239,23 @@ def _push(table: RevenueTable, state, f: int):
     A state is (covered nodes as a bitmask, prefix maxima of the last
     stage per window, children by outlet), and table.root is the empty
     prefix, whose maxima are all zero. The stored child is returned when
-    the trie has it; a new one fills table.cells cells. Racing threads
-    share the table, and so its trie, and may build a child twice, with
-    equal values.
+    the trie has it; a new one fills table.cells cells. An outlet that
+    covers no node outside the state's covered mask is dead there: its
+    stage earns nothing and leaves the maxima as they are, so the state
+    itself is returned, with no trie edge stored (a self-edge would be a
+    reference cycle) and no cells counted. Racing threads share the
+    table, and so its trie, and may build a child twice, with equal
+    values.
     """
     covered, maxima, children = state
     child = children.get(f)
-    if child is not None:
-        return child
-    DP_CALLS.cells += table.cells
-    new, stage = _stage(table, covered, f)
-    child = children[f] = (covered | new, _advance(table.windows, stage, maxima), {})
+    if child is None:
+        new, stage = _stage(table, covered, f)
+        if not new:
+            return state
+        DP_CALLS.cells += table.cells
+        maxima = _advance(table.windows, stage, maxima)
+        child = children[f] = (covered | new, maxima, {})
     return child
 
 

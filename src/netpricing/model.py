@@ -520,21 +520,44 @@ def evaluate_prices(inst: Instance, prices: Sequence[Money]):
     and labels marks each assigned node PM (price match) or PW (price
     war).
     """
-    prices = validate_prices(inst, prices)
-    o_e, _, _ = adjacency(inst)
-    table = revenue_table(inst, inst.model)
+    table, served = _served(inst, prices)
+    grid, demands = inst.grid.prices, inst.demands
     total = 0
     assignment: dict[int, int] = {}
     labels: dict[int, str] = {}
-    for node in inst.demands:
-        outlets = o_e[node.id]
+    for e, f, m, entry in served:
+        total += entry
+        assignment[e] = f
+        labels[e] = PM if grid[m] == demands[e].c else PW
+    return table.revenue(total), assignment, labels
+
+
+def _served(inst: Instance, prices: Sequence[Money]):
+    """The revenue table of inst's model, and the served demand nodes of
+    a price vector as (e, f, m, entry) in node order.
+
+    f is the node's lowest-priced connected outlet, ties going to the
+    lowest id, m the grid index of its price and entry the table's image
+    entry there; a node is served when that entry is positive. This is
+    the one evaluation every price-vector score reads.
+    """
+    prices = validate_prices(inst, prices)
+    index_of = inst.grid.index_of
+    index = [index_of(p) for p in prices]
+    table = revenue_table(inst, inst.model)
+    ints = table.ints
+    served = []
+    for e, outlets in enumerate(adjacency(inst)[0]):
         if not outlets:
             continue
-        best = min(outlets, key=lambda f: (prices[f], f))
-        price = prices[best]
-        contribution = table.ints[(node.id, best)][inst.grid.index_of(price)]
-        if contribution > 0:
-            total += contribution
-            assignment[node.id] = best
-            labels[node.id] = PM if price == node.c else PW
-    return table.revenue(total), assignment, labels
+        best = outlets[0]
+        low = prices[best]
+        # outlets ascend, so a strict < keeps the lowest id among ties.
+        for f in outlets:
+            if prices[f] < low:
+                best, low = f, prices[f]
+        m = index[best]
+        entry = ints[(e, best)][m]
+        if entry > 0:
+            served.append((e, best, m, entry))
+    return table, served

@@ -9,7 +9,7 @@ never through binary floats.
 from __future__ import annotations
 
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from fractions import Fraction
 
 MONEY_SCALE = 100
@@ -60,7 +60,10 @@ def parse_money(value) -> Money:
             raise MoneyError(f"not a money literal: {value!r}") from exc
         if not dec.is_finite():
             raise MoneyError(f"{value!r} is not a finite money literal")
-        scaled = dec.scaleb(2)
+        try:
+            scaled = dec.scaleb(2)
+        except Overflow as exc:
+            raise MoneyError(f"{value!r} is out of range") from exc
         if scaled != scaled.to_integral_value():
             raise MoneyError(f"{value!r} is finer than the minor unit")
         return int(scaled)
@@ -142,6 +145,8 @@ def parse_fraction(text) -> Fraction:
         return Fraction(Decimal(text))
     except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
         raise MoneyError(f"not a number literal: {text!r}") from exc
+    except OverflowError as exc:  # Fraction of an infinite Decimal
+        raise MoneyError(f"{text!r} is not a finite number literal") from exc
 
 
 def number_str(value) -> str:

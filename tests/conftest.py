@@ -35,6 +35,36 @@ def two_node_instance(edges, model="mnpp", pi=None):
     )
 
 
+def outlet_nodes(inst):
+    """Each outlet's demand nodes, as a set, read from the edge list."""
+    nodes = [set() for _ in range(inst.n_outlets)]
+    for edge in inst.edges:
+        nodes[edge.f].add(edge.e)
+    return nodes
+
+
+def filled_states(inst, sequences):
+    """The prefix-trie states that pushing every prefix of each outlet
+    sequence, from the empty prefix, fills on a cold trie.
+
+    An outlet whose nodes the outlets before it already cover is dead: its
+    push gives back the state it started from and fills nothing. A state
+    is therefore a sequence with its dead outlets dropped, and a live
+    push fills one state, once. The cells filled are the number of
+    states times the revenue table's cells.
+    """
+    nodes = outlet_nodes(inst)
+    states = set()
+    for sequence in sequences:
+        covered, live = set(), ()
+        for f in sequence:
+            if not nodes[f] <= covered:
+                covered |= nodes[f]
+                live += (f,)
+                states.add(live)
+    return states
+
+
 @pytest.fixture
 def int_grid():
     return grid_0_25_step1()

@@ -1,5 +1,6 @@
 """Benchmark metrics, accounting, and the suite runner's artifacts."""
 
+import gc
 import json
 import weakref
 from fractions import Fraction
@@ -29,6 +30,7 @@ from netpricing import (
     summarise,
 )
 from netpricing import bench
+from netpricing.model import RevenueTable
 
 
 class TestGapMetrics:
@@ -258,6 +260,32 @@ class TestRunSuite:
         paths, _ = run_suite(config, tmp_path / "out")
         assert len(records_from_csv(paths["runs"])) == 15
         assert len(seen) == 5
+
+    @pytest.mark.parametrize("model", ["mnpp", BMNPP])
+    @pytest.mark.parametrize("pi", [None, "2"])
+    def test_finished_instance_is_freed_without_the_collector(self, model, pi):
+        # Reference counting alone must free an instance's revenue table
+        # and prefix trie: a cycle in the trie (a dead push stored as a
+        # self-edge, say) would keep its states until a full collection.
+        params = GenParams(
+            model=model, n_outlets=5, n_demands=15, density=0.5, seed=3, pi=pi
+        )
+        algorithms = ["sp", "greedy", "order", "fi", "greedyI", "orderI"]
+        def tables():
+            return {id(o) for o in gc.get_objects() if type(o) is RevenueTable}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = tables()
+            inst = generate(params)
+            records = bench._run_instance("i", inst, algorithms, "ladder", None, None)
+            assert [r.status for r in records] == ["ok"] * len(algorithms)
+            del inst
+            assert tables() <= before
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_artifacts_and_statuses(self, tmp_path):
         paths, _ = run_suite(suite_config(), tmp_path / "out")

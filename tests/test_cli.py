@@ -184,6 +184,21 @@ class TestSolve:
             f"error: edge ({edge.e}, {edge.f}): logit coefficients must be finite\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [
+            ("d", "Infinity", "'Infinity' is not a finite number literal"),
+            ("c", "1e999999", "'1e999999' is out of range"),
+        ],
+    )
+    def test_out_of_range_number_exits_3(self, tmp_path, capsys, field, literal, message):
+        doc = json.loads(TINY.read_text())
+        doc["demands"][0][field] = literal
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("solve", "--in", bad, "--alg", "fi") == 3
+        assert capsys.readouterr().err.endswith(f"demands[0]: {message}\n")
+
     def test_string_grid_exits_3(self, tmp_path, capsys):
         doc = json.loads(TINY.read_text())
         doc["meta"]["grid"] = "0123456789"

@@ -18,7 +18,7 @@ from netpricing import (
     revenue_table,
 )
 from netpricing.exact import _completions
-from tests.conftest import two_node_instance
+from tests.conftest import filled_states, two_node_instance
 
 
 def tiny_params(model, seed, outlets=3, demands=4):
@@ -112,13 +112,19 @@ class TestLadderExact:
         # The subset pass fills one stage per (outlet set, unplaced outlet)
         # pair, n * 2^(n-1). With an exact bound the descent pushes the
         # unplaced outlets in id order up to the first that can still reach
-        # the optimum, rank_i + 1 of them at step i. Pricing the winner
-        # walks back through the descent's states and fills nothing.
+        # the optimum, rank_i + 1 of them at step i; only the live ones
+        # fill a stage, each trie state once (a dead outlet chosen leaves
+        # the state as it was, so the next step's first pushes are hits).
+        # Pricing the winner walks back through the descent's states and
+        # fills nothing.
         n = inst.n_outlets
-        pushes = sum(
-            sum(g < f for g in ladder[i:]) + 1 for i, f in enumerate(ladder)
-        )
-        return n * 2 ** (n - 1) + pushes
+        pushes = [
+            ladder[:i] + (g,)
+            for i, f in enumerate(ladder)
+            for g in ladder[i:]
+            if g <= f
+        ]
+        return n * 2 ** (n - 1) + len(filled_states(inst, pushes))
 
     @pytest.mark.parametrize("model", ["mnpp", BMNPP])
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -129,7 +135,7 @@ class TestLadderExact:
         _, ladder, _ = ladder_exact(inst)
         assert DP_CALLS.cells == self.search_rows(inst, ladder) * len(inst.grid)
 
-    @pytest.mark.parametrize("seed, cells", [(0, 1_261_015), (1, 1_259_790)])
+    @pytest.mark.parametrize("seed, cells", [(0, 1_261_015), (1, 1_259_055)])
     def test_logit_search_descends_without_backtracking(self, seed, cells):
         # Logit orderings tie to within rounding here; on the exact image
         # the search still fills only the subset pass and one descent.

@@ -15,8 +15,10 @@ from netpricing import (
     HeuristicTimeout,
     Instance,
     adjacency,
+    allocate,
     best_insertion,
     brute_force,
+    dp_prices,
     evaluate_prices,
     full_insertion,
     generate,
@@ -28,8 +30,10 @@ from netpricing import (
     run_algorithm,
     single_price,
 )
+from netpricing import heuristics
 from netpricing.instgen import make_grid
-from tests.conftest import two_node_instance
+from netpricing.ladder import _value as ladder_value
+from tests.conftest import filled_states, outlet_nodes, two_node_instance
 
 
 def small_grid_params(model, seed, outlets=3, demands=5, density=0.7):
@@ -170,14 +174,41 @@ class TestInsertion:
 
     @pytest.mark.parametrize("length", range(5))
     def test_one_stage_per_prefix_and_trial_suffix(self, length):
-        # The base prefix grows once (length stages); slot j then pushes
-        # the new outlet and the length - j outlets after it.
+        # Outlet 4's nodes are a subset of outlet 0's, and outlet 3's of
+        # outlets 0-2's. Slot 0 pushes 4 and the ladder after it; the base
+        # prefix grows to (0,), where 4 is dead, so slot 1 walks the
+        # ladder itself and the search stops. Dead pushes fill nothing.
         inst = generate(small_grid_params("mnpp", 0, outlets=5, demands=8))
         assert inst.pi is None
+        nodes = outlet_nodes(inst)
+        assert nodes[4] <= nodes[0] and nodes[3] <= nodes[0] | nodes[1] | nodes[2]
         DP_CALLS.reset()
-        best_insertion(inst, tuple(range(length)), 4)
-        slots = (length + 1) * (length + 2) // 2
-        assert DP_CALLS.cells == (slots + length) * len(inst.grid)
+        ladder = tuple(range(length))
+        best_insertion(inst, ladder, 4)
+        stages = {0: 1, 1: 3, 2: 5, 3: 7, 4: 7}[length]
+        assert DP_CALLS.cells == stages * len(inst.grid)
+        pushed = [(4,) + ladder]  # slot 0's trial
+        if ladder:  # the base prefix (0,) and slot 1's trial
+            pushed.append(ladder[:1] + (4,) + ladder[1:])
+        assert stages == len(filled_states(inst, pushed))
+
+    def test_search_stops_at_the_first_dead_slot(self, monkeypatch):
+        # Outlet 4 is dead after the prefix (0,): slots 0 and 1 are scored,
+        # and the later slots, which would score slot 1's value, are not.
+        inst = generate(small_grid_params("mnpp", 0, outlets=5, demands=8))
+        scored = []
+
+        def value(state):
+            scored.append(state)
+            return ladder_value(state)
+
+        ladder = (0, 1, 2, 3)
+        trials = [ladder[:j] + (4,) + ladder[j:] for j in range(5)]
+        revenues = [dp_prices(inst, t, allocate(inst, t))[1] for t in trials]
+        monkeypatch.setattr(heuristics, "_value", value)
+        best = max(revenues)
+        assert best_insertion(inst, ladder, 4) == (revenues.index(best), best)
+        assert len(scored) == 2
 
     def test_full_insertion_finds_disjoint_optimum(self, tiny_disjoint):
         result = full_insertion(tiny_disjoint)

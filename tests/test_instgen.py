@@ -212,6 +212,25 @@ class TestFileFormat:
         with pytest.raises(InstanceFormatError, match=r"^demands\[0\]: expected an object$"):
             instance_from_doc(doc)
 
+    def test_files_with_one_grid_share_its_price_grid(self, tiny_disjoint):
+        # The last string grid is kept: an equal literal list reuses its
+        # PriceGrid, and any other list, equal as JSON numbers or not, is
+        # parsed and checked afresh.
+        first = instance_from_doc(instance_to_doc(tiny_disjoint))
+        doc = instance_to_doc(tiny_disjoint)
+        second = instance_from_doc(doc)
+        assert first.grid is second.grid
+        assert first == second == tiny_disjoint
+        doc["meta"]["grid"] = list(range(26))
+        assert instance_from_doc(doc) == tiny_disjoint
+        doc["meta"]["grid"][1] = True
+        with pytest.raises(InstanceFormatError, match="^meta: not a money literal: True$"):
+            instance_from_doc(doc)
+        doc["meta"]["grid"] = instance_to_doc(tiny_disjoint)["meta"]["grid"][::-1]
+        for _ in range(2):  # a grid that fails is not kept
+            with pytest.raises(InvalidInstance, match="strictly increasing"):
+                instance_from_doc(doc)
+
     def test_wrong_marker_rejected(self, tiny_disjoint):
         doc = instance_to_doc(tiny_disjoint)
         doc["format"] = "something-else"

@@ -13,9 +13,10 @@ best completion of every prefix, under both models. The insertion runs
 (full_insertion, insertion_with_order) share the instance's prefix trie
 across all their best_insertion calls: they must place every outlet where
 a from-scratch scan does, and an fi run fills one stage per distinct
-prefix it pushes, a trie hit filling none. Every ladder run and
-ladder_exact prices its final ladder from that trie, exactly as dp_prices
-does from scratch. The stage memo the searches share on an
+prefix it pushes, dead outlets dropped, a trie hit filling none; a dead
+push gives back its own state and stores no trie edge. Every ladder run
+and ladder_exact prices its final ladder from that trie, exactly as
+dp_prices does from scratch. The stage memo the searches share on an
 instance's revenue table must not change any result: a search on a cold
 table and on one warmed by the other searches gives the same numbers, and
 a memoised stage row equals its from-scratch sum.
@@ -24,7 +25,9 @@ The per-cell kernels (prefix, suffix and pairwise maxima) must equal
 their builtin-max definitions on any int lists, and no kernel may write
 into the lists it reads: the trie's stored maxima and the subset table's
 rows are shared. single_price and order_select must give what a
-per-column max and per-round Fraction sums give.
+per-column max and per-round Fraction sums give. evaluate_prices and
+pm_accounting must equal a node-by-node evaluation with demand_at
+volumes.
 
 The spread cap is instance data: dp_prices, the insertion runs, every
 algorithm of run_algorithm and ladder_exact must price within inst.pi.
@@ -48,21 +51,27 @@ from netpricing import (
     BMNPP,
     DP_CALLS,
     MNPP,
+    PM,
+    PW,
     DemandNode,
     Edge,
     Instance,
+    PmStats,
     PriceGrid,
     adjacency,
     allocate,
     best_insertion,
     builtin_adapter,
+    demand_at,
     dp_prices,
+    evaluate_prices,
     full_insertion,
     greedy_select,
     insertion_with_order,
     ladder_exact,
     logit_share,
     order_select,
+    pm_accounting,
     revenue_table,
     run_algorithm,
     single_price,
@@ -79,6 +88,7 @@ from netpricing.ladder import (
     _suffix_max,
 )
 from netpricing.money import MONEY_SCALE, money_unit
+from tests.conftest import filled_states, outlet_nodes
 from tests.test_ladder import enumerate_ladder_optimum
 
 
@@ -440,23 +450,31 @@ def test_every_pricing_path_keeps_the_instance_cap(model):
     check()
 
 
-def pushed_prefixes(ladder, f):
-    """The outlet sequences best_insertion(ladder, f) pushes: the base
-    prefixes, and each slot's new outlet followed by the rest."""
+def pushed_prefixes(inst, ladder, f):
+    """The outlet sequences best_insertion(inst, ladder, f) pushes: each
+    slot's trial, the new outlet followed by the rest, up to the first
+    slot where f is dead for the prefix before it; the base prefixes are
+    prefixes of the trials after them."""
     ladder = tuple(ladder)
-    seen = {ladder[:j] for j in range(1, len(ladder) + 1)}
+    nodes = outlet_nodes(inst)
+    covered = set()
+    pushed = []
     for j in range(len(ladder) + 1):
-        for k in range(j, len(ladder) + 1):
-            seen.add(ladder[:j] + (f,) + ladder[j:k])
-    return seen
+        pushed.append(ladder[:j] + (f,) + ladder[j:])
+        if nodes[f] <= covered:
+            break
+        if j < len(ladder):
+            covered |= nodes[ladder[j]]
+    return pushed
 
 
 @MODELS
 def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
     # Every best_insertion call of an fi run goes through the module
     # attribute heuristics.best_insertion, and a prefix the run pushed
-    # before is a trie hit that fills no cells; so the run fills one
-    # stage per distinct prefix, and pricing its ladder, all hits, none.
+    # before is a trie hit that fills no cells, as is a dead push; so the
+    # run fills one stage per distinct prefix with its dead outlets
+    # dropped, and pricing its ladder, all hits, none.
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(instances(model, max_outlets=5, max_demands=6))
     def check(inst):
@@ -472,7 +490,8 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
             full_insertion(inst)
         n = inst.n_outlets
         assert len(calls) == n * (n + 1) // 2
-        distinct = set().union(*(pushed_prefixes(ladder, f) for ladder, f in calls))
+        pushed = [seq for ladder, f in calls for seq in pushed_prefixes(inst, ladder, f)]
+        distinct = filled_states(inst, pushed)
         assert DP_CALLS.cells == len(distinct) * revenue_table(inst, model).cells
 
         # A second identical call on the instance's trie is all hits.
@@ -683,5 +702,89 @@ def test_order_select_equals_per_round_sums(model):
                     c = node.c / MONEY_SCALE
                     share = logit_share(edge.a_hat - edge.b_hat * c)
                     assert repr(term) == repr(c * float(node.d) * share)
+
+    check()
+
+
+@MODELS
+def test_dead_push_gives_back_its_state_and_stores_no_edge(model):
+    # _push returns the state itself exactly when f covers no node outside
+    # the state's covered mask; such a push stores nothing, so no stored
+    # child has its parent's covered mask.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=5, max_demands=6), st.data())
+    def check(inst, data):
+        table = revenue_table(inst, model)
+        outlets = st.integers(0, inst.n_outlets - 1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            state = table.root
+            for f in data.draw(st.lists(outlets, max_size=8)):
+                child = _push(table, state, f)
+                assert (child is state) == (table.masks[f] & ~state[0] == 0)
+                state = child
+        stack = [table.root]
+        while stack:
+            state = stack.pop()
+            for child in state[2].values():
+                assert child[0] != state[0]
+                stack.append(child)
+
+    check()
+
+
+def scratch_evaluation(inst, prices):
+    """(evaluate_prices, pm_accounting) of prices, node by node: the
+    lowest (price, id) outlet serves, the table entry is the money, and
+    demand_at gives the volume."""
+    o_e = adjacency(inst)[0]
+    table = revenue_table(inst, inst.model)
+    total = 0
+    assignment, labels = {}, {}
+    counts, raw = {PM: 0, PW: 0}, {PM: 0, PW: 0}
+    volumes = {PM: zero_revenue(inst.model), PW: zero_revenue(inst.model)}
+    for node in inst.demands:
+        outlets = o_e[node.id]
+        if not outlets:
+            continue
+        best = min(outlets, key=lambda f: (prices[f], f))
+        price = prices[best]
+        entry = table.ints[(node.id, best)][inst.grid.index_of(price)]
+        if entry > 0:
+            label = PM if price == node.c else PW
+            total += entry
+            assignment[node.id] = best
+            labels[node.id] = label
+            counts[label] += 1
+            raw[label] += entry
+            volumes[label] += demand_at(inst, node.id, best, price)
+    stats = PmStats(
+        counts[PM],
+        counts[PW],
+        volumes[PM],
+        volumes[PW],
+        table.revenue(raw[PM]),
+        table.revenue(raw[PW]),
+    )
+    return (table.revenue(total), assignment, labels), stats
+
+
+@MODELS
+@pytest.mark.parametrize("cap", [None, 150])
+def test_evaluation_and_pm_accounting_equal_per_node_scratch(model, cap):
+    # Small grids, so that outlets often tie on price.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(instances(model, max_outlets=4, max_prices=4, max_demands=7), st.data())
+    def check(inst, data):
+        inst = replace(inst, pi=cap)
+        n = inst.n_outlets
+        price = st.sampled_from(inst.grid.prices)
+        prices = tuple(data.draw(st.lists(price, min_size=n, max_size=n)))
+        evaluation, stats = scratch_evaluation(inst, prices)
+        got = evaluate_prices(inst, prices)
+        assert got == evaluation
+        assert repr(got) == repr(evaluation)
+        got = pm_accounting(inst, prices)
+        assert got == stats
+        assert repr(got) == repr(stats)
 
     check()

@@ -68,6 +68,19 @@ def test_parse_money_rejects_non_finite(value):
         parse_money(value)
 
 
+@pytest.mark.parametrize("value", ["1e999999", "-1e999999", Decimal("9e999998")])
+def test_parse_money_rejects_out_of_range(value):
+    # Scaling to minor units would overflow Decimal's exponent range.
+    with pytest.raises(MoneyError, match="is out of range"):
+        parse_money(value)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", " inf"])
+def test_parse_fraction_rejects_infinite(text):
+    with pytest.raises(MoneyError, match="is not a finite number literal"):
+        parse_fraction(text)
+
+
 def test_money_str_two_decimals():
     assert money_str(700) == "7.00"
     assert money_str(1250) == "12.50"
