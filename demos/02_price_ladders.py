@@ -12,7 +12,6 @@ from dataclasses import replace
 from itertools import permutations
 
 from netpricing import (
-    DP_CALLS,
     GenParams,
     allocate,
     dp_prices,
@@ -20,6 +19,7 @@ from netpricing import (
     money_str,
     number_str,
     parse_money,
+    revenue_table,
 )
 
 
@@ -66,9 +66,10 @@ def main():
     )
     show("cap 1.00", best[0], capped_prices, capped_revenue)
 
-    DP_CALLS.reset()
+    table = revenue_table(inst, inst.model)
+    before = table.filled
     dp_prices(inst, ladder, assignment)
-    print(f"table work: {DP_CALLS.cells} cells "
+    print(f"table work: {table.filled - before} cells "
           f"({inst.n_outlets} positions x {len(inst.grid.prices)} prices)")
 
 

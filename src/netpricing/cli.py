@@ -185,6 +185,13 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive job count")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netpricing",
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a benchmark config")
     bench.add_argument("--config", required=True)
     bench.add_argument("--out-dir", required=True)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_jobs, default=1)
     bench.set_defaults(func=cmd_bench)
 
     report = sub.add_parser("report", help="aggregate runs CSVs into a summary")

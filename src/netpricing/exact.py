@@ -31,9 +31,9 @@ larger set, which the backward pass has settled first. So the options
 of S are those of S | d plus rest[S | d] itself. The pass therefore
 shares rest[S | d]'s row object for S and works out no (S, f) stage at
 all; the rows are read, never written into. On the paper grid's
-5-outlet shapes this skips about 38% of the pairs. DP_CALLS.cells still
-counts the programme's nominal n * 2^(n-1) stages, so the stated bound
-reads the same whatever the pass skips.
+5-outlet shapes this skips about 38% of the pairs. The pass still adds
+the programme's nominal n * 2^(n-1) stages to the revenue table's filled
+count, so the stated bound reads the same whatever the pass skips.
 
 A prefix whose last stage has prefix maxima maxima[w][m] then completes
 to at best
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .ladder import DP_CALLS, _pairwise_max, _price, _push, _stage, _suffix_max
+from .ladder import _pairwise_max, _price, _push, _stage, _suffix_max
 from .model import Instance, RevenueTable, evaluate_prices, revenue_table
 
 ENUMERATION_LIMIT = 5_000_000
@@ -157,8 +157,9 @@ def _completions(table: RevenueTable, n: int) -> list:
     table is the instance's revenue table, S a bitmask over outlet ids
     and m an index into window w. Entries are sums of the table's integer
     image, its stage rows come from the table's stage memo, and each
-    (S, f) stage counts as one push in DP_CALLS.cells, also where S has a
-    dead outlet and shares its row (see the module docstring).
+    (S, f) stage adds table.cells to table.filled, as one push does, also
+    where S has a dead outlet and shares its row (see the module
+    docstring).
     """
     full = (1 << n) - 1
     masks = table.masks
@@ -178,7 +179,7 @@ def _completions(table: RevenueTable, n: int) -> list:
                 break
         else:
             rest[subset] = _live_row(table, n, subset, covered[subset], rest)
-    DP_CALLS.cells += n * (1 << (n - 1)) * table.cells
+    table.filled += n * (1 << (n - 1)) * table.cells
     return rest
 
 

@@ -69,31 +69,6 @@ from typing import Sequence
 from .model import Instance, RevenueTable, adjacency, revenue_table
 
 
-class DpCallCounter:
-    """Tracks dynamic-programme work, for checking complexity budgets.
-
-    count is the number of dp_prices invocations; cells is the total
-    number of (stage, grid index) table entries filled by them and by the
-    prefix searches' stages, which is the unit the stated running-time
-    bounds are expressed in. A prefix the instance's trie already holds
-    fills no cells, and neither does pushing a dead outlet, one whose
-    nodes the prefix already covers (see _push).
-    """
-
-    __slots__ = ("count", "cells")
-
-    def __init__(self):
-        self.count = 0
-        self.cells = 0
-
-    def reset(self):
-        self.count = 0
-        self.cells = 0
-
-
-DP_CALLS = DpCallCounter()
-
-
 def allocate(inst: Instance, ladder: Sequence[int]) -> dict[int, int]:
     """First-fit assignment of demand nodes to the ladder's outlets.
 
@@ -115,13 +90,13 @@ def dp_prices(inst: Instance, ladder: Sequence[int], assignment: dict[int, int])
 
     Returns (prices, revenue) with one price per ladder position. Ties are
     broken toward the highest price at every position, so an outlet that
-    earns nothing is pushed to the top of its feasible range.
+    earns nothing is pushed to the top of its feasible range. Each call
+    adds its len(ladder) stages of cells to the revenue table's filled.
     """
-    DP_CALLS.count += 1
     table = revenue_table(inst, inst.model)
     grid = inst.grid.prices
     windows = table.windows
-    DP_CALLS.cells += len(ladder) * table.cells
+    table.filled += len(ladder) * table.cells
     by_outlet = {f: [] for f in ladder}
     for e, f in assignment.items():
         by_outlet[f].append(table.ints[(e, f)])
@@ -239,13 +214,13 @@ def _push(table: RevenueTable, state, f: int):
     A state is (covered nodes as a bitmask, prefix maxima of the last
     stage per window, children by outlet), and table.root is the empty
     prefix, whose maxima are all zero. The stored child is returned when
-    the trie has it; a new one fills table.cells cells. An outlet that
-    covers no node outside the state's covered mask is dead there: its
-    stage earns nothing and leaves the maxima as they are, so the state
-    itself is returned, with no trie edge stored (a self-edge would be a
-    reference cycle) and no cells counted. Racing threads share the
-    table, and so its trie, and may build a child twice, with equal
-    values.
+    the trie has it; a new one fills table.cells cells, which it adds to
+    table.filled. An outlet that covers no node outside the state's
+    covered mask is dead there: its stage earns nothing and leaves the
+    maxima as they are, so the state itself is returned, with no trie
+    edge stored (a self-edge would be a reference cycle) and no cells
+    counted. Racing threads share the table, and so its trie, and may
+    build a child twice, with equal values.
     """
     covered, maxima, children = state
     child = children.get(f)
@@ -253,7 +228,7 @@ def _push(table: RevenueTable, state, f: int):
         new, stage = _stage(table, covered, f)
         if not new:
             return state
-        DP_CALLS.cells += table.cells
+        table.filled += table.cells
         maxima = _advance(table.windows, stage, maxima)
         child = children[f] = (covered | new, maxima, {})
     return child

@@ -333,7 +333,12 @@ class RevenueTable:
     width, the grid cells one ladder stage fills. root is the empty
     prefix of the one prefix trie every ladder search on the instance
     grows (see ladder._push), so a prefix one run pushed is a hit for
-    the next.
+    the next. filled counts the grid cells filled on this table: cells per
+    new trie state, one stage per ladder position priced by
+    ladder.dp_prices, and the subset pass's nominal stages (see exact).
+    The count is exact while one thread at a time works on the table;
+    racing threads may lose an increment or fill a state twice. A run's
+    own cells are filled's difference across it.
     """
 
     model: str
@@ -345,6 +350,7 @@ class RevenueTable:
     cells: int
     root: tuple
     stages: dict = field(default_factory=dict)
+    filled: int = 0
 
     def revenue(self, raw: int):
         if self.model == MNPP:
@@ -352,8 +358,8 @@ class RevenueTable:
         return raw / self.scale
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses")
-_table_counts = [0, 0]  # hits, misses
+CacheInfo = namedtuple("CacheInfo", "misses")
+_table_builds = [0]
 
 
 def revenue_table(inst: Instance, model: str) -> RevenueTable:
@@ -362,20 +368,17 @@ def revenue_table(inst: Instance, model: str) -> RevenueTable:
     Built on first use and kept in the instance's __dict__, so every run
     on the instance shares it and its stage memo; setdefault makes threads
     racing on a first build share one table. revenue_table.cache_info()
-    gives this process's (hits, misses): lookups a kept table answered,
-    and tables built.
+    gives this process's table builds as misses; lookups are not counted.
     """
     try:
-        table = inst.__dict__["_tables"][model]
+        return inst.__dict__["_tables"][model]
     except KeyError:
-        _table_counts[1] += 1
+        _table_builds[0] += 1
         tables = inst.__dict__.setdefault("_tables", {})
         return tables.setdefault(model, _build_table(inst, model))
-    _table_counts[0] += 1
-    return table
 
 
-revenue_table.cache_info = lambda: CacheInfo(*_table_counts)
+revenue_table.cache_info = lambda: CacheInfo(*_table_builds)
 
 
 def _build_table(inst: Instance, model: str) -> RevenueTable:
@@ -491,10 +494,6 @@ def _bmnpp_ratios(node: DemandNode, edge: Edge, units: list, support) -> list:
         share = logit_share(edge.a_bar - edge.b_bar * (node.c / MONEY_SCALE))
         row.append((units[stop - 1] * (d * share)).as_integer_ratio())
     return row
-
-
-def zero_revenue(model: str):
-    return Fraction(0) if model == MNPP else 0.0
 
 
 def validate_prices(inst: Instance, prices: Sequence[Money]) -> tuple[Money, ...]:

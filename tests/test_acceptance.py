@@ -18,7 +18,6 @@ import pytest
 
 from netpricing import (
     ALGORITHMS,
-    DP_CALLS,
     GenParams,
     Rng,
     brute_force,
@@ -28,6 +27,7 @@ from netpricing import (
     ladder_exact,
     load_instance,
     pm_accounting,
+    revenue_table,
     run_algorithm,
     save_instance,
     solve_ip,
@@ -211,20 +211,15 @@ def test_c6_dp_work_stays_within_stated_budgets():
         pairs = inst.n_outlets * (inst.n_outlets + 1) // 2
         selection_budget = pairs * n_prices
         insertion_budget = pairs * pairs * n_prices
-        DP_CALLS.reset()
+        table = revenue_table(inst, inst.model)
+        before = table.filled
         run_algorithm(inst, "order")
-        assert DP_CALLS.cells <= selection_budget, (
-            seed,
-            DP_CALLS.cells,
-            selection_budget,
-        )
-        DP_CALLS.reset()
+        cells = table.filled - before
+        assert cells <= selection_budget, (seed, cells, selection_budget)
+        before = table.filled
         run_algorithm(inst, "orderI")
-        assert DP_CALLS.cells <= insertion_budget, (
-            seed,
-            DP_CALLS.cells,
-            insertion_budget,
-        )
+        cells = table.filled - before
+        assert cells <= insertion_budget, (seed, cells, insertion_budget)
 
 
 def test_c7_cli_outputs_are_deterministic(tmp_path):

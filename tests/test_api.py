@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "BMNPP",
     "BUILTIN_SOLVER",
     "ConfigError",
-    "DP_CALLS",
     "DemandNode",
     "ENUMERATION_LIMIT",
     "Edge",
@@ -99,7 +98,6 @@ PUBLIC_NAMES = [
     "write_lp",
     "write_runs_csv",
     "write_summary",
-    "zero_revenue",
 ]
 
 

@@ -413,6 +413,17 @@ class TestBenchAndReport:
         b = (tmp_path / "b" / "clismoke.runs.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_jobs_below_one_exits_2(self, tmp_path, jobs):
+        config = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            run(
+                "bench", "--config", config, "--out-dir", tmp_path / "out",
+                "--jobs", jobs,
+            )
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bench_bad_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algorithms": ["sp"], "wat": 1}))

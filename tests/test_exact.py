@@ -7,7 +7,6 @@ import pytest
 
 from netpricing import (
     BMNPP,
-    DP_CALLS,
     EnumerationTooLarge,
     GenParams,
     TooManyOutlets,
@@ -131,9 +130,10 @@ class TestLadderExact:
     def test_one_stage_per_prefix(self, n, model):
         inst = generate(tiny_params(model, 0, outlets=n, demands=6))
         assert inst.pi is None
-        DP_CALLS.reset()
+        table = revenue_table(inst, inst.model)
+        before = table.filled
         _, ladder, _ = ladder_exact(inst)
-        assert DP_CALLS.cells == self.search_rows(inst, ladder) * len(inst.grid)
+        assert table.filled - before == self.search_rows(inst, ladder) * len(inst.grid)
 
     @pytest.mark.parametrize("seed, cells", [(0, 1_261_015), (1, 1_259_055)])
     def test_logit_search_descends_without_backtracking(self, seed, cells):
@@ -143,9 +143,10 @@ class TestLadderExact:
             model=BMNPP, n_outlets=10, n_demands=30, density=0.25, seed=seed, pi="2"
         )
         inst = generate(params)
-        DP_CALLS.reset()
+        table = revenue_table(inst, inst.model)
+        before = table.filled
         _, ladder, _ = ladder_exact(inst)
-        assert DP_CALLS.cells == cells
+        assert table.filled - before == cells
         assert cells == self.search_rows(inst, ladder) * revenue_table(inst, BMNPP).cells
 
 
@@ -194,9 +195,9 @@ def test_subset_rows_of_dead_outlets_are_shared(model, pi):
         inst = replace(generate(params), pi=pi)
         table = revenue_table(inst, model)
         n = inst.n_outlets
-        DP_CALLS.reset()
+        before = table.filled
         rest = _completions(table, n)
-        assert DP_CALLS.cells == n * 2 ** (n - 1) * table.cells
+        assert table.filled - before == n * 2 ** (n - 1) * table.cells
         reference = _reference_rest(table, n, len(inst.grid))
         assert rest == [reference[s] for s in range(1 << n)]
         for subset in range(1 << n):

@@ -8,7 +8,6 @@ import pytest
 from netpricing import (
     ALGORITHMS,
     BMNPP,
-    DP_CALLS,
     DemandNode,
     Edge,
     GenParams,
@@ -182,11 +181,12 @@ class TestInsertion:
         assert inst.pi is None
         nodes = outlet_nodes(inst)
         assert nodes[4] <= nodes[0] and nodes[3] <= nodes[0] | nodes[1] | nodes[2]
-        DP_CALLS.reset()
+        table = revenue_table(inst, inst.model)
+        before = table.filled
         ladder = tuple(range(length))
         best_insertion(inst, ladder, 4)
         stages = {0: 1, 1: 3, 2: 5, 3: 7, 4: 7}[length]
-        assert DP_CALLS.cells == stages * len(inst.grid)
+        assert table.filled - before == stages * len(inst.grid)
         pushed = [(4,) + ladder]  # slot 0's trial
         if ladder:  # the base prefix (0,) and slot 1's trial
             pushed.append(ladder[:1] + (4,) + ladder[1:])
@@ -277,9 +277,9 @@ class TestRunAlgorithm:
         # repeated run finds every prefix, and its ladder's pricing, there.
         inst = generate(small_grid_params("mnpp", 0, outlets=5, demands=8))
         first = run_algorithm(inst, "fi")
-        DP_CALLS.reset()
+        before = revenue_table(inst, inst.model).filled
         again = run_algorithm(inst, "fi")
-        assert DP_CALLS.cells == 0
+        assert revenue_table(inst, inst.model).filled == before
         assert again == first
 
     def test_deadline_zero_raises(self):

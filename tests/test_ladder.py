@@ -17,7 +17,6 @@ import pytest
 
 from netpricing import (
     BMNPP,
-    DP_CALLS,
     MNPP,
     GenParams,
     allocate,
@@ -26,7 +25,6 @@ from netpricing import (
     generate,
     ladder_exact,
     revenue_table,
-    zero_revenue,
 )
 from netpricing.ladder import _value
 
@@ -46,7 +44,7 @@ def enumerate_ladder_optimum(inst, ladder, assignment, pi=None, model=None):
     ):
         if pi is not None and grid[combo[-1]] - grid[combo[0]] > pi:
             continue
-        rev = zero_revenue(model)
+        rev = Fraction(0) if model == MNPP else 0.0
         for k, m in enumerate(combo):
             for e in by_pos[k]:
                 rev += table.revenue(table.ints[(e, ladder[k])][m])
@@ -87,7 +85,7 @@ class TestDpPrices:
         prices, revenue = dp_prices(inst, (), {})
         assert prices == ()
         assert revenue == 0
-        assert type(revenue) is type(zero_revenue(model))
+        assert type(revenue) is type(Fraction(0) if model == MNPP else 0.0)
         assert _value(revenue_table(inst, model).root) == 0
 
     def test_prices_non_decreasing(self, tiny_connected):
@@ -121,10 +119,10 @@ class TestDpPrices:
         assert revenue == Fraction(1400)
 
     def test_counter_advances(self, tiny_single):
-        DP_CALLS.reset()
+        table = revenue_table(tiny_single, tiny_single.model)
+        before = table.filled
         dp_prices(tiny_single, (0,), {0: 0})
-        assert DP_CALLS.count == 1
-        assert DP_CALLS.cells == 26
+        assert table.filled - before == 26
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -177,3 +175,34 @@ def test_threads_share_the_stage_memo(model):
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial] * 8
+
+
+@pytest.mark.parametrize("model", ["mnpp", "bmnpp"])
+def test_cells_stay_per_instance_under_threads(model):
+    # Cells are counted on the instance's own revenue table, so runs on
+    # other instances in other threads never mix into a run's count.
+    inst = generate(GenParams(model=model, n_outlets=6, seed=5, pi="10"))
+
+    def cells(copy):
+        table = revenue_table(copy, model)
+        before = table.filled
+        full_insertion(copy)
+        ladder_exact(copy)
+        return table.filled - before
+
+    serial = cells(replace(inst))
+    assert serial > 0
+    start = threading.Barrier(2)
+
+    def task(_):
+        start.wait(timeout=60)
+        return [cells(replace(inst)) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(task, range(2), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[serial] * 4] * 2

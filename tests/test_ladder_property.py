@@ -49,7 +49,6 @@ from hypothesis import strategies as st
 from netpricing import (
     ALGORITHMS,
     BMNPP,
-    DP_CALLS,
     MNPP,
     PM,
     PW,
@@ -75,7 +74,6 @@ from netpricing import (
     revenue_table,
     run_algorithm,
     single_price,
-    zero_revenue,
 )
 from netpricing import heuristics
 from netpricing.exact import _bound, _completions
@@ -243,7 +241,7 @@ def scratch_greedy(inst, pi):
     n_f = adjacency(inst)[1]
     pool = sorted(inst.outlets())
     active = set(range(inst.n_demands))
-    ladder, revenue = [], zero_revenue(inst.model)
+    ladder, revenue = [], Fraction(0) if inst.model == MNPP else 0.0
     while pool and active:
         best_f, best_rev = None, None
         for f in pool:
@@ -287,7 +285,7 @@ def test_best_insertion_equals_scratch_dp(model):
         inst, ladder, f = case
         got = best_insertion(inst, ladder, f)
         assert got == scratch_insertion(inst, ladder, f, inst.pi)
-        assert type(got[1]) is type(zero_revenue(model))
+        assert type(got[1]) is type(Fraction(0) if model == MNPP else 0.0)
 
     check()
 
@@ -485,22 +483,23 @@ def test_insertion_run_fills_one_stage_per_distinct_prefix(model):
             calls.append((tuple(ladder), f))
             return original(inst, ladder, f, *args, **kwargs)
 
-        DP_CALLS.reset()
+        table = revenue_table(inst, model)
+        before = table.filled
         with patch.object(heuristics, "best_insertion", recording):
             full_insertion(inst)
         n = inst.n_outlets
         assert len(calls) == n * (n + 1) // 2
         pushed = [seq for ladder, f in calls for seq in pushed_prefixes(inst, ladder, f)]
         distinct = filled_states(inst, pushed)
-        assert DP_CALLS.cells == len(distinct) * revenue_table(inst, model).cells
+        assert table.filled - before == len(distinct) * table.cells
 
         # A second identical call on the instance's trie is all hits.
         ladder = tuple(range(n - 1))
         first = best_insertion(inst, ladder, n - 1)
-        DP_CALLS.reset()
+        before = table.filled
         again = best_insertion(inst, ladder, n - 1)
         assert again == first
-        assert DP_CALLS.cells == 0
+        assert table.filled == before
 
     check()
 
@@ -638,7 +637,7 @@ def scratch_order_select(inst):
     ladder = []
 
     def potential(f):
-        total = zero_revenue(inst.model)
+        total = Fraction(0) if inst.model == MNPP else 0.0
         for e in n_f[f]:
             if e not in active:
                 continue
@@ -741,7 +740,8 @@ def scratch_evaluation(inst, prices):
     total = 0
     assignment, labels = {}, {}
     counts, raw = {PM: 0, PW: 0}, {PM: 0, PW: 0}
-    volumes = {PM: zero_revenue(inst.model), PW: zero_revenue(inst.model)}
+    zero = Fraction(0) if inst.model == MNPP else 0.0
+    volumes = {PM: zero, PW: zero}
     for node in inst.demands:
         outlets = o_e[node.id]
         if not outlets:

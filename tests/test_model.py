@@ -30,7 +30,6 @@ from netpricing import (
     price_below,
     revenue_table,
     validate_prices,
-    zero_revenue,
 )
 from netpricing import model
 from netpricing.model import LOGIT_EXPONENT_CLAMP, demand_bmnpp, demand_mnpp
@@ -339,11 +338,6 @@ def test_demand_at_dispatches_by_model(tiny_connected):
     assert vol == Fraction(50)
     b = two_node_instance([(0, 0), (0, 1), (1, 1)], model=BMNPP)
     assert isinstance(demand_at(b, 0, 0, 900), float)
-
-
-def test_zero_revenue_types():
-    assert zero_revenue(MNPP) == Fraction(0)
-    assert isinstance(zero_revenue(BMNPP), float)
 
 
 def test_revenue_table_shape_and_cache(tiny_connected):
