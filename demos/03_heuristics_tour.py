@@ -13,7 +13,6 @@ of a linear relaxation).
 from netpricing import (
     ALGORITHMS,
     GenParams,
-    builtin_adapter,
     gain_over_sp,
     generate,
     ladder_exact,
@@ -37,12 +36,12 @@ def main():
           f"via ladder {best_ladder}")
     print()
 
-    adapter = builtin_adapter()  # ip1I and ip2I rank outlets with an LP solve
+    solver = "builtin"  # ip1I and ip2I rank outlets with an LP solve
     sp_revenue = run_algorithm(inst, "sp").revenue
 
     print(f"{'alg':<8} {'revenue':>10} {'gap%':>7} {'gainSP%':>8}  ladder")
     for alg in ALGORITHMS:
-        result = run_algorithm(inst, alg, adapter=adapter)
+        result = run_algorithm(inst, alg, adapter=solver)
         gap = opt_gap(result.revenue, best)
         gain = gain_over_sp(result.revenue, sp_revenue)
         ladder = "-" if result.ladder is None else str(result.ladder)

@@ -1,4 +1,4 @@
-"""Integer programming formulations, LP export, and the solver adapter.
+"""Integer programming formulations, LP export, and solving them.
 
 Two formulations of the same pricing problem. ip1 keeps one continuous
 price per outlet and uses big-M rows to link purchases to prices; it
@@ -6,7 +6,7 @@ only covers the fixed-fraction demand model. ip2 introduces one binary
 per (outlet, grid price) level and works for both demand models, at the
 cost of more variables. Both can be written to an LP file and handed to
 any MIP solver through a command template; the package ships a small
-scipy-backed solver so everything runs out of the box.
+scipy-backed solver, named "builtin", so everything runs out of the box.
 """
 
 import sys
@@ -19,7 +19,6 @@ from netpricing import (
     brute_force,
     build_ip1,
     build_ip2,
-    builtin_adapter,
     lp_text,
     make_grid,
     money_str,
@@ -51,9 +50,9 @@ def main():
         print(" ", line)
     print()
 
-    adapter = builtin_adapter()
+    solver = "builtin"  # or a command template: "mysolver {model} {solution} {seconds}"
     for which in ("ip1", "ip2"):
-        outcome, prices = solve_ip(inst, which, adapter)
+        outcome, prices = solve_ip(inst, which, solver)
         if prices is None:
             sys.exit(f"{which}: {outcome.status}: {outcome.message}")
         pretty = " ".join(money_str(p) for p in prices)
@@ -66,7 +65,7 @@ def main():
 
     # Dropping integrality gives a fractional price per outlet; sorting
     # outlets by it is how the ip1I/ip2I insertion orders are built.
-    order = relax_order(inst, "ip2", adapter)
+    order = relax_order(inst, "ip2", solver)
     print("relaxation price order:", order)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .instgen import GenParams, generate, instance_label, load_instance
 from .mip import (
     FEASIBLE_TIMEOUT,
     OPTIMAL,
-    SolverAdapter,
     SolverUnavailable,
     resolve_adapter,
     solve_ip,
@@ -173,10 +173,7 @@ def cross_model_gap(
     achieved, _, _ = evaluate_prices(logit, prices)
     if best_revenue is None:
         best_revenue, _, _ = exact_mod.ladder_exact(logit)
-    best_revenue = float(best_revenue)
-    if best_revenue <= 0:
-        return None
-    return 100.0 * (best_revenue - float(achieved)) / best_revenue
+    return opt_gap(achieved, best_revenue)
 
 
 @dataclass
@@ -322,7 +319,7 @@ def _config_instances(config: dict, base_dir: Path) -> list[tuple[str, Instance]
 def run_one(
     inst: Instance,
     algorithm: str,
-    adapter: Optional[SolverAdapter],
+    adapter: Optional[str],
     time_limit: Optional[float],
     instance_id: str = "",
 ) -> RunRecord:
@@ -365,7 +362,7 @@ def _run_instance(
     inst: Instance,
     algorithms: list[str],
     exact_method: Optional[str],
-    adapter: Optional[SolverAdapter],
+    adapter: Optional[str],
     time_limit: Optional[float],
 ) -> list[RunRecord]:
     """Runs, reference scores and PM accounting of one instance.
@@ -432,8 +429,8 @@ def run_suite(
     if solver_cmd is not None and not isinstance(solver_cmd, str):
         raise ConfigError("config 'solver_cmd' must be a string or null")
     time_limit = config.get("time_limit")
-    if time_limit is not None and not (_is_number(time_limit) and time_limit >= 0):
-        raise ConfigError("config 'time_limit' must be a non-negative number or null")
+    if time_limit is not None and not (_is_number(time_limit) and 0 <= time_limit < math.inf):
+        raise ConfigError("config 'time_limit' must be a finite non-negative number or null")
     try:
         pi = None if config.get("pi") is None else parse_money(config["pi"])
     except MoneyError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -180,8 +181,8 @@ def cmd_report(args) -> int:
 
 def _seconds(text: str) -> float:
     value = float(text)
-    if not value >= 0:  # also false for NaN
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative number")
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite non-negative number")
     return value
 
 

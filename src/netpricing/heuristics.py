@@ -52,6 +52,12 @@ class Deadline:
         if self.seconds is not None and time.perf_counter() - self._t0 >= self.seconds:
             raise HeuristicTimeout(f"exceeded {self.seconds} s budget")
 
+    def remaining(self) -> Optional[float]:
+        """Seconds left, at least 0; None without a budget."""
+        if self.seconds is None:
+            return None
+        return max(0.0, self.seconds - (time.perf_counter() - self._t0))
+
 
 @dataclass(frozen=True)
 class HeuristicResult:
@@ -317,14 +323,15 @@ def run_algorithm(
     inst: Instance,
     algorithm: str,
     time_limit: Optional[float] = None,
-    adapter=None,
+    adapter: Optional[str] = None,
 ) -> HeuristicResult:
     """Run one named heuristic and return its result.
 
     The spread cap is the instance's own, inst.pi. The relaxation-guided
-    insertions (ip1I, ip2I) need a solver adapter; without one they raise
-    SolverUnavailable rather than silently falling back to another
-    selection rule.
+    insertions (ip1I, ip2I) solve their relaxation with the solver adapter
+    in the time left; a relaxation cut short raises HeuristicTimeout, and
+    without a solver they raise SolverUnavailable rather than silently
+    fall back to another selection rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -341,9 +348,13 @@ def run_algorithm(
     elif rule == "order":
         order = order_select(inst)
     else:
-        from .mip import relax_order
+        from .mip import SolverUnavailable, relax_order
 
-        order = relax_order(inst, rule, adapter=adapter)
+        try:
+            order = relax_order(inst, rule, adapter, deadline.remaining())
+        except SolverUnavailable:
+            deadline.check()  # a relaxation cut short is a timeout
+            raise
     if rule == algorithm:
         return _finish(inst, algorithm, order)
     return insertion_with_order(inst, order, deadline=deadline, algorithm=algorithm)

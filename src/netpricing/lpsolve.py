@@ -1,7 +1,7 @@
 """The bundled scipy/HiGHS solver for netpricing.mip's linear models.
 
-solve() solves a LinearModel in the calling process; the builtin adapter
-of netpricing.mip.solve_external calls it directly. HiGHS gets numpy views
+solve() solves a LinearModel in the calling process; netpricing.mip's
+solve_external calls it directly for the "builtin" solver. HiGHS gets numpy views
 of the model's own arrays (the CSR rows become a column-wise matrix, as
 milp requires), so columns and rows keep model order and no term is
 copied one at a time.

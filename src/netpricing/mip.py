@@ -15,17 +15,17 @@ row arrays. Builders append whole rows of column indices, relax copies
 the arrays, and both LP text for external solvers and the builtin solve
 read the same arrays; the LP text is byte-stable for fixed inputs.
 
-Solving goes through solve_external and a SolverAdapter. The builtin
-adapter solves in this process with the bundled scipy/HiGHS backend
+Solving goes through solve_external, which takes the solver as a string.
+"builtin" solves in this process with the bundled scipy/HiGHS backend
 (netpricing.lpsolve.solve), passing HiGHS the model's arrays as they are,
 columns and rows in model order; it writes no LP file and starts no
 process, so it needs no install. An in-process solve cannot be killed, so
-it relies on HiGHS's own time limit. Any other adapter holds a command
-template with {model}, {solution}, and {seconds} placeholders, run on an
-LP file in a temporary directory. The command must write a solution file
-of "name value" lines (absent variables read as 0) and exit 0 when
-optimal, 2 on a time limit, and 3 when infeasible; any other exit is an
-error.
+it relies on HiGHS's own time limit. Any other string is a command
+template such as "cbc-wrapper.sh {model} {solution} {seconds}", split
+with shlex and run on an LP file in a temporary directory. The command
+must write a solution file of "name value" lines (absent variables read
+as 0) and exit 0 when optimal, 2 on a time limit, and 3 when infeasible;
+any other exit is an error.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ ERROR = "error"
 
 BUILTIN_SOLVER = "builtin"
 SOLVER_ENV_VAR = "NETPRICING_SOLVER_CMD"
+# The longest wait subprocess can be given: poll() takes 2**31 - 1 ms.
+_MAX_WAIT = 2_000_000.0
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,254}$")
 _ONE = array("d", [1.0])
@@ -115,7 +117,8 @@ class LinearModel:
     column indices with finite, nonzero coefficients. add_constr and
     set_objective resolve names, drop zero coefficients and check every
     term. lp_text and the builtin solver call check_finite once per model.
-    variables, constraints and objective are views built on each access.
+    variables, constraints and objective are views built on each access,
+    kept for perfbench's tracer and the pin tests; no solve reads them.
     """
 
     def __init__(self):
@@ -521,7 +524,7 @@ def relax(model: LinearModel) -> LinearModel:
 
 
 def _num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -577,38 +580,17 @@ def write_lp(model: LinearModel, path) -> Path:
     return path
 
 
-@dataclass(frozen=True)
-class SolverAdapter:
-    """External solver invocation: a shell-style command template.
+def resolve_adapter(spec: Optional[str]) -> Optional[str]:
+    """The solver string: spec, or $NETPRICING_SOLVER_CMD when spec is None.
 
-    The template is split with shlex and each token formatted with the
-    model path, solution path, and time limit in seconds. Example:
-
-        cbc-wrapper.sh {model} {solution} {seconds}
+    Blank is None, "builtin" with spaces around it is BUILTIN_SOLVER, and
+    any other command template is returned as given.
     """
-
-    command: str
-
-
-def builtin_adapter() -> SolverAdapter:
-    """The bundled scipy/HiGHS solver.
-
-    Its command is the builtin alias, which solve_external recognises and
-    solves in process with netpricing.lpsolve.solve: no LP file and no
-    child process.
-    """
-    return SolverAdapter(BUILTIN_SOLVER)
-
-
-def resolve_adapter(spec: Optional[str]) -> Optional[SolverAdapter]:
-    """Map a command template, the builtin alias, or None to an adapter."""
     if spec is None:
         spec = os.environ.get(SOLVER_ENV_VAR)
-    if spec is None or not str(spec).strip():
+    if spec is None or not spec.strip():
         return None
-    if str(spec).strip() == BUILTIN_SOLVER:
-        return builtin_adapter()
-    return SolverAdapter(str(spec))
+    return BUILTIN_SOLVER if spec.strip() == BUILTIN_SOLVER else spec
 
 
 @dataclass
@@ -616,7 +598,7 @@ class SolveOutcome:
     """A solve's status, recomputed objective and variable values.
 
     bound (HiGHS's dual bound, in the maximisation sign), gap and nodes
-    come from the builtin solver's mixed-integer solves; external adapters
+    come from the builtin solver's mixed-integer solves; command templates
     and pure LP solves leave them None.
     """
 
@@ -655,15 +637,17 @@ def parse_solution(text: str, known: Optional[set] = None) -> dict[str, float]:
 
 def solve_external(
     model: LinearModel,
-    adapter: Optional[SolverAdapter],
+    adapter: Optional[str],
     time_limit: Optional[float] = None,
 ) -> SolveOutcome:
-    """Solve a model through an adapter; never fabricates results.
+    """Solve a model with a solver string; never fabricates results.
 
     The objective is always recomputed from the returned variable values,
-    so a timeout without an incumbent reports no objective at all. The
-    builtin adapter solves in process; any other runs its command on an LP
-    file in a temporary directory.
+    so a timeout without an incumbent reports no objective at all.
+    BUILTIN_SOLVER solves in process. A command template runs on an LP
+    file and is killed at max(2t, t + 30) seconds for a limit of t (1e9
+    without one), unless that is past _MAX_WAIT: then only its own limit
+    holds. None raises SolverUnavailable.
     """
     if adapter is None:
         raise SolverUnavailable(
@@ -671,7 +655,7 @@ def solve_external(
             f"{SOLVER_ENV_VAR}, or use '{BUILTIN_SOLVER}'"
         )
     seconds = 1_000_000_000.0 if time_limit is None else float(time_limit)
-    if adapter.command == BUILTIN_SOLVER:
+    if adapter == BUILTIN_SOLVER:
         from .lpsolve import solve
 
         return solve(model, seconds)
@@ -681,16 +665,16 @@ def solve_external(
         write_lp(model, model_path)
         cmd = [
             tok.format(model=str(model_path), solution=str(solution_path), seconds=_num(seconds))
-            for tok in shlex.split(adapter.command)
+            for tok in shlex.split(adapter)
         ]
-        hard_timeout = None if time_limit is None else max(time_limit * 2, time_limit + 30)
+        hard_timeout = max(seconds * 2, seconds + 30)
         try:
             proc = subprocess.run(
                 cmd,
                 cwd=tmp,
                 capture_output=True,
                 text=True,
-                timeout=hard_timeout,
+                timeout=hard_timeout if hard_timeout <= _MAX_WAIT else None,
             )
         except FileNotFoundError as exc:
             return SolveOutcome(ERROR, None, {}, f"solver command not found: {exc}")
@@ -767,16 +751,18 @@ def decode_prices_ip1(inst: Instance, values: dict[str, float]) -> tuple[Money, 
 def relax_order(
     inst: Instance,
     which: str,
-    adapter: Optional[SolverAdapter],
+    adapter: Optional[str],
+    time_limit: Optional[float] = None,
 ) -> tuple[int, ...]:
     """Selection order from a relaxation's fractional prices.
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
-    price, i.e. the level-weighted sum), ascending, ties by id. Requires
-    a solver adapter. The relaxation is solved without a time limit.
+    price, i.e. the level-weighted sum), ascending, ties by id. The
+    relaxation is solved with adapter within time_limit seconds; one that
+    returns no values, failed or cut short, raises SolverUnavailable.
     """
     model = relax(build_model(inst, which))
-    outcome = solve_external(model, adapter)
+    outcome = solve_external(model, adapter, time_limit)
     if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT) or not outcome.values:
         raise SolverUnavailable(
             f"relaxation solve failed: {outcome.status} {outcome.message}".strip()
@@ -806,7 +792,7 @@ def build_model(inst: Instance, which: str) -> LinearModel:
 def solve_ip(
     inst: Instance,
     which: str,
-    adapter: Optional[SolverAdapter],
+    adapter: Optional[str],
     time_limit: Optional[float] = None,
 ):
     """Build and solve a formulation. Returns (outcome, prices or None)."""

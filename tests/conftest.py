@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from netpricing import DemandNode, Edge, Instance, builtin_adapter
+from netpricing import BUILTIN_SOLVER, DemandNode, Edge, Instance
 from netpricing.instgen import make_grid
 
 
@@ -92,7 +92,7 @@ def tiny_single():
 
 @pytest.fixture(scope="session")
 def solver():
-    return builtin_adapter()
+    return BUILTIN_SOLVER
 
 
 _ACCEPTANCE_FILE = "test_acceptance.py"

@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "RunRecord",
     "SOLVER_ENV_VAR",
     "SolveOutcome",
-    "SolverAdapter",
     "SolverUnavailable",
     "TooManyOutlets",
     "adjacency",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "build_ip1",
     "build_ip2",
     "build_model",
-    "builtin_adapter",
     "cross_model_gap",
     "demand_at",
     "demand_bmnpp",

@@ -314,7 +314,7 @@ class TestRunSuite:
         assert Path(p1["runs"]).read_bytes() == Path(p2["runs"]).read_bytes()
 
     def test_parallel_mip_matches_serial(self, tmp_path):
-        # run_suite resolves the adapter once; each pool task carries it.
+        # run_suite resolves the solver string once; each pool task carries it.
         config = suite_config(algorithms=["ip2", "fi"], solver_cmd="builtin")
         p1, _ = run_suite(config, tmp_path / "a", jobs=1)
         p2, _ = run_suite(config, tmp_path / "b", jobs=2)

@@ -213,7 +213,7 @@ class TestSolve:
         code = run("solve", "--in", inst, "--alg", "fi", "--time-limit", "0")
         assert code == 5
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "x"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "x"])
     def test_bad_time_limit_exits_2(self, value):
         with pytest.raises(SystemExit) as err:
             run("solve", "--in", TINY, "--alg", "fi", "--time-limit", value)
@@ -303,7 +303,7 @@ class TestWholeRunWallTime:
     def slow_selection(self, request, monkeypatch):
         if request.param == "ip2I":
 
-            def relax_order(inst, which, adapter):
+            def relax_order(inst, which, adapter, time_limit=None):
                 time.sleep(self.SLOW)
                 return tuple(inst.outlets())
 
@@ -464,6 +464,7 @@ class TestBenchAndReport:
             ("generate", "density", "0.5"),
             ("config", "time_limit", "x"),
             ("config", "time_limit", -1),
+            ("config", "time_limit", float("inf")),
             ("config", "record_times", "x"),
             ("config", "solver_cmd", 5),
             ("config", "suite_id", "../escaped"),

@@ -1,5 +1,7 @@
 """Constructive heuristics against the hand-checked tiny oracles."""
 
+import shlex
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -261,6 +263,28 @@ class TestRunAlgorithm:
     def test_relaxation_guided_with_builtin(self, tiny_disjoint, solver):
         result = run_algorithm(tiny_disjoint, "ip2I", adapter=solver)
         assert result.revenue == Fraction(1600)
+
+    @pytest.mark.parametrize("algorithm", ["ip1I", "ip2I"])
+    def test_relaxation_gets_the_remaining_time(self, tiny_disjoint, tmp_path, algorithm):
+        # At time_limit 0 the relaxation is handed 0 s, and a solver stopped
+        # at its limit ends the run as a timeout, not as a missing solver.
+        seen = tmp_path / "seconds"
+        script = tmp_path / "solver.py"
+        script.write_text(
+            f"import sys\nopen({str(seen)!r}, 'w').write(sys.argv[3])\nsys.exit(2)\n"
+        )
+        template = f"{shlex.quote(sys.executable)} {script} {{model}} {{solution}} {{seconds}}"
+        with pytest.raises(HeuristicTimeout, match="exceeded 0 s budget"):
+            run_algorithm(tiny_disjoint, algorithm, time_limit=0, adapter=template)
+        assert seen.read_text() == "0"
+
+    def test_builtin_relaxation_at_zero_time_times_out(self, tiny_disjoint, solver, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("HiGHS ran with no time left")
+
+        monkeypatch.setattr("netpricing.lpsolve._milp", refuse)
+        with pytest.raises(HeuristicTimeout, match="exceeded 0 s budget"):
+            run_algorithm(tiny_disjoint, "ip2I", time_limit=0, adapter=solver)
 
     def test_algorithm_major_sweep_builds_one_table_per_instance(self):
         # Each algorithm in turn over every instance: the instances keep

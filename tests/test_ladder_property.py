@@ -60,7 +60,6 @@ from netpricing import (
     adjacency,
     allocate,
     best_insertion,
-    builtin_adapter,
     demand_at,
     dp_prices,
     evaluate_prices,
@@ -424,7 +423,7 @@ def test_every_pricing_path_keeps_the_instance_cap(model):
     # No pricing function takes a cap of its own: each prices within the
     # instance's inst.pi, the relaxation-guided insertions included (ip1
     # has no logit formulation).
-    adapter = builtin_adapter()
+    adapter = "builtin"
     algorithms = [alg for alg in ALGORITHMS if model == MNPP or alg != "ip1I"]
 
     @settings(max_examples=30, deadline=None, derandomize=True)

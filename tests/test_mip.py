@@ -1,4 +1,4 @@
-"""Formulation builders, LP text, and the solver adapters."""
+"""Formulation builders, LP text, and solving through solver strings."""
 
 import os
 import shlex
@@ -13,18 +13,17 @@ import pytest
 import netpricing
 from netpricing import (
     BMNPP,
+    BUILTIN_SOLVER,
     DemandNode,
     Edge,
     GenParams,
     Instance,
     LinearModel,
-    SolverAdapter,
     SolverUnavailable,
     brute_force,
     build_ip1,
     build_ip2,
     build_model,
-    builtin_adapter,
     evaluate_prices,
     generate,
     lp_text,
@@ -318,24 +317,24 @@ class TestResolveAdapter:
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("NETPRICING_SOLVER_CMD", "mysolver {model} {solution} {seconds}")
-        adapter = resolve_adapter(None)
-        assert adapter.command.startswith("mysolver")
+        assert resolve_adapter(None) == "mysolver {model} {solution} {seconds}"
 
     def test_builtin_alias(self, monkeypatch):
         monkeypatch.delenv("NETPRICING_SOLVER_CMD", raising=False)
-        assert resolve_adapter("builtin") == builtin_adapter()
+        assert resolve_adapter("builtin") == BUILTIN_SOLVER
+        assert resolve_adapter(" builtin ") == BUILTIN_SOLVER
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("NETPRICING_SOLVER_CMD", "envsolver")
-        assert resolve_adapter("mine {model}").command == "mine {model}"
+        assert resolve_adapter("mine {model}") == "mine {model}"
 
 
-def fake_adapter(tmp_path, body: str) -> SolverAdapter:
-    """An adapter running an inline python script as the solver."""
+def fake_adapter(tmp_path, body: str) -> str:
+    """A command template running an inline python script as the solver."""
     script = tmp_path / "fake_solver.py"
     script.write_text(body)
     exe = shlex.quote(sys.executable)
-    return SolverAdapter(f"{exe} {script} {{model}} {{solution}} {{seconds}}")
+    return f"{exe} {script} {{model}} {{solution}} {{seconds}}"
 
 
 class TestSolveExternal:
@@ -383,7 +382,7 @@ class TestSolveExternal:
         assert outcome.values == {}
 
     def test_missing_executable(self, tiny_disjoint):
-        adapter = SolverAdapter("/no/such/solver {model} {solution} {seconds}")
+        adapter = "/no/such/solver {model} {solution} {seconds}"
         outcome = solve_external(build_ip2(tiny_disjoint), adapter)
         assert outcome.status == ERROR
         assert "not found" in outcome.message
@@ -462,6 +461,25 @@ class TestCommandContract:
         assert (seen / "model.lp").read_text(encoding="utf-8") == lp_text(model)
         assert (seen / "seconds").read_text() == _num(2.5) == "2.5"
 
+    @pytest.mark.parametrize(
+        "time_limit, seconds", [(1e7, "10000000"), (1e308, "1e+308"), (float("inf"), "inf")]
+    )
+    def test_limit_past_the_longest_wait(self, time_limit, seconds, tiny_disjoint, tmp_path):
+        # Twice the limit is more than subprocess can wait for, so the
+        # command runs with no hard limit and its exit code decides.
+        seen = tmp_path / "seconds"
+        body = (
+            "import sys\n"
+            f"open({str(seen)!r}, 'w').write(sys.argv[3])\n"
+            "open(sys.argv[2], 'w').write('v_0_9 1\\ny_0_0_9 1\\n')\n"
+            "sys.exit(2)\n"
+        )
+        model = build_ip2(tiny_disjoint)
+        outcome = solve_external(model, fake_adapter(tmp_path, body), time_limit=time_limit)
+        assert outcome.status == FEASIBLE_TIMEOUT, outcome.message
+        assert outcome.objective == 900.0
+        assert seen.read_text() == seconds
+
 
 def run_python(code: str) -> str:
     """Stdout of ``python -c code`` in a fresh interpreter importing this
@@ -481,10 +499,10 @@ def test_builtin_keeps_highs_prints_off_stdout():
     # On this ip1 solve, scipy 1.17.1's HiGHS prints a debugging line to the
     # C-level stdout; in process it must not reach the caller's output.
     out = run_python(
-        "from netpricing import GenParams, builtin_adapter, generate, solve_ip\n"
+        "from netpricing import GenParams, generate, solve_ip\n"
         "inst = generate(GenParams(model='mnpp', n_outlets=2, n_demands=5,"
         " density=0.9, seed=31402, grid_max='10', grid_step='1'))\n"
-        "outcome, _ = solve_ip(inst, 'ip1', builtin_adapter())\n"
+        "outcome, _ = solve_ip(inst, 'ip1', 'builtin')\n"
         "print(outcome.status)\n"
     )
     assert out == "optimal\n"
