@@ -464,7 +464,6 @@ class TestBenchAndReport:
             ("generate", "density", "0.5"),
             ("config", "time_limit", "x"),
             ("config", "time_limit", -1),
-            ("config", "time_limit", float("inf")),
             ("config", "record_times", "x"),
             ("config", "solver_cmd", 5),
             ("config", "suite_id", "../escaped"),
@@ -476,6 +475,7 @@ class TestBenchAndReport:
             ("instances", "files", 5),
             ("instances", "files", [5]),
             ("instances", "generate", 5),
+            ("config", "time_limit", float("inf")),
         ],
     )
     def test_bench_malformed_value_exits_3(self, tmp_path, capsys, where, key, value):
