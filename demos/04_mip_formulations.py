@@ -42,8 +42,8 @@ def main():
     inst = tiny()
     ip1 = build_ip1(inst)
     ip2 = build_ip2(inst)
-    print(f"ip1: {len(ip1.variables)} variables, {len(ip1.constraints)} rows")
-    print(f"ip2: {len(ip2.variables)} variables, {len(ip2.constraints)} rows")
+    print(f"ip1: {len(ip1.names)} variables, {len(ip1.row_names)} rows")
+    print(f"ip2: {len(ip2.names)} variables, {len(ip2.row_names)} rows")
     print()
     print("head of the ip1 LP file:")
     for line in lp_text(ip1).splitlines()[:9]:

@@ -36,6 +36,7 @@ from .instgen import GenParams, generate, instance_label, load_instance
 from .mip import (
     FEASIBLE_TIMEOUT,
     OPTIMAL,
+    SolveFailed,
     SolverUnavailable,
     resolve_adapter,
     solve_ip,
@@ -328,10 +329,10 @@ def run_one(
     ip1 and ip2 go to the solver, every other name to run_algorithm. The
     record's wall_time covers the whole run: selection and relaxation
     solves included, the price-match accounting of its prices left out.
-    A solver status other than optimal or feasible-timeout is an error
-    run and a HeuristicTimeout a timeout run; every other failure,
-    SolverUnavailable included, is raised. The reference scores r_opt and
-    r_sp are left for the caller.
+    A solver status other than optimal or feasible-timeout, or a failed
+    relaxation (SolveFailed), is an error run and a HeuristicTimeout a
+    timeout run; every other failure, SolverUnavailable included, is
+    raised. The reference scores r_opt and r_sp are left for the caller.
     """
     rec = RunRecord.of(instance_id, inst, algorithm, STATUS_OK)
     t0 = time.perf_counter()
@@ -351,6 +352,8 @@ def run_one(
             rec.revenue, rec.prices, rec.ladder = result.revenue, result.prices, result.ladder
     except HeuristicTimeout as exc:
         rec.status, rec.message = STATUS_TIMEOUT, str(exc)
+    except SolveFailed as exc:
+        rec.status, rec.message = STATUS_ERROR, str(exc)
     rec.wall_time = time.perf_counter() - t0
     if rec.prices is not None:
         rec.pm = pm_accounting(inst, rec.prices)

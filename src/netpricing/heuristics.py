@@ -329,9 +329,10 @@ def run_algorithm(
 
     The spread cap is the instance's own, inst.pi. The relaxation-guided
     insertions (ip1I, ip2I) solve their relaxation with the solver adapter
-    in the time left; a relaxation cut short raises HeuristicTimeout, and
-    without a solver they raise SolverUnavailable rather than silently
-    fall back to another selection rule.
+    in the time left; a relaxation cut short raises HeuristicTimeout, one
+    the solver fails raises mip.SolveFailed, and without a solver they
+    raise SolverUnavailable rather than silently fall back to another
+    selection rule.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -348,11 +349,11 @@ def run_algorithm(
     elif rule == "order":
         order = order_select(inst)
     else:
-        from .mip import SolverUnavailable, relax_order
+        from .mip import SolveFailed, SolverUnavailable, relax_order
 
         try:
             order = relax_order(inst, rule, adapter, deadline.remaining())
-        except SolverUnavailable:
+        except (SolveFailed, SolverUnavailable):
             deadline.check()  # a relaxation cut short is a timeout
             raise
     if rule == algorithm:

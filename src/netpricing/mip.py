@@ -11,9 +11,11 @@ Two formulations of the same pricing problem:
 
 Models are held in a small solver-agnostic IR (LinearModel): named
 columns with bounds and binary flags, and the rows in compressed sparse
-row arrays. Builders append whole rows of column indices, relax copies
-the arrays, and both LP text for external solvers and the builtin solve
-read the same arrays; the LP text is byte-stable for fixed inputs.
+row arrays. Builders keep the index add_var returns for each column and
+write the objective and whole rows over those indices; no builder looks a
+column up by name. relax copies the arrays, and both LP text for external
+solvers and the builtin solve read the same arrays; the LP text is
+byte-stable for fixed inputs.
 
 Solving goes through solve_external, which takes the solver as a string.
 "builtin" solves in this process with the bundled scipy/HiGHS backend
@@ -37,10 +39,11 @@ import re
 import shlex
 import subprocess
 import tempfile
+import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .model import (
     MNPP,
@@ -76,6 +79,13 @@ class SolverUnavailable(RuntimeError):
     """An operation needed an external solver and none was configured."""
 
 
+class SolveFailed(RuntimeError):
+    """A configured solver gave no solution to use.
+
+    The message is "status: solver message", as a MIP run records it.
+    """
+
+
 class SolutionParseError(ValueError):
     """A solution file did not follow the "name value" line format."""
 
@@ -101,29 +111,29 @@ class Row:
 
 
 class LinearModel:
-    """Maximisation model over named columns, held as arrays.
+    """Maximisation model over indexed columns, held as arrays.
 
     Columns are names, bounds lb/ub (-inf/+inf where the bound is None,
     i.e. unbounded) and a binary flag; the objective is (column,
     coefficient) arrays; the rows are compressed sparse rows: row i's
     terms are cols/coefs[row_start[i]:row_start[i + 1]], in the order they
     were added, with names, senses and rhs per row. Read the arrays, do
-    not write them: add_var, add_row, add_constr and set_objective keep
-    them consistent, and columns and rows are only ever appended, each
-    with its final bounds or terms.
+    not write them: add_var, add_row and set_objective keep them
+    consistent, and columns and rows are only ever appended, each with its
+    final bounds or terms.
 
-    add_row is the index-based primitive that builders call; it checks
-    the row (name, sense, rhs) but not its terms, which must be valid
-    column indices with finite, nonzero coefficients. add_constr and
-    set_objective resolve names, drop zero coefficients and check every
-    term. lp_text and the builtin solver call check_finite once per model.
-    variables, constraints and objective are views built on each access,
-    kept for perfbench's tracer and the pin tests; no solve reads them.
+    Builders refer to a column by the index add_var returns. add_row
+    checks the row (name, sense, rhs) but not its terms, which must be
+    valid column indices with finite, nonzero coefficients; set_objective
+    checks each coefficient and drops the zero ones. lp_text and the
+    builtin solver call check_finite once per model. variables,
+    constraints and objective are views built on each access, kept for
+    perfbench's tracer and the pin tests; no solve reads them.
     """
 
     def __init__(self):
         self.names: list[str] = []
-        self._index: dict[str, int] = {}
+        self._name_set: set[str] = set()
         self.lb = array("d")
         self.ub = array("d")
         self.binary = bytearray()
@@ -143,20 +153,21 @@ class LinearModel:
         lb: Optional[float] = 0.0,
         ub: Optional[float] = None,
         kind: str = CONTINUOUS,
-    ) -> str:
+    ) -> int:
+        """Append a column and return its index."""
         if not _NAME_RE.match(name):
             raise ModelError(f"bad variable name {name!r}")
-        if name in self._index:
+        if name in self._name_set:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown variable kind {kind!r}")
         lb, ub = (0.0, 1.0) if kind == BINARY else _bounds(name, lb, ub)
-        self._index[name] = len(self.names)
+        self._name_set.add(name)
         self.names.append(name)
         self.lb.append(lb)
         self.ub.append(ub)
         self.binary.append(kind == BINARY)
-        return name
+        return len(self.names) - 1
 
     def add_row(self, name: str, cols, coefs, sense: str, rhs: float):
         """Append a row over column indices; see the class docstring."""
@@ -174,31 +185,18 @@ class LinearModel:
         self.coefs.extend(coefs)
         self.row_start.append(len(self.cols))
 
-    def _resolve(self, terms: Sequence[tuple[str, float]], where: str):
-        cols, coefs = [], []
-        for var, coef in terms:
-            if var not in self._index:
-                raise ModelError(f"{where} references unknown {var!r}")
-            j = self._index[var]
-            coef = _finite(coef, f"coefficient of {var!r} in {where}")
-            if coef != 0.0:
-                cols.append(j)
-                coefs.append(coef)
-        return cols, coefs
+    def set_objective(self, cols, coefs):
+        """Set the objective over column indices, without its zero terms.
 
-    def add_constr(
-        self,
-        name: str,
-        terms: Sequence[tuple[str, float]],
-        sense: str,
-        rhs: float,
-    ):
-        self.add_row(name, *self._resolve(terms, f"constraint {name!r}"), sense, rhs)
-
-    def set_objective(self, terms: Sequence[tuple[str, float]]):
-        cols, coefs = self._resolve(terms, "objective")
-        self.obj_cols = array("i", cols)
-        self.obj_coefs = array("d", coefs)
+        Every coefficient must be finite.
+        """
+        terms = [(j, float(coef)) for j, coef in zip(cols, coefs) if coef != 0.0]
+        for j, coef in terms:
+            if not math.isfinite(coef):
+                name = self.names[j]
+                raise ModelError(f"objective coefficient of {name!r} must be finite, got {coef}")
+        self.obj_cols = array("i", [j for j, _ in terms])
+        self.obj_coefs = array("d", [coef for _, coef in terms])
 
     def check_finite(self):
         """Raise ModelError if a row coefficient is infinite or NaN.
@@ -280,150 +278,82 @@ def build_ip1(inst: Instance) -> LinearModel:
     link = big if pi_c is None else pi_c
     below = [price_below(inst.grid, node.c) for node in inst.demands]
 
-    for f in inst.outlets():
-        m.add_var(f"x_f{f}", 0.0, big)
+    def row(name, cols, coefs, sense, rhs):
+        # A row with a coefficient worked out from the data leaves a zero
+        # one out: link is 0 at pi = 0, the match cap at c_e = 0, and the
+        # war cap when the grid price below c_e is 0.
+        terms = [(j, coef) for j, coef in zip(cols, coefs) if coef != 0.0]
+        m.add_row(name, [j for j, _ in terms], [coef for _, coef in terms], sense, rhs)
+
+    x_f = [m.add_var(f"x_f{f}", 0.0, big) for f in inst.outlets()]
+    # Per node: x_e, mu (in o_e[e] order), y, z and w1..w5.
+    node_cols = []
     for node in inst.demands:
         e = node.id
-        m.add_var(f"x_e{e}", 0.0, big)
-        for f in o_e[e]:
-            m.add_var(f"mu_{e}_{f}", kind=BINARY)
-        m.add_var(f"y_{e}", 0.0, None)
+        x_e = m.add_var(f"x_e{e}", 0.0, big)
+        mu = [m.add_var(f"mu_{e}_{f}", kind=BINARY) for f in o_e[e]]
+        y = m.add_var(f"y_{e}", 0.0, None)
         # With no grid price below c_e there is no undercut revenue.
-        m.add_var(f"z_{e}", 0.0, 0.0 if below[e] is None else None)
-        for k in range(1, 6):
-            m.add_var(f"w{k}_{e}", kind=BINARY)
+        z = m.add_var(f"z_{e}", 0.0, 0.0 if below[e] is None else None)
+        w = [m.add_var(f"w{k}_{e}", kind=BINARY) for k in range(1, 6)]
+        node_cols.append((x_e, mu, y, z, w))
 
-    m.set_objective(
-        [(f"y_{node.id}", 1.0) for node in inst.demands]
-        + [(f"z_{node.id}", 1.0) for node in inst.demands]
-    )
+    revenue = [y for _, _, y, _, _ in node_cols] + [z for _, _, _, z, _ in node_cols]
+    m.set_objective(revenue, _ONE * len(revenue))
 
     if pi_c is not None:
         # Spread cap applies to every posted price and every node's copy.
-        entities = [(f"f{f}", f"x_f{f}") for f in inst.outlets()]
-        entities += [(f"e{node.id}", f"x_e{node.id}") for node in inst.demands]
+        entities = [(f"f{f}", x_f[f]) for f in inst.outlets()]
+        entities += [(f"e{node.id}", cols[0]) for node, cols in zip(inst.demands, node_cols)]
         for i in range(len(entities)):
             for j in range(i + 1, len(entities)):
                 (tag_a, var_a), (tag_b, var_b) = entities[i], entities[j]
-                m.add_constr(
-                    f"diff_{tag_a}_{tag_b}_p",
-                    [(var_a, 1.0), (var_b, -1.0)],
-                    "<=",
-                    pi_c,
-                )
-                m.add_constr(
-                    f"diff_{tag_a}_{tag_b}_m",
-                    [(var_b, 1.0), (var_a, -1.0)],
-                    "<=",
-                    pi_c,
-                )
+                m.add_row(f"diff_{tag_a}_{tag_b}_p", (var_a, var_b), (1.0, -1.0), "<=", pi_c)
+                m.add_row(f"diff_{tag_a}_{tag_b}_m", (var_b, var_a), (1.0, -1.0), "<=", pi_c)
 
-    for node in inst.demands:
+    for node, (x_e, mu, y, z, (w1, w2, w3, w4, w5)) in zip(inst.demands, node_cols):
         e = node.id
         outlets = o_e[e]
-        mu = [f"mu_{e}_{f}" for f in outlets]
+        # Coefficients of w3 or w5 at most the node's assignment count.
+        assigned = [1.0] + [-1.0] * len(mu)
         if outlets:
-            m.add_constr(f"assign_{e}", [(v, 1.0) for v in mu], "<=", 1.0)
-            for f in outlets:
+            m.add_row(f"assign_{e}", mu, _ONE * len(mu), "<=", 1.0)
+            for f, mu_f in zip(outlets, mu):
                 # At most one assignment, and the assigned outlet carries
                 # the node's price copy.
-                m.add_constr(
-                    f"link_lo_{e}_{f}",
-                    [(f"x_e{e}", 1.0), (f"x_f{f}", -1.0), (f"mu_{e}_{f}", link)],
-                    "<=",
-                    link,
-                )
-                m.add_constr(
-                    f"link_hi_{e}_{f}",
-                    [(f"x_f{f}", 1.0), (f"x_e{e}", -1.0), (f"mu_{e}_{f}", link)],
-                    "<=",
-                    link,
-                )
+                row(f"link_lo_{e}_{f}", (x_e, x_f[f], mu_f), (1.0, -1.0, link), "<=", link)
+                row(f"link_hi_{e}_{f}", (x_f[f], x_e, mu_f), (1.0, -1.0, link), "<=", link)
                 for g in outlets:
                     if g == f:
                         continue
                     # Assignment only to a cheapest connected outlet.
-                    m.add_constr(
+                    row(
                         f"cheapest_{e}_{f}_{g}",
-                        [(f"x_f{f}", 1.0), (f"x_f{g}", -1.0), (f"mu_{e}_{f}", link)],
+                        (x_f[f], x_f[g], mu_f),
+                        (1.0, -1.0, link),
                         "<=",
                         link,
                     )
 
         c_e = money_float(node.c)
-        cap_match = float(node.d * node.beta) * c_e
-        m.add_constr(
-            f"w1def_{e}",
-            [(f"x_e{e}", -1.0), (f"w1_{e}", -big)],
-            "<=",
-            -c_e,
-        )
-        m.add_constr(
-            f"w2def_{e}",
-            [(f"x_e{e}", 1.0), (f"w2_{e}", -big)],
-            "<=",
-            c_e,
-        )
-        m.add_constr(
-            f"match_cap_{e}",
-            [(f"y_{e}", 1.0), (f"w3_{e}", -cap_match)],
-            "<=",
-            0.0,
-        )
-        m.add_constr(
-            f"match_price_{e}",
-            [(f"y_{e}", 1.0), (f"x_e{e}", -float(node.d * node.beta))],
-            "<=",
-            0.0,
-        )
-        m.add_constr(
-            f"match_assigned_{e}",
-            [(f"w3_{e}", 1.0)] + [(v, -1.0) for v in mu],
-            "<=",
-            0.0,
-        )
-        m.add_constr(
-            f"regime_match_{e}",
-            [(f"w1_{e}", 1.0), (f"w2_{e}", 1.0), (f"w3_{e}", 1.0)],
-            "=",
-            1.0,
-        )
+        match, war = float(node.d * node.beta), float(node.d * node.gamma)
+        m.add_row(f"w1def_{e}", (x_e, w1), (-1.0, -big), "<=", -c_e)
+        m.add_row(f"w2def_{e}", (x_e, w2), (1.0, -big), "<=", c_e)
+        row(f"match_cap_{e}", (y, w3), (1.0, -(match * c_e)), "<=", 0.0)
+        row(f"match_price_{e}", (y, x_e), (1.0, -match), "<=", 0.0)
+        m.add_row(f"match_assigned_{e}", [w3, *mu], assigned, "<=", 0.0)
+        m.add_row(f"regime_match_{e}", (w1, w2, w3), (1.0, 1.0, 1.0), "=", 1.0)
 
         if below[e] is None:
             # z_e is fixed at zero and the w4/w5 pair to the idle side.
-            m.add_constr(f"war_off_{e}", [(f"w5_{e}", 1.0)], "<=", 0.0)
+            m.add_row(f"war_off_{e}", (w5,), (1.0,), "<=", 0.0)
         else:
             below_c = money_float(below[e])
-            m.add_constr(
-                f"w4def_{e}",
-                [(f"x_e{e}", 1.0), (f"w4_{e}", -big)],
-                "<=",
-                below_c,
-            )
-            m.add_constr(
-                f"war_cap_{e}",
-                [(f"z_{e}", 1.0), (f"w5_{e}", -float(node.d * node.gamma) * below_c)],
-                "<=",
-                0.0,
-            )
-            m.add_constr(
-                f"war_price_{e}",
-                [(f"z_{e}", 1.0), (f"x_e{e}", -float(node.d * node.gamma))],
-                "<=",
-                0.0,
-            )
-        m.add_constr(
-            f"war_assigned_{e}",
-            [(f"w5_{e}", 1.0)] + [(v, -1.0) for v in mu],
-            "<=",
-            0.0,
-        )
-        m.add_constr(
-            f"regime_war_{e}",
-            [(f"w4_{e}", 1.0), (f"w5_{e}", 1.0)],
-            "=",
-            1.0,
-        )
+            m.add_row(f"w4def_{e}", (x_e, w4), (1.0, -big), "<=", below_c)
+            row(f"war_cap_{e}", (z, w5), (1.0, -war * below_c), "<=", 0.0)
+            row(f"war_price_{e}", (z, x_e), (1.0, -war), "<=", 0.0)
+        m.add_row(f"war_assigned_{e}", [w5, *mu], assigned, "<=", 0.0)
+        m.add_row(f"regime_war_{e}", (w4, w5), (1.0, 1.0), "=", 1.0)
     return m
 
 
@@ -454,7 +384,7 @@ def build_ip2(inst: Instance) -> LinearModel:
         start = f * n_prices
         m.add_row(f"one_level_{f}", range(start, start + n_prices), _ONE * n_prices, "=", 1.0)
 
-    obj = []
+    obj_cols, obj_coefs = array("i"), array("d")
     for node in inst.demands:
         e = node.id
         k = len(o_e[e])
@@ -471,9 +401,10 @@ def build_ip2(inst: Instance) -> LinearModel:
                     if vol > 0:
                         bought.append((level, float(vol) * money_float(price)))
             for level, coef in bought:
-                name = m.add_var(f"y_{e}_{f}_{level}", kind=BINARY)
-                obj.append((name, coef))
-                buys.append((f, level, len(m.names) - 1))
+                y = m.add_var(f"y_{e}_{f}_{level}", kind=BINARY)
+                obj_cols.append(y)
+                obj_coefs.append(coef)
+                buys.append((f, level, y))
         if not buys:
             continue
         m.add_row(f"one_buy_{e}", [y for _, _, y in buys], _ONE * len(buys), "<=", 1.0)
@@ -493,7 +424,7 @@ def build_ip2(inst: Instance) -> LinearModel:
                 coefs.append(float(k - 1))
             m.add_row(f"cheapest_{e}_{f}_{level}", array("i", cols), coefs, "<=", float(k))
             m.add_row(f"uses_level_{e}_{f}_{level}", (y, v), (1.0, -1.0), "<=", 0.0)
-    m.set_objective(obj)
+    m.set_objective(obj_cols, obj_coefs)
 
     if pi is not None:
         for f in inst.outlets():
@@ -757,16 +688,19 @@ def relax_order(
     """Selection order from a relaxation's fractional prices.
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
-    price, i.e. the level-weighted sum), ascending, ties by id. The
-    relaxation is solved with adapter within time_limit seconds; one that
-    returns no values, failed or cut short, raises SolverUnavailable.
+    price, i.e. the level-weighted sum), ascending, ties by id. time_limit
+    counts from this call, so building the relaxation spends it too; the
+    solver gets what is left, at least 0. A solve that returns no values,
+    failed or cut short, raises SolveFailed, and no solver (adapter None)
+    raises SolverUnavailable.
     """
+    start = time.perf_counter()
     model = relax(build_model(inst, which))
+    if time_limit is not None:
+        time_limit = max(0.0, time_limit - (time.perf_counter() - start))
     outcome = solve_external(model, adapter, time_limit)
     if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT) or not outcome.values:
-        raise SolverUnavailable(
-            f"relaxation solve failed: {outcome.status} {outcome.message}".strip()
-        )
+        raise SolveFailed(f"{outcome.status}: {outcome.message}")
     fractional: dict[int, float] = {}
     if which == "ip1":
         for f in inst.outlets():

@@ -36,6 +36,7 @@ PUBLIC_NAMES = [
     "Rng",
     "RunRecord",
     "SOLVER_ENV_VAR",
+    "SolveFailed",
     "SolveOutcome",
     "SolverUnavailable",
     "TooManyOutlets",

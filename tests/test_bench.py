@@ -2,6 +2,8 @@
 
 import gc
 import json
+import shlex
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -408,6 +410,19 @@ class TestRunSuite:
         paths, _ = run_suite(config, tmp_path / "out")
         records = records_from_csv(paths["runs"])
         assert all(r.status == "unavailable" for r in records)
+
+    def test_failed_relaxation_is_an_error_like_the_mip(self, tmp_path):
+        # A configured solver that exits 0 without a solution file fails
+        # ip2 and ip2I's relaxation alike: both are errors, not unavailable.
+        template = f"{shlex.quote(sys.executable)} -c pass {{model}} {{seconds}}"
+        config = suite_config(algorithms=["ip2", "ip2I"], exact=None, solver_cmd=template)
+        paths, _ = run_suite(config, tmp_path / "out")
+        records = records_from_csv(paths["runs"])
+        assert len(records) == 4
+        assert {r.status for r in records} == {"error"}
+        assert {r.message for r in records} == {
+            "error: solver exited 0 but wrote no solution file"
+        }
 
 
 class TestCsvRoundTrip:

@@ -1,6 +1,8 @@
 """Command line surface: files in, files out, meaningful exit codes."""
 
 import json
+import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -130,6 +132,13 @@ class TestSolve:
         code = run("solve", "--in", TINY, "--alg", "ip2", "--out", tmp_path / "r.json")
         assert code == 4
         assert "solver" in capsys.readouterr().err
+
+    def test_failed_relaxation_exits_4(self, tmp_path, capsys):
+        template = f"{shlex.quote(sys.executable)} -c pass {{model}} {{seconds}}"
+        code = run("solve", "--in", TINY, "--alg", "ip2I", "--solver-cmd", template)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == "error: solver error: solver exited 0 but wrote no solution file\n"
 
     def test_ip2_with_builtin(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -2,6 +2,7 @@
 
 import shlex
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -285,6 +286,25 @@ class TestRunAlgorithm:
         monkeypatch.setattr("netpricing.lpsolve._milp", refuse)
         with pytest.raises(HeuristicTimeout, match="exceeded 0 s budget"):
             run_algorithm(tiny_disjoint, "ip2I", time_limit=0, adapter=solver)
+
+    def test_relaxation_build_past_the_limit_times_out(self, tiny_disjoint, solver, monkeypatch):
+        # The budget covers building the relaxation: HiGHS is not started
+        # once the build has used it up.
+        from netpricing import mip
+
+        build = mip.build_model
+
+        def slow_build(inst, which):
+            time.sleep(0.1)
+            return build(inst, which)
+
+        def refuse(*args):
+            raise AssertionError("HiGHS ran with no time left")
+
+        monkeypatch.setattr(mip, "build_model", slow_build)
+        monkeypatch.setattr("netpricing.lpsolve._milp", refuse)
+        with pytest.raises(HeuristicTimeout, match="exceeded 0.05 s budget"):
+            run_algorithm(tiny_disjoint, "ip2I", time_limit=0.05, adapter=solver)
 
     def test_algorithm_major_sweep_builds_one_table_per_instance(self):
         # Each algorithm in turn over every instance: the instances keep

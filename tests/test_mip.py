@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ from netpricing.mip import (
     ModelError,
     Row,
     SolutionParseError,
+    SolveOutcome,
     Variable,
     _num,
     parse_solution,
@@ -75,10 +77,10 @@ def tiny_bmnpp():
 
 def infeasible_model() -> LinearModel:
     m = LinearModel()
-    m.add_var("x", kind=BINARY)
-    m.add_constr("force_on", [("x", 1.0)], ">=", 1.0)
-    m.add_constr("force_off", [("x", 1.0)], "<=", 0.0)
-    m.set_objective([("x", 1.0)])
+    x = m.add_var("x", kind=BINARY)
+    m.add_row("force_on", [x], [1.0], ">=", 1.0)
+    m.add_row("force_off", [x], [1.0], "<=", 0.0)
+    m.set_objective([x], [1.0])
     return m
 
 
@@ -96,28 +98,24 @@ class TestLinearModel:
 
     def test_objective_value(self):
         m = LinearModel()
-        m.add_var("x", 0, 10)
-        m.add_var("y", 0, 10)
-        m.set_objective([("x", 2.0), ("y", 3.0)])
+        x = m.add_var("x", 0, 10)
+        y = m.add_var("y", 0, 10)
+        m.set_objective([x, y], [2.0, 3.0])
         assert m.objective_value({"x": 1.0, "y": 2.0}) == 8.0
 
-    def test_name_wrappers_resolve_and_drop_zeros(self):
+    def test_indices_objective_drops_zeros_and_rows_are_checked(self):
         m = LinearModel()
-        m.add_var("x", 0, 10)
-        m.add_var("y", None, None)
-        m.add_constr("c", [("y", 2.0), ("x", 0.0)], ">=", 1)
-        m.set_objective([("x", 0.0), ("y", -1.0)])
+        assert m.add_var("x", 0, 10) == 0
+        assert m.add_var("y", None, None) == 1
+        m.add_row("c", [1], [2.0], ">=", 1)
+        m.set_objective([0, 1], [0.0, -1.0])
         assert m.constraints == (Row("c", (("y", 2.0),), ">=", 1.0),)
         assert m.objective == (("y", -1.0),)
         assert m.variables[1] == Variable("y", None, None, CONTINUOUS)
         with pytest.raises(ModelError):
-            m.add_constr("d", [("nope", 1.0)], "<=", 1.0)
+            m.add_row("c", [0], [1.0], "<=", 1.0)
         with pytest.raises(ModelError):
-            m.add_constr("c", [("x", 1.0)], "<=", 1.0)
-        with pytest.raises(ModelError):
-            m.add_constr("e", [("x", 1.0)], "<>", 1.0)
-        with pytest.raises(ModelError):
-            m.set_objective([("nope", 1.0)])
+            m.add_row("e", [0], [1.0], "<>", 1.0)
         assert len(m.constraints) == 1
 
     def test_non_finite_bounds_rejected(self):
@@ -135,20 +133,22 @@ class TestLinearModel:
         m = LinearModel()
         m.add_var("x", 0, 1)
         with pytest.raises(ModelError):
-            m.add_constr("c", [("x", float("nan"))], "<=", 1.0)
+            m.add_row("c", [0], [1.0], "<=", float("inf"))
         with pytest.raises(ModelError):
-            m.add_constr("c", [("x", 1.0)], "<=", float("inf"))
-        with pytest.raises(ModelError):
-            m.set_objective([("x", float("-inf"))])
+            m.set_objective([0], [float("-inf")])
         assert m.constraints == ()
         assert m.objective == ()
+        # A row's coefficients are checked when the model is written.
+        m.add_row("c", [0], [float("nan")], "<=", 1.0)
+        with pytest.raises(ModelError):
+            lp_text(m)
 
     def test_non_finite_index_row_stops_lp_text_and_solve(self, solver):
         # add_row leaves its terms unchecked; the whole model is checked
         # once before it is written or handed to HiGHS.
         m = LinearModel()
         m.add_var("x", 0, 1)
-        m.set_objective([("x", 1.0)])
+        m.set_objective([0], [1.0])
         m.add_row("c", [0], [float("nan")], "<=", 1.0)
         with pytest.raises(ModelError):
             lp_text(m)
@@ -159,15 +159,15 @@ class TestLinearModel:
         model = build_ip2(tiny_disjoint)
         text = lp_text(model)
         relaxed = relax(model)
-        relaxed.add_var("extra", 0, 1)
-        relaxed.add_constr("extra_row", [("extra", 1.0), ("v_0_0", 1.0)], "<=", 1.0)
+        extra = relaxed.add_var("extra", 0, 1)
+        relaxed.add_row("extra_row", [extra, relaxed.names.index("v_0_0")], [1.0, 1.0], "<=", 1.0)
         assert lp_text(model) == text
 
 
 class TestBuildIp1:
     def test_variable_count(self):
         model = build_ip1(full_edges_instance())
-        assert len(model.variables) == 22
+        assert len(model.names) == 22
 
     def test_war_blocked_when_no_lower_price_exists(self, int_grid):
         # Competitor at the grid floor: undercutting is impossible, so the
@@ -230,16 +230,16 @@ class TestLpText:
 
     def test_hand_built_model_text(self):
         m = LinearModel()
-        m.add_var("x", -5, None)
-        m.add_var("y", None, 3)
-        m.add_var("z", None, None)
-        m.add_var("w", 2, 2)
-        m.add_var("u", 0.5, 4)
-        m.add_var("b", kind=BINARY)
-        m.add_constr("neg", [("x", -2.5), ("y", 1.0)], "<=", -7.25)
-        m.add_constr("mix", [("z", 1.0), ("w", -1.0), ("b", 3.0)], ">=", 0.0)
-        m.add_constr("fix", [("u", 1.0)], "=", 1.5)
-        m.set_objective([("x", -1.0), ("z", 4.0)])
+        x = m.add_var("x", -5, None)
+        y = m.add_var("y", None, 3)
+        z = m.add_var("z", None, None)
+        w = m.add_var("w", 2, 2)
+        u = m.add_var("u", 0.5, 4)
+        b = m.add_var("b", kind=BINARY)
+        m.add_row("neg", [x, y], [-2.5, 1.0], "<=", -7.25)
+        m.add_row("mix", [z, w, b], [1.0, -1.0, 3.0], ">=", 0.0)
+        m.add_row("fix", [u], [1.0], "=", 1.5)
+        m.set_objective([x, z], [-1.0, 4.0])
         assert lp_text(m) == (
             "\\ netpricing linear model, lp dialect v1\n"
             "Maximize\n"
@@ -264,7 +264,7 @@ class TestLpText:
         # LP readers take a missing lower bound as 0, not -inf.
         m = LinearModel()
         m.add_var("x", None, 5.0)
-        m.set_objective([("x", 1.0)])
+        m.set_objective([0], [1.0])
         lines = lp_text(m).splitlines()
         assert lines[lines.index("Bounds") + 1 : lines.index("End")] == [" -inf <= x <= 5"]
 
@@ -576,3 +576,25 @@ class TestSolveIp:
         for which in ("ip1", "ip2"):
             order = relax_order(tiny_disjoint, which, solver)
             assert sorted(order) == [0, 1]
+
+    def test_relaxation_budget_counts_the_build(self, tiny_disjoint, monkeypatch):
+        # The model build spends the budget too: a build that outlasts the
+        # limit leaves the solver 0 s.
+        from netpricing import mip
+
+        build = mip.build_model
+        seen = []
+
+        def slow_build(inst, which):
+            time.sleep(0.1)
+            return build(inst, which)
+
+        def solve(model, adapter, time_limit=None):
+            seen.append(time_limit)
+            values = {name: 1.0 for name in ("v_0_0", "v_1_0")}
+            return SolveOutcome(OPTIMAL, 0.0, values)
+
+        monkeypatch.setattr(mip, "build_model", slow_build)
+        monkeypatch.setattr(mip, "solve_external", solve)
+        assert relax_order(tiny_disjoint, "ip2", "builtin", time_limit=0.05) == (0, 1)
+        assert seen == [0.0]

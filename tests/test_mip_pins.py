@@ -16,13 +16,16 @@ import pytest
 from netpricing import GenParams, build_ip2, build_model, generate, load_instance, lp_text, relax
 
 # (model, formulation, pi, c_hi): ip1 exists only for mnpp. c_hi = 1 puts
-# most competitor prices at the grid floor, where ip1 fixes z at zero.
+# most competitor prices at the grid floor, where ip1 fixes z at zero. At
+# pi = 0 every ip1 link and cheapest row drops its zero mu term.
 SHAPES = [
     ("mnpp", "ip1", None, 8.0),
     ("mnpp", "ip1", "2", 8.0),
     ("mnpp", "ip1", None, 1.0),
+    ("mnpp", "ip1", "0", 8.0),
     ("mnpp", "ip2", None, 8.0),
     ("mnpp", "ip2", "2", 8.0),
+    ("mnpp", "ip2", "0", 8.0),
     ("bmnpp", "ip2", None, 8.0),
     ("bmnpp", "ip2", "1.5", 8.0),
 ]
@@ -122,6 +125,10 @@ PINS = {
     "mnpp-ip1-piNone-c1-s0-lp": ("f38c33abab1c4246", "325452448232d5d7"),
     "mnpp-ip1-piNone-c1-s1-mip": ("4ef7feef2ef032f7", "9ba0e1100855a2e1"),
     "mnpp-ip1-piNone-c1-s1-lp": ("6d914071338c5368", "c4cd11fb371415cb"),
+    "mnpp-ip1-pi0-c8-s0-mip": ("33a38e4590db669f", "aac46c8b1e13615e"),
+    "mnpp-ip1-pi0-c8-s0-lp": ("037ed0b316ce86b5", "62c2e4c9d2598ef9"),
+    "mnpp-ip1-pi0-c8-s1-mip": ("4432a531643bfb86", "6abe307fb900435b"),
+    "mnpp-ip1-pi0-c8-s1-lp": ("02d82a6083801ce2", "1740d4408be1c5ec"),
     "mnpp-ip2-piNone-c8-s0-mip": ("465693b9dcba7035", "3ddb0dce02b541ae"),
     "mnpp-ip2-piNone-c8-s0-lp": ("12435c2d85effb0a", "189e650ba39e9e55"),
     "mnpp-ip2-piNone-c8-s1-mip": ("6c8ccef56ed4b967", "6b413bc598c6dafc"),
@@ -130,6 +137,10 @@ PINS = {
     "mnpp-ip2-pi2-c8-s0-lp": ("2da43e10e48995d6", "3c968555747aba16"),
     "mnpp-ip2-pi2-c8-s1-mip": ("9668a26e1edcc6c7", "a3531ed8857e35b0"),
     "mnpp-ip2-pi2-c8-s1-lp": ("0274a6212e066808", "5a1da41e4cec07ad"),
+    "mnpp-ip2-pi0-c8-s0-mip": ("7b560238b793d6b9", "d09100887640dce8"),
+    "mnpp-ip2-pi0-c8-s0-lp": ("2ec11713c2cf049e", "991482c69ad1cc7e"),
+    "mnpp-ip2-pi0-c8-s1-mip": ("7dfd15e427c1dd75", "7dbb0f5fb6a2ec48"),
+    "mnpp-ip2-pi0-c8-s1-lp": ("9cfacf4aa6754705", "a7a4c12e3c4fe35f"),
     "bmnpp-ip2-piNone-c8-s0-mip": ("21d3448f2f329600", "ec4aa48c4193139b"),
     "bmnpp-ip2-piNone-c8-s0-lp": ("c9eb82ce97a15356", "95035aadd6a0f65c"),
     "bmnpp-ip2-piNone-c8-s1-mip": ("4592ffc76a69f7bf", "14e315eb242b0fc0"),
