@@ -13,8 +13,8 @@ Outputs are deterministic for a fixed config: rows follow config order,
 numbers are rendered canonically, and wall times are only recorded when
 the config opts in (timing is measurement noise, not a result).
 Failures are isolated per run; a run that times out or errors is recorded
-with its status and the suite continues. An exact reference too large to
-compute is left blank, and its instance's rows say why in their message.
+with its status and the suite continues. An exact reference that fails or
+is too large to compute is left blank, and its instance's rows say why.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .heuristics import ALGORITHMS, HeuristicTimeout, run_algorithm, single_pric
 from .instgen import GenParams, generate, instance_label, load_instance
 from .mip import (
     FEASIBLE_TIMEOUT,
-    OPTIMAL,
     SolveFailed,
     SolverUnavailable,
     resolve_adapter,
@@ -242,10 +241,14 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    _check_config_keys(config, f"{path}: ")
+    return config
+
+
+def _check_config_keys(config: dict, where: str = ""):
     for key in config:
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown config field {key!r}")
-    return config
+            raise ConfigError(f"{where}unknown config field {key!r}")
 
 
 def _is_int(value) -> bool:
@@ -326,27 +329,24 @@ def run_one(
 ) -> RunRecord:
     """One (instance, algorithm) execution, as its record.
 
-    ip1 and ip2 go to the solver, every other name to run_algorithm. The
+    ip1 and ip2 go to solve_ip, every other name to run_algorithm. The
     record's wall_time covers the whole run: selection and relaxation
     solves included, the price-match accounting of its prices left out.
-    A solver status other than optimal or feasible-timeout, or a failed
-    relaxation (SolveFailed), is an error run and a HeuristicTimeout a
-    timeout run; every other failure, SolverUnavailable included, is
-    raised. The reference scores r_opt and r_sp are left for the caller.
+    A MIP run has a revenue only with prices. A feasible timeout or a
+    HeuristicTimeout is a timeout run and a SolveFailed an error run;
+    every other failure, SolverUnavailable included, is raised. The
+    reference scores r_opt and r_sp are left for the caller.
     """
     rec = RunRecord.of(instance_id, inst, algorithm, STATUS_OK)
     t0 = time.perf_counter()
     try:
         if algorithm in MIP_ALGORITHMS:
             outcome, prices = solve_ip(inst, algorithm, adapter, time_limit=time_limit)
-            if outcome.status in (OPTIMAL, FEASIBLE_TIMEOUT):
+            if prices is not None:
                 rec.revenue, rec.prices = outcome.objective, prices
-                rec.message = outcome.message
-                if outcome.status == FEASIBLE_TIMEOUT:
-                    rec.status = STATUS_TIMEOUT
-            else:
-                rec.status = STATUS_ERROR
-                rec.message = f"{outcome.status}: {outcome.message}"
+            rec.message = outcome.message
+            if outcome.status == FEASIBLE_TIMEOUT:
+                rec.status = STATUS_TIMEOUT
         else:
             result = run_algorithm(inst, algorithm, time_limit=time_limit, adapter=adapter)
             rec.revenue, rec.prices, rec.ladder = result.revenue, result.prices, result.ladder
@@ -373,9 +373,9 @@ def _run_instance(
     All the work on one instance happens together: its revenue table,
     with the stage memo that the reference and every ladder heuristic
     share, is built once and kept on the instance, and run_suite lets the
-    instance go when its records are made. A failed run is recorded, not
-    raised. The sp reference is the sp run's revenue when that run
-    succeeded.
+    instance go when its records are made. A failed run or reference is
+    recorded, not raised. The sp reference is the sp run's revenue when
+    that run succeeded.
     """
     records = []
     for alg in algorithms:
@@ -391,17 +391,19 @@ def _run_instance(
     sp = [r.revenue for r in records if r.algorithm == "sp" and r.status == STATUS_OK]
     r_sp = sp[0] if sp else single_price(inst)[1]
     r_opt = None
-    skipped = ""
+    note = ""
     try:
         if exact_method == "ladder":
             r_opt, _, _ = exact_mod.ladder_exact(inst)
         elif exact_method == "brute":
             r_opt, _ = exact_mod.brute_force(inst)
     except (exact_mod.TooManyOutlets, exact_mod.EnumerationTooLarge) as exc:
-        skipped = f"reference skipped: {exc}"
+        note = f"reference skipped: {exc}"
+    except Exception as exc:  # isolate a failed reference like a failed run
+        note = f"reference failed: {type(exc).__name__}: {exc}"
     for rec in records:
         rec.r_opt, rec.r_sp = r_opt, r_sp
-        rec.message = "; ".join(m for m in (rec.message, skipped) if m)
+        rec.message = "; ".join(m for m in (rec.message, note) if m)
     return records
 
 
@@ -411,6 +413,7 @@ def run_suite(
     """Execute a benchmark config; returns (paths of the written artifacts,
     the run records they were written from)."""
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
+    _check_config_keys(config)
     suite_id = config.get("suite_id", "suite")
     if not isinstance(suite_id, str) or suite_id in ("", ".", "..") or (
         {"/", "\\"} & set(suite_id)

@@ -49,6 +49,7 @@ never backtracks.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import add
 
 from .ladder import _pairwise_max, _price, _push, _stage, _suffix_max
@@ -72,9 +73,10 @@ class TooManyOutlets(ValueError):
 def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
     """Best revenue over all grid price vectors, by full enumeration.
 
-    Respects the instance's spread cap by pruning partial vectors whose
-    spread already exceeds it. Ties go to the lexicographically smallest
-    price vector. Returns (revenue, prices).
+    Vectors whose spread exceeds the instance's cap are skipped. Vectors
+    are walked in lexicographic order and only a strictly better one
+    replaces the best, so ties go to the lexicographically smallest price
+    vector. Returns (revenue, prices).
     """
     n = inst.n_outlets
     grid = inst.grid.prices
@@ -83,29 +85,13 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
         raise EnumerationTooLarge(
             f"{len(grid)}^{n} = {total} price vectors exceed the limit {limit}"
         )
-    pi = inst.pi
-    best_rev = None
-    best_prices = None
-    current = [grid[0]] * n
-
-    def walk(pos: int, lo, hi):
-        nonlocal best_rev, best_prices
-        if pos == n:
-            revenue, _, _ = evaluate_prices(inst, current)
-            if best_rev is None or revenue > best_rev:
-                best_rev = revenue
-                best_prices = tuple(current)
-            return
-        for price in grid:
-            new_lo = price if lo is None or price < lo else lo
-            new_hi = price if hi is None or price > hi else hi
-            if pi is not None and new_hi - new_lo > pi:
-                continue
-            current[pos] = price
-            walk(pos + 1, new_lo, new_hi)
-
-    walk(0, None, None)
-    del walk  # walk refers to itself: break the cycle, so inst is freed on return
+    best_rev = best_prices = None
+    for prices in product(grid, repeat=n):
+        if inst.pi is not None and max(prices) - min(prices) > inst.pi:
+            continue
+        revenue, _, _ = evaluate_prices(inst, prices)
+        if best_rev is None or revenue > best_rev:
+            best_rev, best_prices = revenue, prices
     return best_rev, best_prices
 
 

@@ -262,11 +262,11 @@ def save_instance(inst: Instance, path) -> Path:
     return path
 
 
-def _expect_keys(obj: dict, required: tuple, where: str, optional: tuple = ()):
+def _expect_keys(obj: dict, required: tuple, where: str):
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{where}: expected an object")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in required:
             raise InstanceFormatError(f"{where}: unknown field {key!r}")
     for key in required:
         if key not in obj:

@@ -27,7 +27,8 @@ template such as "cbc-wrapper.sh {model} {solution} {seconds}", split
 with shlex and run on an LP file in a temporary directory. The command
 must write a solution file of "name value" lines (absent variables read
 as 0) and exit 0 when optimal, 2 on a time limit, and 3 when infeasible;
-any other exit is an error.
+any other exit is an error. solve_ip and relax_order both solve through
+_solve, which counts the build against the time limit and judges the answer.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SolverUnavailable(RuntimeError):
 class SolveFailed(RuntimeError):
     """A configured solver gave no solution to use.
 
-    The message is "status: solver message", as a MIP run records it.
+    The message is "status: solver message", or what a solution lacks.
     """
 
 
@@ -653,7 +654,7 @@ def decode_prices_ip2(inst: Instance, values: dict[str, float]) -> tuple[Money, 
                 best_val = val
                 chosen = level
         if chosen is None:
-            raise SolutionParseError(f"no price level chosen for outlet {f}")
+            raise SolveFailed(f"no price level chosen for outlet {f}")
         prices.append(grid[chosen])
     return tuple(prices)
 
@@ -679,6 +680,26 @@ def decode_prices_ip1(inst: Instance, values: dict[str, float]) -> tuple[Money, 
     return tuple(assigned.get(f, top) for f in inst.outlets())
 
 
+def _solve(
+    inst: Instance, which: str, adapter: Optional[str], time_limit: Optional[float], relaxed: bool
+) -> SolveOutcome:
+    """Build which, relaxed when asked, and solve it in what the build left
+    of time_limit, at least 0. Only an optimal outcome with values or a
+    feasible-timeout one is returned; any other raises SolveFailed."""
+    start = time.perf_counter()
+    model = build_model(inst, which)
+    if relaxed:
+        model = relax(model)
+    if time_limit is not None:
+        time_limit = max(0.0, time_limit - (time.perf_counter() - start))
+    outcome = solve_external(model, adapter, time_limit)
+    if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT):
+        raise SolveFailed(f"{outcome.status}: {outcome.message}")
+    if outcome.status == OPTIMAL and not outcome.values:
+        raise SolveFailed(f"{OPTIMAL}: the solver returned no variable values")
+    return outcome
+
+
 def relax_order(
     inst: Instance,
     which: str,
@@ -688,31 +709,23 @@ def relax_order(
     """Selection order from a relaxation's fractional prices.
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
-    price, i.e. the level-weighted sum), ascending, ties by id. time_limit
-    counts from this call, so building the relaxation spends it too; the
-    solver gets what is left, at least 0. A solve that returns no values,
-    failed or cut short, raises SolveFailed, and no solver (adapter None)
-    raises SolverUnavailable.
+    price, i.e. the level-weighted sum), ascending, ties by id; time_limit
+    covers the build. A solve that returns no values, failed or cut short,
+    raises SolveFailed, and no solver (adapter None) raises SolverUnavailable.
     """
-    start = time.perf_counter()
-    model = relax(build_model(inst, which))
-    if time_limit is not None:
-        time_limit = max(0.0, time_limit - (time.perf_counter() - start))
-    outcome = solve_external(model, adapter, time_limit)
-    if outcome.status not in (OPTIMAL, FEASIBLE_TIMEOUT) or not outcome.values:
+    outcome = _solve(inst, which, adapter, time_limit, relaxed=True)
+    values = outcome.values
+    if not values:
         raise SolveFailed(f"{outcome.status}: {outcome.message}")
-    fractional: dict[int, float] = {}
     if which == "ip1":
-        for f in inst.outlets():
-            fractional[f] = outcome.values.get(f"x_f{f}", 0.0)
+        fractional = [values.get(f"x_f{f}", 0.0) for f in inst.outlets()]
     else:
-        grid = inst.grid.prices
-        for f in inst.outlets():
-            fractional[f] = sum(
-                money_float(grid[level]) * outcome.values.get(f"v_{f}_{level}", 0.0)
-                for level in range(len(grid))
-            )
-    return tuple(sorted(fractional, key=lambda f: (fractional[f], f)))
+        grid = list(map(money_float, inst.grid.prices))
+        fractional = [
+            sum(price * values.get(f"v_{f}_{level}", 0.0) for level, price in enumerate(grid))
+            for f in inst.outlets()
+        ]
+    return tuple(sorted(inst.outlets(), key=lambda f: (fractional[f], f)))
 
 
 def build_model(inst: Instance, which: str) -> LinearModel:
@@ -729,14 +742,11 @@ def solve_ip(
     adapter: Optional[str],
     time_limit: Optional[float] = None,
 ):
-    """Build and solve a formulation. Returns (outcome, prices or None)."""
-    model = build_model(inst, which)
-    outcome = solve_external(model, adapter, time_limit=time_limit)
-    prices = None
-    if outcome.values and outcome.status in (OPTIMAL, FEASIBLE_TIMEOUT):
-        decode = decode_prices_ip1 if which == "ip1" else decode_prices_ip2
-        try:
-            prices = decode(inst, outcome.values)
-        except SolutionParseError:
-            prices = None
-    return outcome, prices
+    """Build and solve a formulation. Returns (outcome, prices or None).
+
+    time_limit covers the build. A failed solve or a solution without prices
+    raises SolveFailed; prices are None only for a timeout with no incumbent.
+    """
+    outcome = _solve(inst, which, adapter, time_limit, relaxed=False)
+    decode = decode_prices_ip1 if which == "ip1" else decode_prices_ip2
+    return outcome, decode(inst, outcome.values) if outcome.values else None

@@ -177,6 +177,15 @@ class TestCrossModelGap:
         assert gap == pytest.approx(0.0, abs=1e-12)
 
 
+# A solver script that writes an empty solution file and exits 0 (optimal).
+EMPTY_SOLUTION = "import sys; open(sys.argv[1], 'w')"
+
+
+def solver_command(script):
+    """A command template that runs script with the solution path as argv[1]."""
+    return f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} {{solution}}"
+
+
 def suite_config(**overrides):
     config = {
         "suite_id": "t",
@@ -297,12 +306,18 @@ class TestRunSuite:
         assert Path(paths["summary"]).read_text().startswith("suite t:")
 
     def test_gap_invariants(self, tmp_path):
-        paths, _ = run_suite(suite_config(), tmp_path / "out")
-        for rec in records_from_csv(paths["runs"]):
-            assert rec.opt_gap_pct is None or rec.opt_gap_pct >= -1e-9
-            if rec.pm is not None and (float(rec.pm.r_pm) + float(rec.pm.r_pw)) > 0:
-                share = float(rec.pm.r_pm) / (float(rec.pm.r_pm) + float(rec.pm.r_pw))
-                assert rec.pm.r_pm_pct == pytest.approx(100.0 * share)
+        # A record with a revenue has prices, also when a solver answers
+        # optimal with an empty solution file.
+        algorithms = ["sp", "order", "fi", "ip1", "ip2"]
+        for i, solver in enumerate(("builtin", solver_command(EMPTY_SOLUTION))):
+            config = suite_config(algorithms=algorithms, solver_cmd=solver)
+            paths, records = run_suite(config, tmp_path / str(i))
+            assert all(rec.prices for rec in records if rec.revenue is not None)
+            for rec in records_from_csv(paths["runs"]):
+                assert rec.opt_gap_pct is None or rec.opt_gap_pct >= -1e-9
+                if rec.pm is not None and (float(rec.pm.r_pm) + float(rec.pm.r_pw)) > 0:
+                    share = float(rec.pm.r_pm) / (float(rec.pm.r_pm) + float(rec.pm.r_pw))
+                    assert rec.pm.r_pm_pct == pytest.approx(100.0 * share)
 
     def test_deterministic_artifacts(self, tmp_path):
         p1, _ = run_suite(suite_config(), tmp_path / "a")
@@ -325,9 +340,18 @@ class TestRunSuite:
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
     def test_mip_timeout_row_carries_the_solver_message(self, tmp_path):
-        config = suite_config(algorithms=["ip2"], solver_cmd="builtin", time_limit=0)
-        records = records_from_csv(run_suite(config, tmp_path / "out")[0]["runs"])
-        assert [(r.status, r.message) for r in records] == [("timeout", "time limit")] * 2
+        # A timeout without an incumbent, from the builtin solver at 0 s or
+        # from a command that exits 2 with an empty solution file, has no
+        # revenue.
+        exit_2 = solver_command(EMPTY_SOLUTION + "; sys.exit(2)")
+        for i, (solver, time_limit) in enumerate((("builtin", 0), (exit_2, None))):
+            config = suite_config(
+                algorithms=["ip1", "ip2"], solver_cmd=solver, time_limit=time_limit
+            )
+            records = records_from_csv(run_suite(config, tmp_path / str(i))[0]["runs"])
+            assert [(r.status, r.message, r.revenue) for r in records] == [
+                ("timeout", "time limit", None)
+            ] * 4
 
     def test_one_table_build_per_instance_past_the_cache_size(self, tmp_path):
         # Each of the 70 instances keeps its own table, so every algorithm
@@ -390,6 +414,24 @@ class TestRunSuite:
         with pytest.raises(ConfigError):
             run_suite(suite_config(algorithms=["anneal"]), tmp_path / "out")
 
+    def test_unknown_config_field_rejected(self, tmp_path):
+        # run_suite checks the keys itself: a config built in code does not
+        # pass through load_config.
+        with pytest.raises(ConfigError, match="time_limt"):
+            run_suite(suite_config(time_limt=5), tmp_path / "out")
+
+    def test_failed_reference_is_left_blank(self, tmp_path, monkeypatch):
+        # A reference that fails is recorded like one too large to compute:
+        # the runs keep their results and the suite writes its artifacts.
+        def ladder_exact(inst):
+            raise RuntimeError("no optimum")
+
+        monkeypatch.setattr(bench.exact_mod, "ladder_exact", ladder_exact)
+        paths, _ = run_suite(suite_config(exact="ladder"), tmp_path / "out")
+        records = records_from_csv(paths["runs"])
+        assert [(r.status, r.r_opt) for r in records] == [("ok", None)] * 6
+        assert {r.message for r in records} == {"reference failed: RuntimeError: no optimum"}
+
     def test_no_instances_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             run_suite(suite_config(instances={"generate": []}), tmp_path / "out")
@@ -411,18 +453,25 @@ class TestRunSuite:
         records = records_from_csv(paths["runs"])
         assert all(r.status == "unavailable" for r in records)
 
-    def test_failed_relaxation_is_an_error_like_the_mip(self, tmp_path):
-        # A configured solver that exits 0 without a solution file fails
-        # ip2 and ip2I's relaxation alike: both are errors, not unavailable.
-        template = f"{shlex.quote(sys.executable)} -c pass {{model}} {{seconds}}"
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("pass", "error: solver exited 0 but wrote no solution file"),
+            (EMPTY_SOLUTION, "optimal: the solver returned no variable values"),
+        ],
+        ids=["no-file", "empty-file"],
+    )
+    def test_failed_relaxation_is_an_error_like_the_mip(self, tmp_path, script, message):
+        # A configured solver that exits 0 without a solution, no file or an
+        # empty one, fails ip2 and ip2I's relaxation alike: both are errors
+        # with one message, not unavailable and not an ok row.
+        template = solver_command(script)
         config = suite_config(algorithms=["ip2", "ip2I"], exact=None, solver_cmd=template)
         paths, _ = run_suite(config, tmp_path / "out")
         records = records_from_csv(paths["runs"])
         assert len(records) == 4
         assert {r.status for r in records} == {"error"}
-        assert {r.message for r in records} == {
-            "error: solver exited 0 but wrote no solution file"
-        }
+        assert {r.message for r in records} == {message}
 
 
 class TestCsvRoundTrip:

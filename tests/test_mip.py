@@ -577,9 +577,10 @@ class TestSolveIp:
             order = relax_order(tiny_disjoint, which, solver)
             assert sorted(order) == [0, 1]
 
-    def test_relaxation_budget_counts_the_build(self, tiny_disjoint, monkeypatch):
-        # The model build spends the budget too: a build that outlasts the
-        # limit leaves the solver 0 s.
+    @pytest.mark.parametrize("caller", ["relax_order", "solve_ip"])
+    def test_relaxation_budget_counts_the_build(self, tiny_disjoint, monkeypatch, caller):
+        # The model build spends the budget too, for a relaxation as for a
+        # MIP: a build that outlasts the limit leaves the solver 0 s.
         from netpricing import mip
 
         build = mip.build_model
@@ -596,5 +597,9 @@ class TestSolveIp:
 
         monkeypatch.setattr(mip, "build_model", slow_build)
         monkeypatch.setattr(mip, "solve_external", solve)
-        assert relax_order(tiny_disjoint, "ip2", "builtin", time_limit=0.05) == (0, 1)
+        if caller == "relax_order":
+            assert relax_order(tiny_disjoint, "ip2", "builtin", time_limit=0.05) == (0, 1)
+        else:
+            _, prices = solve_ip(tiny_disjoint, "ip2", "builtin", time_limit=0.05)
+            assert prices == (tiny_disjoint.grid.min,) * 2
         assert seen == [0.0]
