@@ -73,10 +73,10 @@ class TooManyOutlets(ValueError):
 def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
     """Best revenue over all grid price vectors, by full enumeration.
 
-    Vectors whose spread exceeds the instance's cap are skipped. Vectors
-    are walked in lexicographic order and only a strictly better one
-    replaces the best, so ties go to the lexicographically smallest price
-    vector. Returns (revenue, prices).
+    With a spread cap pi, each vector within it is met once, among the
+    vectors of grid prices in [lo, lo + pi] whose lowest price is lo.
+    Ties go to the lexicographically smallest price vector. Returns
+    (revenue, prices).
     """
     n = inst.n_outlets
     grid = inst.grid.prices
@@ -85,12 +85,19 @@ def brute_force(inst: Instance, limit: int = ENUMERATION_LIMIT):
         raise EnumerationTooLarge(
             f"{len(grid)}^{n} = {total} price vectors exceed the limit {limit}"
         )
+    if inst.pi is None:
+        vectors = product(grid, repeat=n)
+    else:
+        vectors = (
+            prices
+            for lo in grid
+            for prices in product([p for p in grid if 0 <= p - lo <= inst.pi], repeat=n)
+            if min(prices) == lo
+        )
     best_rev = best_prices = None
-    for prices in product(grid, repeat=n):
-        if inst.pi is not None and max(prices) - min(prices) > inst.pi:
-            continue
+    for prices in vectors:
         revenue, _, _ = evaluate_prices(inst, prices)
-        if best_rev is None or revenue > best_rev:
+        if best_rev is None or revenue > best_rev or (revenue == best_rev and prices < best_prices):
             best_rev, best_prices = revenue, prices
     return best_rev, best_prices
 

@@ -7,7 +7,8 @@ Two formulations of the same pricing problem:
   no finite-coefficient counterpart for logit shares.
 * build_ip2: one binary per (outlet, grid price) level plus purchase
   binaries per (node, outlet, price). Works for both demand models since
-  demand enters only through coefficients.
+  demand enters only through coefficients. Its relaxation is built in a
+  cumulative level encoding: the same LP with far fewer nonzeros.
 
 Models are held in a small solver-agnostic IR (LinearModel): named
 columns with bounds and binary flags, and the rows in compressed sparse
@@ -358,7 +359,7 @@ def build_ip1(inst: Instance) -> LinearModel:
     return m
 
 
-def build_ip2(inst: Instance) -> LinearModel:
+def build_ip2(inst: Instance, *, cumulative: bool = False) -> LinearModel:
     """Grid-indexed formulation: one binary per outlet price level.
 
     v_{f}_{m} picks outlet f's grid price; y_{e}_{f}_{m} marks node e
@@ -371,6 +372,12 @@ def build_ip2(inst: Instance) -> LinearModel:
     row, then node by node the purchase columns and that node's one_buy,
     cheapest and uses_level rows, then the spread rows of a capped
     instance.
+
+    By default cheapest_{e}_{f}_{m} lists each rival's levels below m.
+    cumulative adds, after the one_level rows, continuous u_{g}_{m} =
+    v_{g}_0 + ... + v_{g}_{m-1} (m >= 1) chained by cum_{g}_{m} rows, and
+    lists one u per rival instead (Vielma, SIAM Review 57(1), 2015): the
+    same LP under projection, O(|O_e|) terms a row, not O(|O_e| * |grid|).
     """
     o_e, _, _ = adjacency(inst)
     m = LinearModel()
@@ -384,6 +391,24 @@ def build_ip2(inst: Instance) -> LinearModel:
             m.add_var(f"v_{f}_{level}", kind=BINARY)
         start = f * n_prices
         m.add_row(f"one_level_{f}", range(start, start + n_prices), _ONE * n_prices, "=", 1.0)
+
+    if cumulative:
+        # Column u_{g}_{level} is first_u + g * (n_prices - 1) + level - 1;
+        # row cum_{g}_{level} is u_{g}_{level} - u_{g}_{level - 1} -
+        # v_{g}_{level - 1} = 0, without the u term at level 1.
+        first_u = len(m.names)
+        for g in inst.outlets():
+            for level in range(1, n_prices):
+                u = m.add_var(f"u_{g}_{level}")
+                cols = (u, u - 1) if level > 1 else (u,)
+                cols += (g * n_prices + level - 1,)
+                m.add_row(f"cum_{g}_{level}", cols, (1.0,) + (-1.0,) * (len(cols) - 1), "=", 0.0)
+
+    def cheaper(g, level):
+        """Columns that sum to 1 when rival g sits below level."""
+        if not cumulative:
+            return range(g * n_prices, g * n_prices + level)
+        return (first_u + g * (n_prices - 1) + level - 1,) if level else ()
 
     obj_cols, obj_coefs = array("i"), array("d")
     for node in inst.demands:
@@ -417,7 +442,7 @@ def build_ip2(inst: Instance) -> LinearModel:
             cols = [v]
             for g in o_e[e]:
                 if g != f:
-                    cols.extend(range(g * n_prices, g * n_prices + level))
+                    cols.extend(cheaper(g, level))
             coefs = _ONE * len(cols)
             # With a single outlet the purchase's coefficient k - 1 is zero.
             if k > 1:
@@ -687,9 +712,7 @@ def _solve(
     of time_limit, at least 0. Only an optimal outcome with values or a
     feasible-timeout one is returned; any other raises SolveFailed."""
     start = time.perf_counter()
-    model = build_model(inst, which)
-    if relaxed:
-        model = relax(model)
+    model = build_model(inst, which, relaxed)
     if time_limit is not None:
         time_limit = max(0.0, time_limit - (time.perf_counter() - start))
     outcome = solve_external(model, adapter, time_limit)
@@ -710,8 +733,11 @@ def relax_order(
 
     which is "ip1" (per-outlet continuous price) or "ip2" (expected grid
     price, i.e. the level-weighted sum), ascending, ties by id; time_limit
-    covers the build. A solve that returns no values, failed or cut short,
-    raises SolveFailed, and no solver (adapter None) raises SolverUnavailable.
+    covers the build. ip2 is relaxed in build_ip2's cumulative encoding:
+    where its optimal face holds more than one point, the solver's vertex,
+    and so the order, may differ from the default encoding's. A solve that
+    returns no values, failed or cut short, raises SolveFailed, and no
+    solver (adapter None) raises SolverUnavailable.
     """
     outcome = _solve(inst, which, adapter, time_limit, relaxed=True)
     values = outcome.values
@@ -728,12 +754,16 @@ def relax_order(
     return tuple(sorted(inst.outlets(), key=lambda f: (fractional[f], f)))
 
 
-def build_model(inst: Instance, which: str) -> LinearModel:
+def build_model(inst: Instance, which: str, relaxed: bool = False) -> LinearModel:
+    """Formulation which ("ip1" or "ip2"), or its continuous relaxation;
+    ip2's is built in build_ip2's cumulative encoding."""
     if which == "ip1":
-        return build_ip1(inst)
-    if which == "ip2":
-        return build_ip2(inst)
-    raise ValueError(f"unknown formulation {which!r}")
+        model = build_ip1(inst)
+    elif which == "ip2":
+        model = build_ip2(inst, cumulative=relaxed)
+    else:
+        raise ValueError(f"unknown formulation {which!r}")
+    return relax(model) if relaxed else model
 
 
 def solve_ip(

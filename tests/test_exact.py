@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -59,6 +60,33 @@ class TestBruteForce:
         revenue, prices = brute_force(inst)
         assert max(prices) - min(prices) <= 100
         assert revenue == Fraction(1500)
+
+    @pytest.mark.parametrize("model", ["mnpp", BMNPP])
+    @pytest.mark.parametrize("pi", ["0", "2", "3.5"])
+    def test_capped_search_keeps_the_first_best_vector(self, model, pi):
+        # Under a cap the vectors are met window by window, not in
+        # lexicographic order; the result is still the first best vector
+        # of a lexicographic walk over the vectors within the cap.
+        for seed in range(3):
+            inst = generate(replace(tiny_params(model, seed), pi=pi))
+            vectors = product(inst.grid.prices, repeat=inst.n_outlets)
+            capped = [p for p in vectors if max(p) - min(p) <= inst.pi]
+            revenues = [evaluate_prices(inst, p)[0] for p in capped]
+            best = max(revenues)
+            assert brute_force(inst) == (best, capped[revenues.index(best)])
+
+    def test_capped_tie_goes_to_the_lexicographically_first_vector(self, monkeypatch):
+        # Two vectors tie; (g2, g0) has the lower minimum, so its window is
+        # searched first, but (g1, g3) comes first lexicographically.
+        inst = generate(replace(tiny_params("mnpp", 0, outlets=2), pi="3"))
+        g = inst.grid.prices
+        best = {(g[1], g[3]), (g[2], g[0])}
+
+        def revenue(inst, prices):
+            return int(prices in best), None, None
+
+        monkeypatch.setattr("netpricing.exact.evaluate_prices", revenue)
+        assert brute_force(inst) == (1, (g[1], g[3]))
 
 
 class TestLadderExact:

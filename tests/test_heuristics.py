@@ -294,9 +294,9 @@ class TestRunAlgorithm:
 
         build = mip.build_model
 
-        def slow_build(inst, which):
+        def slow_build(inst, which, relaxed=False):
             time.sleep(0.1)
-            return build(inst, which)
+            return build(inst, which, relaxed)
 
         def refuse(*args):
             raise AssertionError("HiGHS ran with no time left")

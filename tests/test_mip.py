@@ -218,6 +218,89 @@ def test_relax_drops_integrality(tiny_disjoint):
     assert all(v.kind == BINARY for v in model.variables if v.name.startswith("v_"))
 
 
+def encoding_instance(model, pi, seed, n_outlets=3, n_demands=5):
+    return generate(
+        GenParams(
+            model=model,
+            n_outlets=n_outlets,
+            n_demands=n_demands,
+            density=0.6,
+            seed=seed,
+            grid_max="6",
+            grid_step="0.5",
+            pi=pi,
+        )
+    )
+
+
+def encoding_cases(seeds):
+    return [
+        pytest.param(model, pi, seed, id=f"{model}-pi{pi}-s{seed}")
+        for model in ("mnpp", "bmnpp")
+        for pi in (None, "2", "0")
+        for seed in seeds
+    ]
+
+
+class TestCumulativeEncoding:
+    """build_model's ip2 relaxation is relax(build_ip2(inst)) with each
+    rival's levels below a price summed once, in a u column."""
+
+    @staticmethod
+    def prefixes(cumulative):
+        """u column -> the v columns its cum rows chain together, in order."""
+        out = {}
+        for row in cumulative.constraints:
+            if not row.name.startswith("cum_"):
+                continue
+            (u, one), *rest = row.terms
+            assert (one, row.sense, row.rhs) == (1.0, "=", 0.0)
+            assert u == "u_" + row.name[len("cum_"):] and u not in out
+            expanded = []
+            for name, coef in rest:
+                assert coef == -1.0
+                expanded += out[name] if name.startswith("u_") else [name]
+            out[u] = expanded
+        return out
+
+    @pytest.mark.parametrize("model, pi, seed", encoding_cases((0, 1, 2)))
+    def test_substituting_u_gives_the_default_rows(self, model, pi, seed):
+        inst = encoding_instance(model, pi, seed)
+        default = relax(build_ip2(inst))
+        cumulative = build_model(inst, "ip2", relaxed=True)
+        prefixes = self.prefixes(cumulative)
+        levels = len(inst.grid.prices)
+        assert prefixes == {
+            f"u_{g}_{level}": [f"v_{g}_{k}" for k in range(level)]
+            for g in inst.outlets()
+            for level in range(1, levels)
+        }
+
+        def substitute(row):
+            terms = [
+                (v, coef) for name, coef in row.terms for v in prefixes.get(name, [name])
+            ]
+            return Row(row.name, tuple(terms), row.sense, row.rhs)
+
+        # Every other row, cheapest rows included, is the default row once
+        # each u term is written out as its v columns.
+        rows = [row for row in cumulative.constraints if not row.name.startswith("cum_")]
+        assert list(map(substitute, rows)) == list(default.constraints)
+        cheapest = [row for row in default.constraints if row.name.startswith("cheapest_")]
+        assert any(len(row.terms) > 3 for row in cheapest)
+        assert cumulative.objective == default.objective
+        kept = [v for v in cumulative.variables if v.name not in prefixes]
+        assert kept == list(default.variables)
+
+    @pytest.mark.parametrize("model, pi, seed", encoding_cases((3, 4)))
+    def test_both_encodings_have_the_same_lp_optimum(self, model, pi, seed, solver):
+        inst = encoding_instance(model, pi, seed, n_outlets=4, n_demands=8)
+        default = solve_external(relax(build_ip2(inst)), solver)
+        cumulative = solve_external(build_model(inst, "ip2", relaxed=True), solver)
+        assert default.status == cumulative.status == OPTIMAL
+        assert cumulative.objective == pytest.approx(default.objective, rel=1e-9, abs=0.0)
+
+
 class TestLpText:
     def test_header_and_sections(self, tiny_disjoint):
         text = lp_text(build_ip2(tiny_disjoint))
@@ -586,9 +669,9 @@ class TestSolveIp:
         build = mip.build_model
         seen = []
 
-        def slow_build(inst, which):
+        def slow_build(inst, which, relaxed=False):
             time.sleep(0.1)
-            return build(inst, which)
+            return build(inst, which, relaxed)
 
         def solve(model, adapter, time_limit=None):
             seen.append(time_limit)

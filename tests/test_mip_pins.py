@@ -5,6 +5,8 @@ frozen: c, integrality, column bounds, row bounds and the CSC matrix, as
 scipy's milp validates them before handing them to HiGHS. A change to how
 models are stored, relaxed or passed to the solver must leave every hash
 as it is, so that LP files, solutions and bench artifacts stay identical.
+Each case is the MIP ("mip"), relax() of it ("lp"), or, for ip2, the
+relaxation build_model builds in the cumulative encoding ("cum").
 """
 
 import hashlib
@@ -35,19 +37,19 @@ SEEDS = (0, 1)
 def battery():
     for model, which, pi, c_hi in SHAPES:
         for seed in SEEDS:
-            for relaxed in (False, True):
+            for form in ("mip", "lp", "cum") if which == "ip2" else ("mip", "lp"):
                 yield pytest.param(
                     model,
                     which,
                     pi,
                     c_hi,
                     seed,
-                    relaxed,
-                    id=f"{model}-{which}-pi{pi}-c{c_hi:g}-s{seed}-{'lp' if relaxed else 'mip'}",
+                    form,
+                    id=f"{model}-{which}-pi{pi}-c{c_hi:g}-s{seed}-{form}",
                 )
 
 
-def make_model(model, which, pi, c_hi, seed, relaxed):
+def make_model(model, which, pi, c_hi, seed, form):
     inst = generate(
         GenParams(
             model=model,
@@ -61,8 +63,10 @@ def make_model(model, which, pi, c_hi, seed, relaxed):
             pi=pi,
         )
     )
+    if form == "cum":
+        return build_model(inst, which, relaxed=True)
     built = build_model(inst, which)
-    return relax(built) if relaxed else built
+    return relax(built) if form == "lp" else built
 
 
 def sha(data: bytes) -> str:
@@ -149,19 +153,29 @@ PINS = {
     "bmnpp-ip2-pi1.5-c8-s0-lp": ("ba18e1ecb419d91d", "fdf5f27070dbc476"),
     "bmnpp-ip2-pi1.5-c8-s1-mip": ("a30e52212c677fc1", "3197fb9d5882e5a4"),
     "bmnpp-ip2-pi1.5-c8-s1-lp": ("4eef228943fbb991", "d5e51c2f65803154"),
+    "mnpp-ip2-piNone-c8-s0-cum": ("02cab20153648871", "cff20b543b5e2080"),
+    "mnpp-ip2-piNone-c8-s1-cum": ("ab219f2f9f38b37e", "bf78d1522c1c1f1c"),
+    "mnpp-ip2-pi2-c8-s0-cum": ("d28a176fb7201299", "14cc1c4a61c71cd5"),
+    "mnpp-ip2-pi2-c8-s1-cum": ("ff6ba19e2fddadab", "dae63c8d808416fa"),
+    "mnpp-ip2-pi0-c8-s0-cum": ("fae1d983a4938bea", "fcffabdc7bd5bd78"),
+    "mnpp-ip2-pi0-c8-s1-cum": ("a05458910a2b6666", "3ac584bc68a32b00"),
+    "bmnpp-ip2-piNone-c8-s0-cum": ("dbb5e05dad670bcc", "4fdcd4a806f56b54"),
+    "bmnpp-ip2-piNone-c8-s1-cum": ("43ecfe28d6d8ed91", "faff1aea4787bc28"),
+    "bmnpp-ip2-pi1.5-c8-s0-cum": ("5f8ef33c2630d2c2", "656cc9b36891206a"),
+    "bmnpp-ip2-pi1.5-c8-s1-cum": ("53715835875f8759", "dc493dc1475d5396"),
 }
 
 
-@pytest.mark.parametrize("model, which, pi, c_hi, seed, relaxed", battery())
-def test_lp_text_pinned(model, which, pi, c_hi, seed, relaxed, request):
-    m = make_model(model, which, pi, c_hi, seed, relaxed)
+@pytest.mark.parametrize("model, which, pi, c_hi, seed, form", battery())
+def test_lp_text_pinned(model, which, pi, c_hi, seed, form, request):
+    m = make_model(model, which, pi, c_hi, seed, form)
     key = request.node.callspec.id
     assert sha(lp_text(m).encode()) == PINS[key][0]
 
 
-@pytest.mark.parametrize("model, which, pi, c_hi, seed, relaxed", battery())
-def test_highs_input_pinned(model, which, pi, c_hi, seed, relaxed, request, monkeypatch):
-    m = make_model(model, which, pi, c_hi, seed, relaxed)
+@pytest.mark.parametrize("model, which, pi, c_hi, seed, form", battery())
+def test_highs_input_pinned(model, which, pi, c_hi, seed, form, request, monkeypatch):
+    m = make_model(model, which, pi, c_hi, seed, form)
     key = request.node.callspec.id
     assert highs_input_hash(m, monkeypatch) == PINS[key][1]
 
@@ -177,9 +191,9 @@ def some_values(m):
     return {name: rng.uniform(-3.0, 3.0) for i, name in enumerate(m.names) if i % 3}
 
 
-@pytest.mark.parametrize("model, which, pi, c_hi, seed, relaxed", battery())
-def test_objective_value_is_the_view_sum(model, which, pi, c_hi, seed, relaxed):
-    m = make_model(model, which, pi, c_hi, seed, relaxed)
+@pytest.mark.parametrize("model, which, pi, c_hi, seed, form", battery())
+def test_objective_value_is_the_view_sum(model, which, pi, c_hi, seed, form):
+    m = make_model(model, which, pi, c_hi, seed, form)
     values = some_values(m)
     assert m.objective_value(values).hex() == view_objective_value(m, values).hex()
 

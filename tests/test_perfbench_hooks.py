@@ -108,11 +108,12 @@ def test_traced_builtin_mip_bench_sizes_its_models(tmp_path):
     # The mip-builtin workload at seed 1: ip1 and ip2 on three tiny mnpp
     # instances, then an ip2I relaxation at 10 x 30. The counts are the
     # sizes of the models it builds and the number of solves; how a model
-    # is stored must not change them.
+    # is stored must not change them. The relaxation is ip2 in the
+    # cumulative level encoding.
     pass_dir = tmp_path / "pass"
     pass_dir.mkdir()
     report = run_traced(MIP_SCRIPT, [str(pass_dir)], tmp_path)
     assert report["codes"] == [0, 0]
     metrics = report["metrics"]
     sizes = {key: metrics[key] for key in ("mip.rows", "mip.cols", "mip.nnz", "mip.solves")}
-    assert sizes == {"mip.rows": 7913, "mip.cols": 4546, "mip.nnz": 236883, "mip.solves": 7}
+    assert sizes == {"mip.rows": 8413, "mip.cols": 5046, "mip.nnz": 37183, "mip.solves": 7}
